@@ -90,7 +90,7 @@ def test_ga_plus_refine_speedup(benchmark, bench_record):
     print(
         f"\n[tensor backend] scalar={scalar_s:.3f}s tensor={tensor_s:.3f}s "
         f"speedup={speedup:.1f}x batch_calls={stats['tensor_batch_calls']:g} "
-        f"delta_resumes={stats['tensor_delta_resumes']:g}"
+        f"full_replays={stats['tensor_full_replays']:g}"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"tensor backend only {speedup:.2f}x faster than cold-cache scalar "

@@ -193,7 +193,7 @@ def schedule(
         so a governor that ignores it is caught, not trusted.
     ``backend``
         Evaluation backend: ``"tensor"`` (default — precomputed NumPy
-        tensors with batched/delta replay, see :mod:`repro.perf.tensor`)
+        tensors with per-schedule/lockstep replay, see :mod:`repro.perf.tensor`)
         or ``"scalar"`` (the per-query reference path).  Both produce
         byte-identical schedules and scores; models the tensors cannot
         represent exactly fall back to scalar automatically.

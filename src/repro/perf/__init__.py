@@ -13,8 +13,8 @@ predicted makespans — funnels through this package:
   repeated CLI / experiment runs start warm;
 * a vectorized tensor backend (:mod:`repro.perf.tensor`) that precomputes
   the whole ``(cpu_job, gpu_job, setting)`` question space as dense NumPy
-  tensors and answers scheduler queries — single, batched, or delta — with
-  array lookups instead of interpolation chains;
+  tensors and answers scheduler queries — one schedule or a lockstep
+  batch — with array lookups instead of interpolation chains;
 * vectorized population kernels (:mod:`repro.perf.population`) that run an
   entire GA generation or refinement neighborhood as ``(P, n)`` index
   matrices scored by one lockstep ``score_population`` replay.

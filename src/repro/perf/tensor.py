@@ -1,4 +1,4 @@
-"""Vectorized tensor evaluation backend: batched + delta makespan evaluation.
+"""Vectorized tensor evaluation backend: table-backed makespan evaluation.
 
 PR 1's :class:`~repro.perf.cache.EvalCache` deduplicates repeated model
 queries but leaves every *cold* query on the scalar Python call chain
@@ -34,16 +34,15 @@ afterwards with O(1) array lookups:
     the governors' ``min()`` does.
 
 :class:`BatchScheduleEvaluator`
-    A :class:`~repro.perf.evaluator.ScheduleEvaluator` whose replay is an
-    O(1)-per-event loop over :class:`PairTables` with
+    A :class:`~repro.perf.evaluator.ScheduleEvaluator` with two replays
+    over :class:`PairTables`, each the faster one for its input size:
 
-    * **delta re-evaluation**: loop-top replay states are snapshotted, and a
-      later schedule sharing queue prefixes (the HCS+ adjacent/random/cross
-      refinement moves) resumes from the deepest matching snapshot instead
-      of replaying from t=0;
-    * **batched lockstep evaluation**: ``evaluate_all`` scores an entire GA
-      population / brute-force chunk in one vectorized sweep, advancing all
-      schedules event-by-event with masked NumPy updates.
+    * **per-schedule replay**: an O(1)-per-event Python loop, from t=0, for
+      single schedules and small batches;
+    * **batched lockstep evaluation**: ``evaluate_all`` and
+      ``score_population`` score an entire GA population / brute-force
+      chunk in one vectorized sweep, advancing all schedules event-by-event
+      with masked NumPy updates.
 
     Scores are bitwise identical to the scalar evaluator's; cache keys are
     tagged with the backend so mixed backends can never serve each other's
@@ -58,7 +57,7 @@ path.  Exactness is enforced by ``tests/perf/test_tensor_model.py`` /
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -790,80 +789,16 @@ class PairTables:
         return tables
 
 
-class _ReplayTrace:
-    """Loop-top snapshots of one indexed replay, for delta resumption.
-
-    ``snaps`` holds ``(cp, gp, cur_c, frac_c, cur_g, frac_g, t, energy,
-    flow)`` tuples, one per event-loop iteration from the initial state onward,
-    where ``cp``/``gp`` count consumed queue entries and ``cur_*`` are job
-    indices (-1 when idle).  A trace always records its replay's *complete*
-    state history — resumed replays copy the validated prefix of the trace
-    they resumed from — so :func:`_deepest_valid_snap` can see every pop
-    decision when deciding how far a different schedule may fast-forward.
-    """
-
-    __slots__ = ("cpu", "gpu", "snaps")
-
-    def __init__(self, cpu, gpu, snaps):
-        self.cpu = cpu
-        self.gpu = gpu
-        self.snaps = snaps
-
-
-def _common_prefix_len(a, b) -> int:
-    n = min(len(a), len(b))
-    k = 0
-    while k < n and a[k] == b[k]:
-        k += 1
-    return k
-
-
-def _deepest_valid_snap(trace: _ReplayTrace, cpu: tuple, gpu: tuple):
-    """Deepest snapshot of ``trace`` that a replay of (cpu, gpu) passes
-    through, as ``(index, snap)``; ``None`` if even the initial state
-    diverges.
-
-    A snapshot is valid while every pop decision made so far coincides
-    between the traced replay and a fresh replay of the new queues: at each
-    loop top an idle device pops when its queue has entries left, so the
-    replays stay in lockstep only while (a) both pop the *same* job, or
-    (b) neither has anything to pop.  The first loop top where the traced
-    replay idled but the new queues still hold a job (or vice versa, or the
-    jobs differ) is the last shared state — later snapshots belong to a
-    different timeline.
-    """
-    cc = _common_prefix_len(trace.cpu, cpu)
-    cg = _common_prefix_len(trace.gpu, gpu)
-    lc_t, lg_t = len(trace.cpu), len(trace.gpu)
-    lc_n, lg_n = len(cpu), len(gpu)
-    best = None
-    for k, snap in enumerate(trace.snaps):
-        cp, gp, cur_c, _, cur_g, _, _, _, _ = snap
-        if cp > cc or gp > cg:
-            break
-        best = (k, snap)
-        diverge_c = cur_c < 0 and not (
-            cp < cc or (cp >= lc_t and cp >= lc_n)
-        )
-        diverge_g = cur_g < 0 and not (
-            gp < cg or (gp >= lg_t and gp >= lg_n)
-        )
-        if diverge_c or diverge_g:
-            break
-    return best
-
-
 class BatchScheduleEvaluator(ScheduleEvaluator):
     """A :class:`ScheduleEvaluator` replaying over :class:`PairTables`.
 
     Drop-in compatible (same cache, same governor, same scores to the bit)
-    but with three fast paths:
+    but with two fast paths:
 
-    * single-schedule scoring replays with O(1) table lookups per event;
-    * repeated scoring of neighboring schedules (the refinement passes)
-      resumes from snapshotted replay states — O(changed suffix) per move;
-    * ``evaluate_all`` advances a whole population in one masked-NumPy
-      lockstep sweep.
+    * single schedules and batches of up to 4 replay one at a time, from
+      t=0, with O(1) table lookups per event;
+    * larger ``evaluate_all`` batches and ``score_population`` advance a
+      whole population in one masked-NumPy lockstep sweep.
 
     Schedules the tables cannot replay (uncovered uids, infeasible
     pair/solo combinations, no tables for the governor) fall back to the
@@ -877,8 +812,8 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         super().__init__(predictor, governor, cache, objective)
         self.tensor = tensor
         self.tables = tables
-        self._traces: deque = deque(maxlen=8)
         self.batch_stats = {
+            # Always 0 (replays start at t=0); kept because bench/trace.py reads it.
             "delta_resumes": 0,
             "full_replays": 0,
             "batch_calls": 0,
@@ -889,7 +824,7 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         }
 
     # ------------------------------------------------------------------
-    # Indexed (single-schedule) replay with delta resumption
+    # Indexed (single-schedule) replay
     # ------------------------------------------------------------------
     def _indexable(self, schedule) -> bool:
         if self.tables is None:
@@ -908,30 +843,17 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         return result
 
     def _indexed_replay(self, schedule):
+        """(makespan, energy, flow) of one schedule replayed from t=0, or
+        ``None`` if it hits an infeasible pair or solo combination."""
+        self.batch_stats["full_replays"] += 1
         tb = self.tables
         index = self.tensor.index
-        cpu = tuple(index[j.uid] for j in schedule.cpu_queue)
-        gpu = tuple(index[j.uid] for j in schedule.gpu_queue)
+        cpu = [index[j.uid] for j in schedule.cpu_queue]
+        gpu = [index[j.uid] for j in schedule.gpu_queue]
 
-        # Resume from the deepest recorded state this schedule's replay is
-        # guaranteed to pass through (deepest = largest elapsed time t).
-        start = (0, 0, -1, 0.0, -1, 0.0, 0.0, 0.0, 0.0)
-        prefix = None
-        for trace in reversed(self._traces):
-            got = _deepest_valid_snap(trace, cpu, gpu)
-            if got is not None and got[1][6] > start[6]:
-                start = got[1]
-                prefix = trace.snaps[: got[0] + 1]
-        if prefix is not None:
-            self.batch_stats["delta_resumes"] += 1
-        else:
-            self.batch_stats["full_replays"] += 1
-
-        cp, gp, cur_c, frac_c, cur_g, frac_g, t, energy, flow = start
-        # Keep the full state history so later delta matches can see every
-        # pop decision, including those made before the resume point.
-        snaps = list(prefix) if prefix is not None else [start]
-        solo_tail = schedule.solo_tail
+        cp = gp = 0
+        cur_c = cur_g = -1
+        frac_c = frac_g = t = energy = flow = 0.0
         kinds = DeviceKind
         while True:
             if cur_c < 0 and cp < len(cpu):
@@ -979,10 +901,13 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
                     frac_g = rem
             t += dt
             flow += done * t
-            snaps.append((cp, gp, cur_c, frac_c, cur_g, frac_g, t, energy, flow))
+        return self._add_solo_tail(schedule.solo_tail, t, energy, flow)
 
-        self._traces.append(_ReplayTrace(cpu, gpu, snaps))
-
+    def _add_solo_tail(self, solo_tail, t, energy, flow):
+        """Replay totals plus ``solo_tail``, in the scalar tail's op order;
+        ``None`` if a tail job has no feasible solo level."""
+        tb = self.tables
+        index = self.tensor.index
         for job, kind in solo_tail:
             i = index[job.uid]
             if not tb.solo_valid[kind][i]:
@@ -1076,11 +1001,11 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         return [self(s) for s in schedules]
 
     def _batch_replay(self, schedules):
-        """Lockstep replay of many schedules; ``None`` if any is infeasible.
+        """Replay of many schedules; ``None`` if any is infeasible.
 
-        Every schedule's arithmetic follows the exact scalar event
-        sequence; ``np.where`` freezes finished lanes bitwise, so lane k's
-        result equals an isolated replay of schedule k.
+        Up to 4 schedules replay one at a time; larger batches run in
+        lockstep, where masked in-place ufuncs leave finished lanes
+        untouched, so lane k's result equals an isolated replay.
         """
         self.batch_stats["batch_calls"] += 1
         self.batch_stats["batch_schedules"] += len(schedules)
@@ -1111,21 +1036,14 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         t, energy, flow, bad = self._replay_matrices(Qc, len_c, Qg, len_g)
         if bad.any():
             return None
-        tb = self.tables
         out = []
         for k, s in enumerate(schedules):
-            tk = float(t[k])
-            ek = float(energy[k])
-            fk = float(flow[k])
-            for job, kind in s.solo_tail:
-                i = index[job.uid]
-                if not tb.solo_valid[kind][i]:
-                    return None
-                solo_s = float(tb.solo_t[kind][i])
-                tk += solo_s
-                fk += tk
-                ek += solo_s * float(tb.solo_power[kind][i])
-            out.append((tk, ek, fk))
+            result = self._add_solo_tail(
+                s.solo_tail, float(t[k]), float(energy[k]), float(flow[k])
+            )
+            if result is None:
+                return None
+            out.append(result)
         return out
 
     def _replay_matrices(self, Qc, len_c, Qg, len_g):

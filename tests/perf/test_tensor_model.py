@@ -245,11 +245,11 @@ class TestScheduleScores:
 
     @HYPO
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_delta_resumed_replays_equal_full_replays(
+    def test_mutation_chain_scores_equal_scalar(
         self, scalar_predictor, jobs, seed
     ):
-        """Mutation chains (the refine move shapes) score identically
-        whether replayed from a delta snapshot or from scratch."""
+        """Mutation chains (the refine move shapes) score byte-identically
+        on the tensor and scalar backends."""
         from repro.core.baselines import random_schedule
         from repro.util.rng import default_rng
 
@@ -272,24 +272,42 @@ class TestScheduleScores:
                 gpu.append(cpu.pop())
             sched = sched.with_queues(tuple(cpu), tuple(gpu))
 
-    def test_tail_mutation_takes_the_delta_path(self, scalar_predictor, jobs):
-        """Swapping the last two CPU jobs must resume from a snapshot, not
-        replay from scratch — the refine inner loop depends on this."""
+    @pytest.mark.parametrize("objective", ["makespan", "energy"])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_batch_sizes_around_the_lockstep_threshold(
+        self, scalar_predictor, jobs, objective, k
+    ):
+        """Batches of 4 (per-schedule replays) and 5 (one lockstep sweep)
+        score byte-identically to per-schedule replays and to scalar."""
         from repro.core.context import SchedulingContext
         from repro.core.schedule import CoSchedule
 
+        def schedule(r):
+            order = jobs[r:] + jobs[:r]
+            tail = (
+                ((order[4], DeviceKind.CPU), (order[5], DeviceKind.GPU))
+                if r % 2 == 0 else ()
+            )
+            return CoSchedule(
+                cpu_queue=tuple(order[:2]),
+                gpu_queue=tuple(order[2:4] if tail else order[2:]),
+                solo_tail=tail,
+            )
+
+        scheds = [schedule(r) for r in range(k)]
+        assert any(s.solo_tail for s in scheds)
         ctx = SchedulingContext(
-            jobs=jobs, cap_w=15.0, predictor=scalar_predictor
+            jobs=jobs, cap_w=15.0, predictor=scalar_predictor,
+            objective=objective,
         )
-        assert isinstance(ctx.evaluator, BatchScheduleEvaluator)
-        base = CoSchedule(
-            cpu_queue=tuple(jobs[:4]), gpu_queue=tuple(jobs[4:])
-        )
-        ctx.evaluator(base)
-        cpu = list(base.cpu_queue)
-        cpu[-1], cpu[-2] = cpu[-2], cpu[-1]
-        swapped = base.with_queues(tuple(cpu), base.gpu_queue)
-        scalar = ctx.with_backend("scalar")
+        ev = ctx.evaluator
+        assert isinstance(ev, BatchScheduleEvaluator)
+        got = ev.evaluate_batch(scheds)
+        # Up to 4 schedules replay one at a time; 5 take the lockstep sweep.
+        assert ev.batch_stats["full_replays"] == (k if k <= 4 else 0)
+
+        field = 0 if objective == "makespan" else 1
+        per_schedule = [ev._indexed_replay(s)[field] for s in scheds]
+        scalar = ctx.with_backend("scalar").evaluator
         # repro: noqa REP003 -- byte-identical backend contract
-        assert ctx.evaluator(swapped) == scalar.evaluator(swapped)
-        assert ctx.evaluator.batch_stats["delta_resumes"] >= 1
+        assert got == per_schedule == [scalar(s) for s in scheds]
