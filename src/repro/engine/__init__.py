@@ -14,6 +14,8 @@ bandwidth demands, and powers.
   pluggable rescheduling policy hook.
 * :mod:`repro.engine.multiprog` — the n-resident time-sharing loop behind
   ``Scenario.timeshare`` (the Default baseline's progress model).
+* :mod:`repro.engine.feedback` — RAPL-style reactive cap control, run on
+  the simulation core as a periodic ``CAP_CHANGE`` controller.
 
 The deprecated shim entry points (``execute_schedule``, ``execute_online``,
 ``execute_with_arrivals``, ``execute_default_schedule``) have been removed

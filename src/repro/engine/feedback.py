@@ -15,24 +15,24 @@ chip power against the cap and steps one frequency level:
 * under the cap by more than ``headroom_w``: step the favoured device up,
   then the other.
 
-The executor is the standard phase-resolved timeline with control-boundary
-events added, so its results are directly comparable with a fixed-replay
-:func:`repro.engine.sim.run` (``Scenario.from_queues``).
+Execution runs on :class:`~repro.engine.sim.SimCore`, like every fixed
+replay of :func:`repro.engine.sim.run`: a :class:`FixedSchedulePolicy`
+drains the two queues, and each control boundary is a timed ``CAP_CHANGE``
+event whose ``on_event`` hook measures the interval and steps the
+controller.  The results are therefore directly comparable with a
+fixed-replay ``run()`` (``Scenario.from_queues``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.hardware.device import DeviceKind
 from repro.hardware.frequency import FrequencySetting
 from repro.hardware.processor import IntegratedProcessor
 from repro.workload.program import Job
-from repro.engine.corun import PhasedRunner, _pair_stalls, _segment_power
-from repro.engine.sim import _MAX_EVENTS, ExecutionResult
-from repro.engine.tracing import JobCompletion, PowerSegment
+from repro.engine.events import EventKind
+from repro.engine.sim import ExecutionResult, FixedSchedulePolicy, SimCore
 from repro.util.validation import check_nonnegative, check_positive
 
 
@@ -98,6 +98,45 @@ class ReactiveCapController:
         return self.setting
 
 
+class _ControlTicks(FixedSchedulePolicy):
+    """Fixed two-queue replay that steps a controller every control interval.
+
+    Tick ``k`` is a timed ``CAP_CHANGE`` at ``k * interval_s``; its hook
+    folds the power segments since the previous tick into one mean power,
+    feeds it to the controller, and schedules tick ``k + 1``.
+    """
+
+    def __init__(
+        self,
+        cpu_queue: Sequence[Job],
+        gpu_queue: Sequence[Job],
+        controller: ReactiveCapController,
+        interval_s: float,
+    ):
+        super().__init__(cpu_queue, gpu_queue)
+        self.controller = controller
+        self.interval_s = interval_s
+        self.trace = [controller.setting]
+        self._ticks = 1
+        self._seen = 0
+
+    def governor(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
+        return self.controller.setting
+
+    def on_event(self, sim: SimCore, event) -> None:
+        if event.kind is not EventKind.CAP_CHANGE:
+            return
+        segments = sim.segments_since(self._seen)
+        self._seen += len(segments)
+        energy = elapsed = 0.0
+        for seg in segments:
+            energy += seg.watts * seg.duration_s
+            elapsed += seg.duration_s
+        self.trace.append(self.controller.observe(energy / elapsed))
+        self._ticks += 1
+        sim.schedule_governor_change(self._ticks * self.interval_s, self.governor)
+
+
 def execute_with_reactive_cap(
     processor: IntegratedProcessor,
     cpu_queue: Sequence[Job],
@@ -112,99 +151,18 @@ def execute_with_reactive_cap(
 
     Returns the execution record plus the per-interval setting trace.
     """
-    check_positive("control_interval_s", control_interval_s)
-    all_uids = [j.uid for j in cpu_queue] + [j.uid for j in gpu_queue]
-    if len(set(all_uids)) != len(all_uids):
-        raise ValueError("a job appears more than once in the schedule")
+    from repro.analysis.invariants import maybe_check_execution
 
+    check_positive("control_interval_s", control_interval_s)
     controller = ReactiveCapController(
         processor, cap_w, gpu_biased=gpu_biased, headroom_w=headroom_w
     )
-    cpu_pending = deque(cpu_queue)
-    gpu_pending = deque(gpu_queue)
-
-    t = 0.0
-    completions: list[JobCompletion] = []
-    segments: list[PowerSegment] = []
-    settings_trace: list[FrequencySetting] = [controller.setting]
-    cpu_busy = gpu_busy = 0.0
-    interval_energy = 0.0
-    interval_elapsed = 0.0
-
-    cpu_run = gpu_run = None
-    cpu_job = gpu_job = None
-    cpu_start = gpu_start = 0.0
-
-    for _ in range(_MAX_EVENTS):
-        if cpu_run is None and cpu_pending:
-            cpu_job = cpu_pending.popleft()
-            cpu_run = PhasedRunner(
-                cpu_job.profile, processor, DeviceKind.CPU,
-                controller.setting.cpu_ghz,
-            )
-            cpu_start = t
-        if gpu_run is None and gpu_pending:
-            gpu_job = gpu_pending.popleft()
-            gpu_run = PhasedRunner(
-                gpu_job.profile, processor, DeviceKind.GPU,
-                controller.setting.gpu_ghz,
-            )
-            gpu_start = t
-        if cpu_run is None and gpu_run is None:
-            break
-
-        setting = controller.setting
-        if cpu_run is not None:
-            cpu_run.set_frequency(setting.cpu_ghz)
-        if gpu_run is not None:
-            gpu_run.set_frequency(setting.gpu_ghz)
-
-        stalls = _pair_stalls(processor, cpu_run, gpu_run)
-        dts = [control_interval_s - interval_elapsed]
-        if cpu_run is not None:
-            dts.append(cpu_run.time_to_phase_end(stalls[0]))
-        if gpu_run is not None:
-            dts.append(gpu_run.time_to_phase_end(stalls[1]))
-        dt = max(min(dts), 1e-12)
-
-        watts = _segment_power(processor, setting, cpu_run, gpu_run, stalls)
-        segments.append(PowerSegment(duration_s=dt, watts=watts))
-        interval_energy += watts * dt
-        interval_elapsed += dt
-        if cpu_run is not None:
-            cpu_busy += dt
-        if gpu_run is not None:
-            gpu_busy += dt
-
-        if cpu_run is not None:
-            cpu_run.advance(dt, stalls[0])
-            if cpu_run.done:
-                completions.append(
-                    JobCompletion(cpu_job.uid, "cpu", t + dt, cpu_start)
-                )
-                cpu_run, cpu_job = None, None
-        if gpu_run is not None:
-            gpu_run.advance(dt, stalls[1])
-            if gpu_run.done:
-                completions.append(
-                    JobCompletion(gpu_job.uid, "gpu", t + dt, gpu_start)
-                )
-                gpu_run, gpu_job = None, None
-        t += dt
-
-        if interval_elapsed >= control_interval_s - 1e-12:
-            controller.observe(interval_energy / interval_elapsed)
-            settings_trace.append(controller.setting)
-            interval_energy = 0.0
-            interval_elapsed = 0.0
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("reactive execution exceeded the event budget")
-
-    execution = ExecutionResult(
-        makespan_s=t,
-        completions=tuple(completions),
-        segments=tuple(segments),
-        cpu_busy_s=cpu_busy,
-        gpu_busy_s=gpu_busy,
-    )
-    return execution, settings_trace
+    ticks = _ControlTicks(cpu_queue, gpu_queue, controller, control_interval_s)
+    sim = SimCore(processor, ticks.governor)
+    for job in (*cpu_queue, *gpu_queue):
+        sim.add_arrival(job, 0.0)
+    sim.schedule_governor_change(control_interval_s, ticks.governor)
+    sim.advance(ticks)
+    execution = sim.record()
+    maybe_check_execution(execution, where="engine.feedback")
+    return execution, ticks.trace

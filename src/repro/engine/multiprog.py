@@ -53,8 +53,6 @@ def _timeshare_run(
     job that has made the least progress, plus the current GPU job) whenever
     the resident set or the GPU job changes.
     """
-    if cs_overhead < 0:
-        raise ValueError("cs_overhead must be non-negative")
     all_uids = [j.uid for j in cpu_jobs] + [j.uid for j in gpu_queue]
     if len(set(all_uids)) != len(all_uids):
         raise ValueError("a job appears more than once in the schedule")

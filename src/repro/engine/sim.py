@@ -157,7 +157,8 @@ class Scenario:
       arrival times are ignored — queue jobs are available at time zero).
     * **timeshare** — ``cpu_timeshare=True``: all CPU jobs resident at
       once under context-switch overhead, sequential GPU queue (the old
-      ``execute_default_schedule`` semantics).
+      ``execute_default_schedule`` semantics).  ``cs_overhead`` (>= 0)
+      applies to this mode only and is rejected anywhere else.
     * **arrivals** — otherwise: ``jobs`` arrive over time and a policy
       (or an :class:`OnlineJobSource`) places them (the old
       ``execute_with_arrivals`` / ``execute_online`` semantics).
@@ -185,6 +186,11 @@ class Scenario:
             object.__setattr__(self, "gpu_queue", tuple(self.gpu_queue))
         object.__setattr__(self, "solo_tail", tuple(self.solo_tail))
         object.__setattr__(self, "cap_changes", tuple(self.cap_changes))
+        if self.cs_overhead is not None:
+            if not self.cpu_timeshare:
+                raise ValueError("cs_overhead requires cpu_timeshare=True")
+            if self.cs_overhead < 0:
+                raise ValueError("cs_overhead must be non-negative")
 
     @property
     def fixed(self) -> bool:
@@ -833,6 +839,10 @@ class SimCore:
     @property
     def events(self) -> tuple[SimEvent, ...]:
         return tuple(self._events)
+
+    def segments_since(self, index: int) -> tuple[PowerSegment, ...]:
+        """The power segments recorded from position ``index`` on."""
+        return tuple(self._segments[index:])
 
     def record(
         self, *, objective: str = "makespan", backend: str = "engine.sim"

@@ -8,6 +8,9 @@ comparison vacuous).  These are the pre-``repro.engine.sim`` bodies of
 ``execute_default_schedule``, copied at the moment of the migration and
 deliberately never modified again — any behavior drift in the unified
 core shows up as a mismatch against this file.
+
+``reference_execute_with_reactive_cap`` is the hand-written reactive-cap
+loop, frozen the same way when reactive control moved onto ``SimCore``.
 """
 
 from __future__ import annotations
@@ -586,3 +589,120 @@ def reference_execute_default_schedule(
         cpu_busy_s=cpu_busy,
         gpu_busy_s=gpu_busy,
     )
+
+
+def reference_execute_with_reactive_cap(
+    processor,
+    cpu_queue,
+    gpu_queue,
+    cap_w,
+    *,
+    gpu_biased=True,
+    control_interval_s=1.0,
+    headroom_w=1.0,
+):
+    """The hand-written ``execute_with_reactive_cap`` loop, verbatim.
+
+    Returns ``(ReferenceExecution, settings trace)``.  The controller is the
+    live :class:`~repro.engine.feedback.ReactiveCapController`: only the
+    execution loop around it is frozen here.
+    """
+    from repro.engine.feedback import ReactiveCapController
+    from repro.util.validation import check_positive
+
+    check_positive("control_interval_s", control_interval_s)
+    all_uids = [j.uid for j in cpu_queue] + [j.uid for j in gpu_queue]
+    if len(set(all_uids)) != len(all_uids):
+        raise ValueError("a job appears more than once in the schedule")
+
+    controller = ReactiveCapController(
+        processor, cap_w, gpu_biased=gpu_biased, headroom_w=headroom_w
+    )
+    cpu_pending = deque(cpu_queue)
+    gpu_pending = deque(gpu_queue)
+
+    t = 0.0
+    completions: list[JobCompletion] = []
+    segments: list[PowerSegment] = []
+    settings_trace: list[FrequencySetting] = [controller.setting]
+    cpu_busy = gpu_busy = 0.0
+    interval_energy = 0.0
+    interval_elapsed = 0.0
+
+    cpu_run = gpu_run = None
+    cpu_job = gpu_job = None
+    cpu_start = gpu_start = 0.0
+
+    for _ in range(_MAX_EVENTS):
+        if cpu_run is None and cpu_pending:
+            cpu_job = cpu_pending.popleft()
+            cpu_run = PhasedRunner(
+                cpu_job.profile, processor, DeviceKind.CPU,
+                controller.setting.cpu_ghz,
+            )
+            cpu_start = t
+        if gpu_run is None and gpu_pending:
+            gpu_job = gpu_pending.popleft()
+            gpu_run = PhasedRunner(
+                gpu_job.profile, processor, DeviceKind.GPU,
+                controller.setting.gpu_ghz,
+            )
+            gpu_start = t
+        if cpu_run is None and gpu_run is None:
+            break
+
+        setting = controller.setting
+        if cpu_run is not None:
+            cpu_run.set_frequency(setting.cpu_ghz)
+        if gpu_run is not None:
+            gpu_run.set_frequency(setting.gpu_ghz)
+
+        stalls = _pair_stalls(processor, cpu_run, gpu_run)
+        dts = [control_interval_s - interval_elapsed]
+        if cpu_run is not None:
+            dts.append(cpu_run.time_to_phase_end(stalls[0]))
+        if gpu_run is not None:
+            dts.append(gpu_run.time_to_phase_end(stalls[1]))
+        dt = max(min(dts), 1e-12)
+
+        watts = _segment_power(processor, setting, cpu_run, gpu_run, stalls)
+        segments.append(PowerSegment(duration_s=dt, watts=watts))
+        interval_energy += watts * dt
+        interval_elapsed += dt
+        if cpu_run is not None:
+            cpu_busy += dt
+        if gpu_run is not None:
+            gpu_busy += dt
+
+        if cpu_run is not None:
+            cpu_run.advance(dt, stalls[0])
+            if cpu_run.done:
+                completions.append(
+                    JobCompletion(cpu_job.uid, "cpu", t + dt, cpu_start)
+                )
+                cpu_run, cpu_job = None, None
+        if gpu_run is not None:
+            gpu_run.advance(dt, stalls[1])
+            if gpu_run.done:
+                completions.append(
+                    JobCompletion(gpu_job.uid, "gpu", t + dt, gpu_start)
+                )
+                gpu_run, gpu_job = None, None
+        t += dt
+
+        if interval_elapsed >= control_interval_s - 1e-12:
+            controller.observe(interval_energy / interval_elapsed)
+            settings_trace.append(controller.setting)
+            interval_energy = 0.0
+            interval_elapsed = 0.0
+    else:  # pragma: no cover - defensive
+        raise RuntimeError("reactive execution exceeded the event budget")
+
+    execution = ReferenceExecution(
+        makespan_s=t,
+        completions=tuple(completions),
+        segments=tuple(segments),
+        cpu_busy_s=cpu_busy,
+        gpu_busy_s=gpu_busy,
+    )
+    return execution, settings_trace

@@ -111,3 +111,13 @@ class TestTimeshareScenario:
                 Scenario.timeshare([_job("a")], [], cs_overhead=-0.1),
                 governor=_max_governor(processor),
             )
+
+    def test_negative_overhead_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Scenario.timeshare([_job("a")], [], cs_overhead=-0.1)
+
+    def test_overhead_without_timeshare_rejected(self):
+        with pytest.raises(ValueError, match="cpu_timeshare"):
+            Scenario(cpu_queue=(_job("a"),), cs_overhead=0.5)
+        with pytest.raises(ValueError, match="cpu_timeshare"):
+            Scenario.from_queues([_job("a")], [], cs_overhead=0.5)
