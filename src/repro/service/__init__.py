@@ -3,12 +3,14 @@
 Turns the batch reproduction into a running service: a long-lived daemon
 (:func:`~repro.service.async_server.serve_async`, ``repro serve`` on the
 command line) accepts job submissions over a newline-delimited JSON
-protocol, keeps a bounded multi-tenant admission queue with backpressure
-and per-tenant quotas, schedules arrived jobs with any method from the
+protocol, admits them against a bounded queue with backpressure and
+per-tenant quotas, schedules arrived jobs with any method from the
 ``repro.core`` registry whenever a processor idles, reacts to live
 power-cap events mid-run, shards independent sessions across workers,
 and — with a durable directory — journals every job state transition
 through :mod:`repro.store` so acknowledged work survives ``kill -9``.
+The store's event fold is the daemon's one job table: queue depth comes
+from the scheduling session and per-tenant live counts from the fold.
 See ``docs/API.md`` for the protocol schema and ``docs/SERVICE.md`` for
 the architecture (store, shards, admission, recovery).
 
@@ -27,7 +29,6 @@ from repro.service.protocol import (
     decode_response,
     encode,
 )
-from repro.service.queue import AdmissionDecision, JobState, SubmissionQueue
 from repro.service.server import ServiceState
 from repro.service.session import (
     CompletionRecord,
@@ -41,9 +42,6 @@ __all__ = [
     "decode_request",
     "decode_response",
     "encode",
-    "AdmissionDecision",
-    "JobState",
-    "SubmissionQueue",
     "ServiceMetrics",
     "CompletionRecord",
     "LateRejection",

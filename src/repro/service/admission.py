@@ -8,6 +8,8 @@ under the cap right now?" — *per tenant*.  Three layers compose:
    identical submissions pays one profiling pass.
 2. **Quotas** bound each tenant's live jobs (queued + held + running), so
    one tenant cannot starve the rest of the queue; code ``tenant_quota``.
+   The live counts are the store fold's per-tenant index
+   (:attr:`repro.store.store.StoreState.tenant_live`).
 3. **Headroom**: when the session's bounded queue is full, submissions
    spill into a per-tenant *priority backlog* (higher priority drains
    first, tenants drain round-robin) up to ``backlog_capacity``; beyond
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.workload.program import Job
 
@@ -49,35 +51,6 @@ class HeldSubmission:
     arrival_s: float
     tenant: str
     priority: int
-    program: str
-    scale: float
-
-
-@dataclass
-class TenantLedger:
-    """Per-tenant live-job accounting behind quota decisions."""
-
-    live: dict[str, int] = field(default_factory=dict)
-    admitted: dict[str, int] = field(default_factory=dict)
-    rejected: dict[str, int] = field(default_factory=dict)
-
-    def admit(self, tenant: str) -> None:
-        self.live[tenant] = self.live.get(tenant, 0) + 1
-        self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
-
-    def reject(self, tenant: str) -> None:
-        self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
-
-    def finish(self, tenant: str) -> None:
-        """A live job completed or was withdrawn; release its quota slot."""
-        count = self.live.get(tenant, 0) - 1
-        if count > 0:
-            self.live[tenant] = count
-        else:
-            self.live.pop(tenant, None)
-
-    def over_quota(self, tenant: str, quota: int | None) -> bool:
-        return quota is not None and self.live.get(tenant, 0) >= quota
 
 
 class TenantBacklog:
@@ -93,15 +66,19 @@ class TenantBacklog:
         self._heaps: dict[str, list[tuple[int, int, HeldSubmission]]] = {}
         self._ring: deque[str] = deque()
         self._seq = 0
-        self._depth = 0
+        #: uids of every held submission (O(1) "is it held?").
+        self._held: set[str] = set()
 
     @property
     def depth(self) -> int:
-        return self._depth
+        return len(self._held)
+
+    def __contains__(self, job_id: str) -> bool:
+        return job_id in self._held
 
     @property
     def full(self) -> bool:
-        return self._depth >= self.capacity
+        return len(self._held) >= self.capacity
 
     def depths(self) -> dict[str, int]:
         return {tenant: len(heap) for tenant, heap in self._heaps.items()}
@@ -116,7 +93,7 @@ class TenantBacklog:
             self._ring.append(held.tenant)
         self._seq += 1
         heapq.heappush(heap, (-held.priority, self._seq, held))
-        self._depth += 1
+        self._held.add(held.job.uid)
         return True
 
     def pop(self) -> HeldSubmission | None:
@@ -128,7 +105,7 @@ class TenantBacklog:
                 self._heaps.pop(tenant, None)
                 continue
             _, _, held = heapq.heappop(heap)
-            self._depth -= 1
+            self._held.discard(held.job.uid)
             if heap:
                 self._ring.append(tenant)
             else:

@@ -6,7 +6,9 @@ message carries a protocol version (``"v"``) and a discriminator
 registered for that type.  The codec is strict — unknown types, unknown
 fields, missing required fields, and version mismatches all raise
 :class:`ProtocolError` — so incompatible clients fail loudly at the first
-message instead of mis-scheduling silently.
+message instead of mis-scheduling silently.  Numeric request fields must
+be finite JSON numbers (``json`` accepts ``NaN``, ``Infinity`` and
+``1e400``; the codec does not) and ``priority`` an integer.
 
 Requests::
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 PROTOCOL_VERSION = 1
@@ -379,9 +382,48 @@ def _decode(line: str | bytes, table: dict):
     return _build(cls, payload)
 
 
+#: Request class -> (finite-number fields, integer fields).  A ``None``
+#: value passes for an optional field (its default).
+_NUMERIC_FIELDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    SubmitRequest: (("scale", "arrival_s"), ("priority",)),
+    SetCapRequest: (("cap_w", "at_s"), ()),
+    AdvanceRequest: (("until_s",), ()),
+}
+
+
+def _is_finite_number(value) -> bool:
+    # type() rather than isinstance(): JSON true/false decode to bool, an
+    # int subclass that is not a number on the wire.  The bound rejects
+    # NaN and infinities, and integers too large for a float.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _check_numbers(request) -> None:
+    spec = _NUMERIC_FIELDS.get(type(request))
+    if spec is None:
+        return
+    finite, integral = spec
+    for name in finite:
+        value = getattr(request, name)
+        if value is not None and not _is_finite_number(value):
+            raise ProtocolError(
+                f"bad {type(request).__name__}: {name} must be a finite "
+                f"number, got {value!r}"
+            )
+    for name in integral:
+        value = getattr(request, name)
+        if type(value) is not int:
+            raise ProtocolError(
+                f"bad {type(request).__name__}: {name} must be an integer, "
+                f"got {value!r}"
+            )
+
+
 def decode_request(line: str | bytes):
     """Parse one request line into its dataclass (or raise ProtocolError)."""
-    return _decode(line, _REQUEST_TYPES)
+    request = _decode(line, _REQUEST_TYPES)
+    _check_numbers(request)
+    return request
 
 
 def decode_response(line: str | bytes):

@@ -1,11 +1,16 @@
 """Shared service state behind every listener front end.
 
 :class:`ServiceState` is everything behind a listener: the scheduling
-session, the bounded queue, multi-tenant admission (quotas + priority
-backlog), metrics, and the durable :class:`~repro.store.JobStore`.  Every
-job state transition is committed to the store's event log *before* the
-response that acknowledges it is returned, so an acknowledgement implies
-durability (group commit: batches flush once per request batch).  The
+session, multi-tenant admission (quotas + priority backlog), metrics, and
+the durable :class:`~repro.store.JobStore`.  Every job state transition
+is committed to the store's event log *before* the response that
+acknowledges it is returned, so an acknowledgement implies durability
+(group commit: batches flush once per request batch).
+
+One job lifecycle: the store's fold is the only job table.  Queue depth
+is the session's count of admitted, not-yet-started jobs; per-tenant
+live counts (quotas) are the fold's ``tenant_live`` index; a job is
+``held`` exactly while it sits in the :class:`TenantBacklog`.  The
 asyncio front end in :mod:`repro.service.async_server` (and the sharded
 tier above it) drives this state; the protocol behaves identically
 regardless of transport.
@@ -27,17 +32,11 @@ import threading
 from repro.workload.program import Job
 from repro.workload.rodinia import rodinia_programs
 from repro.service import protocol
-from repro.service.admission import (
-    HeldSubmission,
-    TenantBacklog,
-    TenantLedger,
-    TenantPolicy,
-)
+from repro.service.admission import HeldSubmission, TenantBacklog, TenantPolicy
 from repro.service.metrics import ServiceMetrics
-from repro.service.queue import JobRecord, JobState, SubmissionQueue
 from repro.service.session import CompletionRecord, LateRejection, ServiceSession
 from repro.store import events as ev
-from repro.store.store import DONE, JobStore, LIVE_STATES, PREEMPTED, QUEUED
+from repro.store.store import JobStore, PREEMPTED, QUEUED
 
 #: Store lifecycle -> wire-level job state.
 _WIRE_STATE = {
@@ -74,7 +73,12 @@ def _rejection_info(rej: LateRejection) -> protocol.RejectionResponse:
 
 
 class ServiceState:
-    """Everything behind the socket: session, queue, store, one lock."""
+    """Everything behind the socket: session, store, admission, one lock.
+
+    ``queue_capacity`` bounds the session's admitted-but-not-started jobs;
+    running and finished jobs do not count against it, so a drained
+    system always accepts new work.
+    """
 
     def __init__(
         self,
@@ -85,8 +89,10 @@ class ServiceState:
         tenant_policy: TenantPolicy | None = None,
         shard_id: int = 0,
     ) -> None:
+        if queue_capacity < 1:
+            raise ValueError("queue capacity must be >= 1")
         self.session = session
-        self.queue = SubmissionQueue(capacity=queue_capacity)
+        self.queue_capacity = queue_capacity
         self.metrics = ServiceMetrics()
         self.lock = threading.RLock()
         self.stopping = threading.Event()
@@ -94,7 +100,6 @@ class ServiceState:
         self.store = store if store is not None else JobStore()
         self.tenant_policy = tenant_policy if tenant_policy is not None else TenantPolicy()
         self.backlog = TenantBacklog(self.tenant_policy.backlog_capacity)
-        self.ledger = TenantLedger()
         self._programs = {p.name: p for p in rodinia_programs()}
         self._scaled: dict[tuple[str, float], object] = {}
         #: (program, scale, cap_w) -> solo-feasible?  One profiling pass
@@ -137,44 +142,12 @@ class ServiceState:
                         f"program {stored.program!r} is no longer calibrated"
                     ),
                 ))
-                self.queue.restore_record(JobRecord(
-                    job_id=stored.job_id,
-                    program=stored.program,
-                    scale=stored.scale,
-                    state=JobState.REJECTED,
-                    arrival_s=stored.arrival_s,
-                    detail="unknown program after recovery",
-                ))
                 continue
             if stored.state != QUEUED:
                 requeues.append(ev.JobRequeued(job_id=stored.job_id))
             job = Job(uid=stored.job_id, profile=profile)
-            arrival = self.session.submit(
-                job, max(stored.arrival_s, self.session.now)
-            )
-            self.queue.restore_record(JobRecord(
-                job_id=stored.job_id,
-                program=stored.program,
-                scale=stored.scale,
-                state=JobState.QUEUED,
-                arrival_s=arrival,
-            ))
-            self.ledger.admit(stored.tenant)
+            self.session.submit(job, max(stored.arrival_s, self.session.now))
             self.recovered_jobs += 1
-        for stored in state.jobs.values():
-            if stored.state in LIVE_STATES:
-                continue
-            self.queue.restore_record(JobRecord(
-                job_id=stored.job_id,
-                program=stored.program,
-                scale=stored.scale,
-                state=(
-                    JobState.DONE if stored.state == DONE
-                    else JobState.REJECTED
-                ),
-                arrival_s=stored.arrival_s,
-                detail=stored.detail,
-            ))
         self.metrics.completed = state.completed
         if requeues:
             self.store.commit(*requeues)
@@ -232,10 +205,9 @@ class ServiceState:
         completions: list[CompletionRecord],
         rejections: list[LateRejection],
     ) -> tuple[list[protocol.CompletionInfo], list[protocol.RejectionResponse]]:
-        """Fold a session step's outcome into queue, store, and metrics."""
+        """Fold a session step's outcome into the store and metrics."""
         events: list[ev.Event] = []
         for record in completions:
-            self.queue.mark_done(record.job_id)
             self.metrics.completed += 1
             self.metrics.observe_completion(
                 turnaround_s=record.turnaround_s,
@@ -257,18 +229,13 @@ class ServiceState:
                     finish_s=record.finish_s,
                     energy_est_j=record.energy_est_j,
                 ))
-                self.ledger.finish(stored.tenant)
         for rej in rejections:
-            self.queue.mark_rejected(rej.job_id, rej.message)
             self.metrics.rejected_late += 1
-            stored = self.store.job(rej.job_id)
-            if stored is not None:
+            if rej.job_id in self.store:
                 events.append(ev.JobRejected(
                     job_id=rej.job_id, code=rej.code, message=rej.message
                 ))
-                self.ledger.finish(stored.tenant)
         for kind, job in self.session.running.items():
-            self.queue.mark_running(job.uid)
             stored = self.store.job(job.uid)
             if stored is not None and stored.state in (QUEUED, PREEMPTED):
                 start = self.session.sim.starts.get(job.uid)
@@ -306,16 +273,14 @@ class ServiceState:
 
     def _refill(self) -> None:
         """Admit held submissions into freed queue slots (priority order)."""
-        while self.backlog.depth and self.queue.depth < self.queue.capacity:
+        while (
+            self.backlog.depth
+            and self.session.queue_depth < self.queue_capacity
+        ):
             held = self.backlog.pop()
             if held is None:  # pragma: no cover - depth said otherwise
                 break
-            arrival = self.session.submit(
-                held.job, max(held.arrival_s, self.session.now)
-            )
-            record = self.queue.record(held.job.uid)
-            record.arrival_s = arrival
-            self.queue.mark_queued(held.job.uid)
+            self.session.submit(held.job, max(held.arrival_s, self.session.now))
 
     # ------------------------------------------------------------------
     # Admission helpers
@@ -333,8 +298,6 @@ class ServiceState:
         code: str, message: str,
     ) -> None:
         """Durably record a refused (but validated) submission."""
-        if job_id in self.store:
-            return
         self.store.commit(
             ev.JobSubmitted(
                 job_id=job_id,
@@ -348,7 +311,6 @@ class ServiceState:
             ),
             ev.JobRejected(job_id=job_id, code=code, message=message),
         )
-        self.ledger.reject(req.tenant)
 
     # ------------------------------------------------------------------
     # Request handlers
@@ -374,7 +336,7 @@ class ServiceState:
                 job_id=hit.job_id,
                 state=_WIRE_STATE[hit.state],
                 arrival_s=hit.arrival_s,
-                queue_depth=self.queue.depth,
+                queue_depth=self.session.queue_depth,
                 deduplicated=True,
             )
         profile = self._programs.get(req.program)
@@ -410,7 +372,7 @@ class ServiceState:
             self.session.now if req.arrival_s is None
             else max(req.arrival_s, self.session.now)
         )
-        if job_id in self.queue or job_id in self.store:
+        if job_id in self.store:
             self.metrics.rejected_invalid += 1
             return protocol.RejectionResponse(
                 code="duplicate",
@@ -418,7 +380,8 @@ class ServiceState:
                 job_id=job_id,
                 cap_w=self.session.cap_w,
             )
-        room = self.queue.depth < self.queue.capacity
+        depth = self.session.queue_depth
+        room = depth < self.queue_capacity
         if not room and self.backlog.full:
             # Transient refusal: not logged to the store, so the client
             # may retry the same uid once the queue drains.
@@ -427,7 +390,7 @@ class ServiceState:
                 code="backpressure",
                 message=(
                     f"submission queue is full "
-                    f"({self.queue.depth}/{self.queue.capacity});"
+                    f"({depth}/{self.queue_capacity});"
                     " retry after some jobs start"
                 ),
                 job_id=job_id,
@@ -441,23 +404,23 @@ class ServiceState:
                 f"device under the {self.session.cap_w} W cap"
             )
             self._log_rejection(req, job_id, arrival, "infeasible_cap", message)
-            self.queue.record_rejection(
-                job_id, req.program, req.scale, arrival, message
-            )
             return protocol.RejectionResponse(
                 code="infeasible_cap",
                 message=message,
                 job_id=job_id,
                 cap_w=self.session.cap_w,
             )
-        if self.ledger.over_quota(req.tenant, self.tenant_policy.quota):
+        quota = self.tenant_policy.quota
+        if (
+            quota is not None
+            and self.store.state.tenant_live.get(req.tenant, 0) >= quota
+        ):
             # Transient, like backpressure: the uid stays reusable once
             # the tenant's live jobs finish.
             self.metrics.rejected_quota += 1
-            self.ledger.reject(req.tenant)
             message = (
                 f"tenant {req.tenant!r} is at its quota of "
-                f"{self.tenant_policy.quota} live jobs"
+                f"{quota} live jobs"
             )
             return protocol.RejectionResponse(
                 code="tenant_quota",
@@ -478,11 +441,9 @@ class ServiceState:
             ),
             ev.JobAdmitted(job_id=job_id, cap_w=self.session.cap_w),
         )
-        self.ledger.admit(req.tenant)
         self.metrics.admitted += 1
         if room:
             arrival = self.session.submit(job, arrival)
-            self.queue.enqueue(job_id, req.program, req.scale, arrival)
             state = "queued"
         else:
             self.backlog.push(HeldSubmission(
@@ -490,16 +451,13 @@ class ServiceState:
                 arrival_s=arrival,
                 tenant=req.tenant,
                 priority=req.priority,
-                program=req.program,
-                scale=req.scale,
             ))
-            self.queue.hold(job_id, req.program, req.scale, arrival)
             state = "held"
         return protocol.SubmitResponse(
             job_id=job_id,
             state=state,
             arrival_s=arrival,
-            queue_depth=self.queue.depth,
+            queue_depth=self.session.queue_depth,
         )
 
     def _handle_set_cap(self, req: protocol.SetCapRequest):
@@ -550,7 +508,7 @@ class ServiceState:
         return protocol.StatusResponse(
             now_s=self.session.now,
             cap_w=self.session.cap_w,
-            queue_depth=self.queue.depth,
+            queue_depth=self.session.queue_depth,
             running=[job.uid for job in self.session.running.values()],
             completed=self.metrics.completed,
             rejected=self.metrics.rejected,
@@ -559,6 +517,7 @@ class ServiceState:
         )
 
     def _handle_metrics(self, req: protocol.MetricsRequest):
+        depth = self.session.queue_depth
         extra: dict[str, float] = {
             "backlog_depth": float(self.backlog.depth),
             "recovered_jobs": float(self.recovered_jobs),
@@ -566,26 +525,43 @@ class ServiceState:
             "store_completed": float(self.store.state.completed),
             "store_rejected": float(self.store.state.rejected),
         }
-        for tenant, n in sorted(self.ledger.live.items()):
+        for tenant, n in sorted(self.store.state.tenant_live.items()):
             extra[f"tenant_live_{tenant}"] = float(n)
         for tenant, n in sorted(self.backlog.depths().items()):
             extra[f"tenant_backlog_{tenant}"] = float(n)
         return protocol.MetricsResponse(
             metrics=self.metrics.snapshot(
-                queue_depth=self.queue.depth,
+                queue_depth=depth,
                 running=len(self.session.running),
                 now_s=self.session.now,
                 cap_w=self.session.cap_w,
                 cache=self.session.cache.snapshot(),
-                headroom=self.queue.headroom,
+                headroom=max(0, self.queue_capacity - depth),
                 extra=extra,
             )
         )
 
     def _handle_jobs(self, req: protocol.JobsRequest):
-        return protocol.JobsResponse(
-            jobs=[r.as_dict() for r in self.queue.records()]
-        )
+        """Every job the store knows, in submission order.
+
+        ``arrival_s`` is the arrival the submission was acknowledged
+        with (completions report the session's effective arrival), and
+        ``detail`` is the store's rejection message.
+        """
+        held = self.backlog
+        return protocol.JobsResponse(jobs=[
+            {
+                "job_id": job.job_id,
+                "program": job.program,
+                "scale": job.scale,
+                "state": (
+                    "held" if job.job_id in held else _WIRE_STATE[job.state]
+                ),
+                "arrival_s": job.arrival_s,
+                "detail": job.detail,
+            }
+            for job in self.store.state.jobs.values()
+        ])
 
     def _handle_shutdown(self, req: protocol.ShutdownRequest):
         done, _ = self._drain_all()

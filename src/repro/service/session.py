@@ -281,8 +281,8 @@ class ServiceSession:
         its timestamp during :meth:`advance`/:meth:`drain`, re-evaluating
         the running pair's frequencies at that instant.
         """
-        if cap_w <= 0:
-            raise ValueError("cap_w must be positive")
+        if not (cap_w > 0 and math.isfinite(cap_w)):
+            raise ValueError(f"cap_w must be finite and positive, got {cap_w}")
         if at_s is not None and at_s > self.sim.now + _EPS:
             heapq.heappush(self._cap_events, (at_s, self._cap_seq, cap_w))
             self._cap_seq += 1

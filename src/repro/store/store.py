@@ -23,6 +23,7 @@ recovers state as snapshot + suffix replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -83,7 +84,12 @@ class StoredJob:
 
 @dataclass
 class StoreState:
-    """The fold target: jobs, idempotency index, cap, clock, counters."""
+    """The fold target: jobs, idempotency index, cap, clock, counters.
+
+    ``tenant_live`` counts each tenant's live (not yet terminal) jobs —
+    the quota index.  It is derived from ``jobs``: the fold keeps it up
+    to date, construction recomputes it, and snapshots do not carry it.
+    """
 
     jobs: dict[str, StoredJob] = field(default_factory=dict)
     idempotency: dict[str, str] = field(default_factory=dict)
@@ -91,6 +97,21 @@ class StoreState:
     now_s: float = 0.0
     completed: int = 0
     rejected: int = 0
+    tenant_live: dict[str, int] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        for job in self.jobs.values():
+            if job.state in LIVE_STATES:
+                self._count_live(job.tenant, 1)
+
+    def _count_live(self, tenant: str, delta: int) -> None:
+        count = self.tenant_live.get(tenant, 0) + delta
+        if count:
+            self.tenant_live[tenant] = count
+        else:
+            del self.tenant_live[tenant]
 
     # ------------------------------------------------------------------
     # The fold
@@ -141,6 +162,7 @@ class StoreState:
             idempotency_key=e.idempotency_key,
             objective=e.objective,
         )
+        self._count_live(e.tenant, 1)
 
     def _apply_admitted(self, e: JobAdmitted) -> None:
         job = self._job(e.job_id, e)
@@ -181,6 +203,7 @@ class StoreState:
         job.finish_s = e.finish_s
         job.energy_est_j = e.energy_est_j
         self.completed += 1
+        self._count_live(job.tenant, -1)
 
     def _apply_rejected(self, e: JobRejected) -> None:
         job = self._job(e.job_id, e)
@@ -192,6 +215,7 @@ class StoreState:
         job.state = REJECTED
         job.detail = e.message or e.code
         self.rejected += 1
+        self._count_live(job.tenant, -1)
 
     def _apply_requeued(self, e: JobRequeued) -> None:
         job = self._job(e.job_id, e)
@@ -200,8 +224,10 @@ class StoreState:
         job.device = None
 
     def _apply_cap(self, e: CapChanged) -> None:
-        if e.cap_w <= 0:
-            raise StoreIntegrityError(f"non-positive cap {e.cap_w}")
+        if not (e.cap_w > 0 and math.isfinite(e.cap_w)):
+            raise StoreIntegrityError(
+                f"cap must be finite and positive, got {e.cap_w}"
+            )
         self.cap_w = e.cap_w
 
     def _apply_clock(self, e: ClockAdvanced) -> None:
@@ -239,6 +265,7 @@ class StoreState:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StoreState":
+        # ``tenant_live`` is not in the payload: construction recounts it.
         return cls(
             jobs={
                 uid: StoredJob(**job)

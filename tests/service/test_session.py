@@ -79,6 +79,14 @@ class TestCapEvents:
         with pytest.raises(ValueError, match="positive"):
             session.set_cap(0.0)
 
+    @pytest.mark.parametrize("cap_w", [float("nan"), float("inf")])
+    def test_non_finite_cap_rejected(self, session, cap_w):
+        with pytest.raises(ValueError, match="finite"):
+            session.set_cap(cap_w)
+        with pytest.raises(ValueError, match="finite"):
+            session.set_cap(cap_w, at_s=10.0)
+        assert session.cap_w == DEFAULT_POWER_CAP_W
+
     def test_future_cap_applies_at_its_timestamp(self, session, rodinia):
         session.submit(_job(rodinia, "cfd"), 0.0)
         session.submit(_job(rodinia, "dwt2d"), 0.0)

@@ -29,6 +29,7 @@ from repro.store import (
 )
 from repro.store.store import (
     DONE,
+    LIVE_STATES,
     PREEMPTED,
     QUEUED,
     REJECTED,
@@ -158,3 +159,25 @@ def test_verifier_accepts_every_generated_log(events, data):
     cut = data.draw(st.integers(0, len(events)), label="snapshot cut")
     log.save_snapshot(cut, fold(events[:cut]).to_dict())
     assert verify_store_log(log) == []
+
+
+def _assert_index_sound(state: StoreState) -> None:
+    recount: dict[str, int] = {}
+    for job in state.jobs.values():
+        if job.state in LIVE_STATES:
+            recount[job.tenant] = recount.get(job.tenant, 0) + 1
+    assert state.tenant_live == recount
+    clone = StoreState.from_dict(state.to_dict())
+    assert clone.tenant_live == state.tenant_live
+
+
+@given(events=event_logs())
+@settings(max_examples=60, deadline=None)
+def test_tenant_live_index_matches_a_recount_at_every_prefix(events):
+    """The fold's per-tenant live index equals a recount over ``jobs``
+    after every event, and a snapshot round trip rebuilds it."""
+    state = StoreState()
+    _assert_index_sound(state)
+    for event in events:
+        state.apply(event)
+        _assert_index_sound(state)

@@ -124,6 +124,13 @@ class TestFoldRejectsIllegalTransitions:
                 JobSubmitted(job_id="b", program="lud", idempotency_key="k")
             )
 
+    @pytest.mark.parametrize("cap_w", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_cap_that_is_not_finite_and_positive_raises(self, cap_w):
+        state = fold([CapChanged(cap_w=12.0)])
+        with pytest.raises(StoreIntegrityError, match="finite and positive"):
+            state.apply(CapChanged(cap_w=cap_w))
+        assert state.cap_w == 12.0
+
 
 class TestEventCodec:
     @pytest.mark.parametrize("event", [
