@@ -149,9 +149,10 @@ class SchedulingContext:
                 predictor = predictor.inner
             set_(self, "predictor", predictor)
         elif self.governor is None and self.evaluator is None:
-            # Tensor pipeline: precompute (memoized per model), rebuild the
-            # governor over the tensor-served predictor, and reduce the
-            # governor's choices into replay tables for the batch evaluator.
+            # Tensor pipeline: precompute (memoized by profile content),
+            # rebuild the governor over the tensor-served predictor, and
+            # reduce the governor's choices into replay tables for the
+            # batch evaluator.
             # Any piece that cannot be tensorized exactly degrades to the
             # scalar path below.
             from repro.perf.tensor import (

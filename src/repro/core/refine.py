@@ -137,30 +137,29 @@ def _refine_vectorized(
     from repro.perf.population import refine_queues
 
     tail = tuple((index[j.uid], kind) for j, kind in schedule.solo_tail)
+    # Queues hold positions into ``queued``; jobs of one program share a
+    # tensor row, so rows alone could not tell the refined jobs apart.
+    queued = (*schedule.cpu_queue, *schedule.gpu_queue)
+    row = np.array([index[j.uid] for j in queued], dtype=np.int64)
 
     def score_queues(Qc, len_c, Qg, len_g):
         scores, _, _, _, _ = evaluate.score_population(
-            Qc, len_c, Qg, len_g, solo_tail=tail
+            row[Qc], len_c, row[Qg], len_g, solo_tail=tail
         )
         return scores
 
-    cpu = np.array([index[j.uid] for j in schedule.cpu_queue], dtype=np.int64)
-    gpu = np.array([index[j.uid] for j in schedule.gpu_queue], dtype=np.int64)
+    n_cpu = len(schedule.cpu_queue)
     cpu, gpu, _ = refine_queues(
         score_queues,
-        cpu,
-        gpu,
+        np.arange(n_cpu),
+        np.arange(n_cpu, len(queued)),
         best,
         adjacent_min_gain=ADJACENT_MIN_GAIN,
         random_min_gain=RANDOM_MIN_GAIN,
     )
-    job_of = {
-        index[j.uid]: j
-        for j in (*schedule.cpu_queue, *schedule.gpu_queue)
-    }
     refined = schedule.with_queues(
-        tuple(job_of[int(i)] for i in cpu),
-        tuple(job_of[int(i)] for i in gpu),
+        tuple(queued[int(i)] for i in cpu),
+        tuple(queued[int(i)] for i in gpu),
     )
     # Prime the memoized per-schedule score (bitwise equal to the lane's).
     evaluate(refined)

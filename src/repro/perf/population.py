@@ -284,7 +284,8 @@ def swap_neighborhood(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every swap the scalar refinement passes sample from, as matrices.
 
-    For queues ``cpu``/``gpu`` of tensor indices, enumerates — via array
+    For queues ``cpu``/``gpu`` of integer job ids (only moved, never read,
+    so tensor rows and queue positions both work), enumerates — via array
     ops, one candidate per row — all adjacent swaps in each queue (gated
     by ``adjacent_min_gain``), all intra-queue pairs, and all cross-queue
     single-job exchanges (both gated by ``random_min_gain``).  Queue

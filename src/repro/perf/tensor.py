@@ -9,13 +9,17 @@ afterwards with O(1) array lookups:
 
 :class:`TensorModel`
     Dense ``float64`` tensors over the full cross-product
-    ``(cpu_job x gpu_job x frequency_setting)`` — degradation pair, co-run
+    ``(cpu_row x gpu_row x frequency_setting)`` — degradation pair, co-run
     time pair, pair power, per-cap boolean feasibility masks — plus
-    per-``(job, device)`` solo time/power vectors.  Built by vectorizing
+    per-``(row, device)`` solo time/power vectors.  A row is one *distinct*
+    (CPU, GPU) standalone profile pair, so every job of the same program
+    shares a row.  Built by vectorizing
     the :class:`~repro.model.interpolation.BilinearGrid` evaluation and the
     :class:`~repro.model.profiler.ProfileTable` lookups over arrays,
     operation for operation, so every element is *bitwise identical* to the
-    scalar chain's answer.
+    scalar chain's answer.  Models are memoized by profile content, never
+    by predictor, so a grown table or a fresh predictor over equal profiles
+    reuses one precompute.
 
 :class:`TensorBackedPredictor`
     A drop-in predictor wrapper that serves the hot queries from the tensor
@@ -26,9 +30,9 @@ afterwards with O(1) array lookups:
     uids, off-grid frequencies) delegate to the wrapped predictor.
 
 :class:`PairTables`
-    Per-(governor, cap) reduction of the tensors: for every (cpu job, gpu
-    job) pair the governor's chosen setting and the resulting co-run
-    times/power, and for every (job, device) the chosen solo level — the
+    Per-(governor, cap) reduction of the tensors: for every (cpu row, gpu
+    row) pair the governor's chosen setting and the resulting co-run
+    times/power, and for every (row, device) the chosen solo level — the
     complete set of constants a timeline replay consumes.  Argmin ties
     resolve to the first feasible setting in enumeration order, exactly as
     the governors' ``min()`` does.
@@ -123,25 +127,25 @@ class _CapMasks:
 
 
 class TensorModel:
-    """Precomputed dense model tensors for one (predictor, job set).
+    """Precomputed dense model tensors over distinct job profiles.
 
-    ``base`` must be a plain :class:`~repro.model.predictor.CoRunPredictor`
-    (exact type — subclasses may override the arithmetic) over an exact
-    :class:`~repro.model.profiler.ProfileTable` and a
-    :class:`~repro.model.space.DegradationSpace` /
-    :class:`~repro.model.space.StagedDegradationSpace`.  Use
-    :func:`tensorize`, which performs those checks and memoizes models.
+    Row ``r`` holds one distinct (CPU, GPU) pair of
+    :class:`~repro.model.profiler.ProfileTable` profiles; the model keeps
+    no predictor and no uid map.  Every cell depends only on its two rows'
+    profile arrays, the ``processor`` and the ``space``, so jobs of the
+    same program share rows and any job set over those profiles can reuse
+    the model.  Uid queries go through :meth:`indexed`, which attaches one
+    job set's uid -> row map.  Use :func:`tensorize`, which checks
+    exactness and memoizes models by content.
     """
 
-    def __init__(self, base, uids: Sequence[str]) -> None:
-        self.base = base
-        self.processor = base.processor
-        self.uids = tuple(uids)
-        self.index = {uid: i for i, uid in enumerate(self.uids)}
-        n = len(self.uids)
+    def __init__(self, processor, space, rows: Sequence[tuple]) -> None:
+        self.processor = processor
+        self.space = space
+        n = self.n_rows = len(rows)
 
-        cpu_domain = self.processor.cpu.domain
-        gpu_domain = self.processor.gpu.domain
+        cpu_domain = processor.cpu.domain
+        gpu_domain = processor.gpu.domain
         self.cpu_levels = tuple(cpu_domain.levels)
         self.gpu_levels = tuple(gpu_domain.levels)
         n_cpu, n_gpu = len(self.cpu_levels), len(self.gpu_levels)
@@ -152,27 +156,25 @@ class TensorModel:
         self._gpu_level_idx = {f: i for i, f in enumerate(self.gpu_levels)}
 
         # Settings in processor.settings() enumeration order: cpu-major.
-        self.settings = list(self.processor.settings())
+        self.settings = list(processor.settings())
         S = len(self.settings)
         lc = np.repeat(np.arange(n_cpu), n_gpu)   # cpu level index of setting s
         lg = np.tile(np.arange(n_gpu), n_cpu)     # gpu level index of setting s
 
-        # Per-(job, device) level vectors, straight from the profile table.
-        table = base.table
+        # Per-(row, device) level vectors, copied from the profiles.
         shapes = {DeviceKind.CPU: (n, n_cpu), DeviceKind.GPU: (n, n_gpu)}
         self.solo_time = {k: np.empty(s) for k, s in shapes.items()}
         self.solo_chip_power = {k: np.empty(s) for k, s in shapes.items()}
         self._demand = {k: np.empty(s) for k, s in shapes.items()}
         self._own_power = {k: np.empty(s) for k, s in shapes.items()}
-        for kind in DeviceKind:
-            for i, uid in enumerate(self.uids):
-                prof = table._profiles[(uid, kind)]
+        for i, (cpu_prof, gpu_prof) in enumerate(rows):
+            for kind, prof in zip(DeviceKind, (cpu_prof, gpu_prof)):
                 self.solo_time[kind][i] = prof.time_s
                 self.solo_chip_power[kind][i] = prof.chip_power_w
                 self._demand[kind][i] = prof.demand_gbps
                 self._own_power[kind][i] = prof.own_power_w
 
-        # Broadcast coordinates over the (cpu_job i, gpu_job j, setting s) cube.
+        # Broadcast coordinates over the (cpu_row i, gpu_row j, setting s) cube.
         bw_c = np.broadcast_to(
             self._demand[DeviceKind.CPU][:, lc][:, None, :], (n, n, S)
         )
@@ -180,11 +182,8 @@ class TensorModel:
             self._demand[DeviceKind.GPU][:, lg][None, :, :], (n, n, S)
         )
 
-        space = base.space
         self.deg_c, self.deg_g = _degradation_tensors(space, bw_c, bw_g, self.settings)
 
-        time_c = self._demand[DeviceKind.CPU]  # placeholder to appease linters
-        del time_c
         t_solo_c = self.solo_time[DeviceKind.CPU][:, lc][:, None, :]
         t_solo_g = self.solo_time[DeviceKind.GPU][:, lg][None, :, :]
         # Same binary-op order as CoRunPredictor.corun_times: t * (1.0 + d).
@@ -193,7 +192,7 @@ class TensorModel:
 
         # Same op order as CoRunPredictor.pair_power_w:
         # own_c + own_g + (base + per_gbps * (bw_c + bw_g)).
-        uncore = self.processor.power.uncore
+        uncore = processor.power.uncore
         own_c = self._own_power[DeviceKind.CPU][:, lc][:, None, :]
         own_g = self._own_power[DeviceKind.GPU][:, lg][None, :, :]
         self.pair_power = own_c + own_g + (
@@ -252,6 +251,19 @@ class TensorModel:
             self._scaled_memo.pop(next(iter(self._scaled_memo)))
         self._scaled_memo[key] = clone
         return clone
+
+    def indexed(self, index: dict[str, int]) -> "TensorModel":
+        """This model's arrays and memos under one job set's uid -> row map.
+
+        The view shares every array and the cap-mask, pair-table and
+        scaling memos with this model, so what one view computes serves
+        all of them; only ``index`` is its own.  The uid queries below
+        need it.
+        """
+        view = object.__new__(TensorModel)
+        view.__dict__.update(self.__dict__)
+        view.index = index
+        return view
 
     # ------------------------------------------------------------------
     # Coverage
@@ -412,10 +424,45 @@ def _degradation_tensors(space, bw_c, bw_g, settings):
 
 
 # ----------------------------------------------------------------------
-# Model memo: one TensorModel per (base predictor, job set)
+# Model memo: one TensorModel per (processor, space, distinct profiles)
 # ----------------------------------------------------------------------
 _MODEL_MEMO: OrderedDict = OrderedDict()
 _MODEL_MEMO_LIMIT = 8
+
+
+def _row_bytes(cpu_prof, gpu_prof) -> bytes:
+    """One row's content: its eight level arrays as the float64s the model copies."""
+    return np.concatenate(
+        [
+            a
+            for prof in (cpu_prof, gpu_prof)
+            for a in (prof.time_s, prof.demand_gbps, prof.own_power_w, prof.chip_power_w)
+        ],
+        dtype=np.float64,
+    ).tobytes()
+
+
+def _row_contents(table, uids) -> tuple[dict, dict]:
+    """Each uid's row content key, and one (CPU, GPU) profile pair per key.
+
+    Two uids share a key exactly when their profile arrays are bitwise
+    equal, so they share every tensor cell.  Profile objects shared
+    between uids (the online table's content cache) are keyed once.
+    """
+    profiles = table._profiles
+    by_identity: dict[tuple[int, int], bytes] = {}
+    keys: dict[str, bytes] = {}
+    rows: dict[bytes, tuple] = {}
+    for uid in uids:
+        pair = (profiles[(uid, DeviceKind.CPU)], profiles[(uid, DeviceKind.GPU)])
+        # The table holds both profiles for the whole call, so ids are stable.
+        ident = (id(pair[0]), id(pair[1]))
+        key = by_identity.get(ident)
+        if key is None:
+            key = by_identity[ident] = _row_bytes(*pair)
+            rows.setdefault(key, pair)
+        keys[uid] = key
+    return keys, rows
 
 
 def tensorize(predictor, uids: Sequence[str] | None = None):
@@ -426,12 +473,14 @@ def tensorize(predictor, uids: Sequence[str] | None = None):
     :class:`~repro.model.predictor.CoRunPredictor` (oracle or noisy
     variants subclass or replace it), the space/table/power models are
     subclassed, requested uids are missing from the table, or the tensors
-    would exceed :data:`MAX_TENSOR_ELEMENTS`.  Callers treat ``None`` as
-    "use the scalar path".
+    over the distinct profiles would exceed :data:`MAX_TENSOR_ELEMENTS`.
+    Callers treat ``None`` as "use the scalar path".
 
-    Models are memoized per (base predictor identity, uid set), so every
-    :class:`~repro.core.context.SchedulingContext` built over the same
-    model reuses one precompute.
+    Models are memoized by (processor, space, distinct profile contents),
+    so every :class:`~repro.core.context.SchedulingContext` over the same
+    programs — whatever their uids, whichever predictor or grown table
+    carries them — reuses one precompute, its cap masks and its
+    :class:`PairTables`.  Each call pays only for its uid -> row index.
     """
     from repro.hardware.power import UncorePowerModel
     from repro.model.interpolation import BilinearGrid
@@ -471,39 +520,41 @@ def tensorize(predictor, uids: Sequence[str] | None = None):
     if any(type(g) is not BilinearGrid for g in grids):
         return None
 
-    table_uids = tuple(sorted(base.table.uids))
-    if uids is not None:
-        need = tuple(sorted(set(uids)))
-        if any(uid not in base.table for uid in need):
-            return None
-    else:
-        need = table_uids
+    keys, rows = _row_contents(base.table, base.table.uids)
+    if uids is not None and any(uid not in keys for uid in uids):
+        return None
     n_settings = base.processor.n_settings
 
-    def fits(us: tuple) -> bool:
-        return len(us) * len(us) * n_settings <= MAX_TENSOR_ELEMENTS
+    def fits(n_rows: int) -> bool:
+        return n_rows * n_rows * n_settings <= MAX_TENSOR_ELEMENTS
 
-    # Prefer a table-wide model (shared across job subsets); fall back to
-    # the requested subset when the full table is too large.
-    if fits(table_uids):
-        chosen = table_uids
-    elif fits(need):
-        chosen = need
-    else:
-        return None
+    # Prefer a table-wide model (every table uid indexed); fall back to the
+    # requested jobs' profiles when the table's distinct profiles are too many.
+    if not fits(len(rows)):
+        if uids is None:
+            return None
+        keys = {uid: keys[uid] for uid in uids}
+        if not fits(len(set(keys.values()))):
+            return None
+    contents = tuple(sorted(set(keys.values())))
 
-    key = (id(base), chosen)
-    model = _MODEL_MEMO.get(key)
-    if model is None or model.base is not base:
-        model = TensorModel(base, chosen)
+    memo_key = (id(base.processor), id(space), contents)
+    model = _MODEL_MEMO.get(memo_key)
+    if model is None:
+        # The model holds processor and space, so their ids in a live key
+        # cannot be reused by other objects.
+        model = TensorModel(base.processor, space, [rows[c] for c in contents])
         while len(_MODEL_MEMO) >= _MODEL_MEMO_LIMIT:
             _MODEL_MEMO.popitem(last=False)
-        _MODEL_MEMO[key] = model
+        _MODEL_MEMO[memo_key] = model
     else:
-        _MODEL_MEMO.move_to_end(key)
+        _MODEL_MEMO.move_to_end(memo_key)
     if node is not None:
         model = model.scaled(node.speed_scale, node.power_scale, node.name)
-    return TensorBackedPredictor(inner, model)
+    row_of = {c: r for r, c in enumerate(contents)}
+    return TensorBackedPredictor(
+        inner, model.indexed({uid: row_of[c] for uid, c in keys.items()})
+    )
 
 
 def _node_predictor_type():
@@ -647,8 +698,8 @@ class TensorBackedPredictor:
 class PairTables:
     """Governor-resolved replay constants for one (tensor, governor, cap).
 
-    For every (cpu job, gpu job) pair: the governor's chosen setting index
-    and the resulting co-run times and pair power; for every (job, device):
+    For every (cpu row, gpu row) pair: the governor's chosen setting index
+    and the resulting co-run times and pair power; for every (row, device):
     the chosen solo level's time and chip power.  These are exactly the
     quantities the mean-field replay consumes, so a replay over the tables
     is bitwise identical to one over (governor, predictor) — with the
@@ -656,9 +707,8 @@ class PairTables:
     here and re-raised through the scalar path for identical errors.
     """
 
-    def __init__(self, tensor, cap_w, pair_valid, pair_t_c, pair_t_g,
+    def __init__(self, cap_w, pair_valid, pair_t_c, pair_t_g,
                  pair_power, solo_valid, solo_t, solo_power):
-        self.tensor = tensor
         self.cap_w = cap_w
         self.pair_valid = pair_valid
         self.pair_t_c = pair_t_c
@@ -767,8 +817,7 @@ class PairTables:
         pair_power = take(tensor.pair_power, sidx[..., None], axis=2)[..., 0]
 
         solo_valid, solo_t, solo_power = {}, {}, {}
-        n = len(tensor.uids)
-        rows = np.arange(n)
+        rows = np.arange(tensor.n_rows)
         for kind in DeviceKind:
             if solo_cost is None:
                 idx = masks.best_solo_idx[kind]
@@ -780,7 +829,7 @@ class PairTables:
             solo_t[kind] = tensor.solo_time[kind][rows, idx]
             solo_power[kind] = tensor.solo_chip_power[kind][rows, idx]
         tables = cls(
-            tensor, cap_w, pair_valid, pair_t_c, pair_t_g, pair_power,
+            cap_w, pair_valid, pair_t_c, pair_t_g, pair_power,
             solo_valid, solo_t, solo_power,
         )
         if len(tensor._pair_tables) >= 16:
@@ -1049,7 +1098,7 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
     def _replay_matrices(self, Qc, len_c, Qg, len_g):
         """Lockstep replay over padded queue-index matrices.
 
-        ``Qc``/``Qg`` are ``(K, w)`` int matrices of tensor job indices
+        ``Qc``/``Qg`` are ``(K, w)`` int matrices of tensor row indices
         (padding value irrelevant past each lane's length); ``len_c`` /
         ``len_g`` the per-lane queue lengths.  Returns per-lane
         ``(t, energy, flow, bad)`` arrays, where ``bad`` flags lanes that
@@ -1157,7 +1206,7 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         """Score a whole population of queue-index matrices in one sweep.
 
         The population path of :mod:`repro.perf.population`: callers hand
-        over ``(K, w)`` matrices of tensor job indices directly (no
+        over ``(K, w)`` matrices of tensor row indices directly (no
         :class:`~repro.core.schedule.CoSchedule` objects, no cache keys),
         and every lane is replayed in lockstep.  ``solo_tail`` is a shared
         tail — a sequence of ``(tensor_index, DeviceKind)`` pairs appended
