@@ -1,25 +1,32 @@
-"""Fleet service facade: one live session per node, one wall clock.
+"""The daemon's scheduling session: one live session per fleet node.
 
-:class:`FleetSession` presents the exact :class:`ServiceSession` surface
-(`submit` / `advance` / `drain` / `set_cap` / `running` / `sim` / ...) to
-:class:`~repro.service.server.ServiceState`, but fans the work out over a
-heterogeneous :class:`~repro.core.fleet.Fleet` — one fully independent
+:class:`FleetSession` is the only session type behind
+:class:`~repro.service.server.ServiceState`.  It fans the work out over
+a :class:`~repro.core.fleet.Fleet` — one independent
 :class:`ServiceSession` per node, each with its own profile table,
-EvalCache, scheduler, and SimCore.
+EvalCache, scheduler, and SimCore.  The single-APU daemon is the
+one-node case, ``Fleet.single(cap_w)``.
 
 Clock model (mirrors :mod:`repro.engine.fleetsim`): every node session
 runs in *node-native* time — the calibrated APU physics, with the node's
 power rating folded into the governor via the node-scaled predictor.  The
 facade converts at its boundary: ``wall = native / speed_scale``.  All
-fleet-level numbers (completion times, the virtual clock, preemption
-logs) are wall-clock; device names are qualified ``node:device`` so the
-durable store's event log distinguishes the same APU device on different
-nodes.
+fleet-level numbers (completion times, the virtual clock, preemptions)
+are wall-clock.
+
+Device names: a one-node fleet reports plain ``cpu`` / ``gpu`` and
+untagged late-rejection messages; a multi-node fleet qualifies every
+device as ``node:kind`` and tags late rejections ``[node]``, so the
+durable store's event log distinguishes the same APU device on
+different nodes.
 
 Placement is greedy lowest-projected-backlog: a submission goes to the
 admissible node whose accumulated estimated wall backlog (sum of the
 best-solo wall times of its unfinished jobs) is smallest, ties broken by
-node order.  Node-level scheduling stays whatever registry method each
+node order.  Admissibility and the estimate come from one per-node memo
+keyed by the job's profile content and the node's cap, so placement
+profiles each distinct job shape once fleet-wide, not once per
+submission.  Node-level scheduling stays whatever registry method each
 session runs.
 
 Cap changes treat the requested wattage as a new *fleet budget* and
@@ -31,93 +38,31 @@ fleet scales every cap by the same factor.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
-from repro.core.fleet import Fleet
+from repro.core.fleet import Fleet, node_predictor
+from repro.engine.sim import PreemptionRecord
 from repro.hardware.device import DeviceKind
+from repro.model.predictor import CoRunPredictor
+from repro.model.profiler import ProfileTable, extend_table
+from repro.perf.cache import fingerprint
 from repro.units import WallSeconds, Watts
+from repro.service.metrics import derive_hit_rate
 from repro.service.session import (
+    _EPS,
     CompletionRecord,
     LateRejection,
     ServiceSession,
+    check_cap,
 )
-from repro.workload.program import Job
+from repro.workload.program import Job, ProgramProfile
 
 #: Seed stride between node sessions, so seeded fleets stay reproducible
 #: without correlated per-node randomness.
 _SEED_STRIDE = 1_000_003
 
 
-@dataclass(frozen=True)
-class FleetDevice:
-    """A (node, device) slot — duck-types ``DeviceKind`` for the server.
-
-    :class:`~repro.service.server.ServiceState` only ever reads
-    ``kind.name`` off the keys of ``session.running``; qualifying the
-    name with the node keeps store events unambiguous fleet-wide.
-    """
-
-    node: str
-    kind: DeviceKind
-
-    @property
-    def name(self) -> str:
-        return f"{self.node}:{self.kind.name}"
-
-
-@dataclass(frozen=True)
-class _WallStart:
-    """A node-session launch record with its start converted to wall time."""
-
-    job: str
-    kind: str
-    start_s: WallSeconds
-
-
-class _FleetSimView:
-    """The slice of the ``session.sim`` surface the server layer reads."""
-
-    def __init__(self, fleet_session: "FleetSession") -> None:
-        self._fs = fleet_session
-
-    @property
-    def now(self) -> WallSeconds:
-        return self._fs.now
-
-    @property
-    def starts(self) -> dict[str, _WallStart]:
-        merged: dict[str, _WallStart] = {}
-        for i, session in enumerate(self._fs.sessions):
-            node = self._fs.fleet.nodes[i]
-            for uid, start in session.sim.starts.items():
-                merged[uid] = _WallStart(
-                    job=uid,
-                    kind=f"{node.name}:{start.kind.name.lower()}",
-                    start_s=start.start_s / node.speed_scale,
-                )
-        return merged
-
-    @property
-    def preemptions(self) -> tuple:
-        return tuple(self._fs._preemptions)
-
-
-class _MergedCache:
-    """Summed cache statistics across the per-node EvalCaches."""
-
-    def __init__(self, fleet_session: "FleetSession") -> None:
-        self._fs = fleet_session
-
-    def snapshot(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for session in self._fs.sessions:
-            for key, value in session.cache.snapshot().items():
-                out[key] = out.get(key, 0.0) + value
-        return out
-
-
 class FleetSession:
-    """Live, incremental co-scheduling over a heterogeneous fleet."""
+    """Live, incremental co-scheduling over a fleet of APUs."""
 
     def __init__(
         self,
@@ -151,34 +96,47 @@ class FleetSession:
             )
             for i, node in enumerate(fleet.nodes)
         )
-        self.sim = _FleetSimView(self)
-        self.cache = _MergedCache(self)
+        first = self.sessions[0]
+        self.method = first.method
+        self.objective = first.objective
+        self._scales = tuple(node.speed_scale for node in fleet.nodes)
+        self._qualified = len(fleet) > 1
         #: uid -> owning node index.
         self._owner: dict[str, int] = {}
         #: uid -> estimated best-solo wall time (the placement weight).
         self._est: dict[str, float] = {}
         #: Projected unfinished wall backlog per node.
         self._load = [0.0] * len(fleet)
-        #: Stable append-only merged preemption log (the server slices it
-        #: by index, so entries must never reorder between reads).
-        self._preemptions: list = []
+        #: Preemptions already handed out by :meth:`new_preemptions`.
         self._preempts_seen = [0] * len(fleet)
+        #: id(profile) -> (profile, content fingerprint); the fingerprint
+        #: is the key ``extend_table`` caches sweeps under.  Keyed by
+        #: identity because hashing a profile walks its whole value graph
+        #: on every submission; the entry holds the profile so its id is
+        #: never reused.
+        self._shape_of: dict[int, tuple[ProgramProfile, str]] = {}
+        #: One profiled job per distinct shape, uid = its fingerprint,
+        #: and per node a node-scaled predictor over that table.
+        self._shapes = ProfileTable(
+            processor=first.processor, jobs=(), _profiles={}
+        )
+        self._shape_predictors: tuple = ()
+        #: Per node: (shape, node cap) -> best-solo wall seconds, or
+        #: None when no frequency level fits the cap on either device.
+        self._placement: list[dict[tuple[str, Watts], float | None]] = [
+            {} for _ in fleet.nodes
+        ]
 
     # ------------------------------------------------------------------
-    # Introspection (the ServiceSession surface)
+    # Introspection (plain loops: the server reads these per request)
     # ------------------------------------------------------------------
-    @property
-    def method(self) -> str:
-        return self.sessions[0].method
-
-    @property
-    def objective(self):
-        return self.sessions[0].objective
-
     @property
     def cap_w(self) -> Watts:
         """The fleet-wide ceiling: the summed effective node caps."""
-        return sum(s.cap_w for s in self.sessions)
+        total = 0
+        for session in self.sessions:
+            total += session.cap_w
+        return total
 
     @property
     def cap_violations(self) -> int:
@@ -186,82 +144,146 @@ class FleetSession:
 
     @property
     def now(self) -> WallSeconds:
-        return max(self._wall_now(i) for i in range(len(self.sessions)))
-
-    def _wall_now(self, index: int) -> WallSeconds:
-        return (
-            self.sessions[index].now / self.fleet.nodes[index].speed_scale
-        )
+        """The fleet's wall clock: the furthest node's."""
+        now = 0.0
+        for session, scale in zip(self.sessions, self._scales):
+            wall = session.now / scale
+            if wall > now:
+                now = wall
+        return now
 
     @property
     def queue_depth(self) -> int:
-        return sum(s.queue_depth for s in self.sessions)
+        depth = 0
+        for session in self.sessions:
+            depth += session.queue_depth
+        return depth
 
     @property
-    def running(self) -> dict[FleetDevice, Job]:
-        merged: dict[FleetDevice, Job] = {}
-        for i, session in enumerate(self.sessions):
-            node = self.fleet.nodes[i].name
-            for kind, job in session.running.items():
-                merged[FleetDevice(node, kind)] = job
-        return merged
+    def running(self) -> dict[str, Job]:
+        """Device name -> the job running on it, fleet-wide."""
+        return {
+            self._device(i, kind.value): job
+            for i, session in enumerate(self.sessions)
+            for kind, job in session.running.items()
+        }
 
     @property
     def idle(self) -> bool:
         return all(s.idle for s in self.sessions)
 
-    def job(self, uid: str) -> Job:
-        return self.sessions[self._owner[uid]].job(uid)
-
     def node_of(self, uid: str) -> str:
         """Which node a submitted job was placed on."""
         return self.fleet.nodes[self._owner[uid]].name
+
+    def wall_start(self, uid: str) -> WallSeconds:
+        """Wall-clock start of a job that has started on its node."""
+        index = self._owner[uid]
+        start = self.sessions[index].sim.starts[uid]
+        return start.start_s / self.fleet.nodes[index].speed_scale
+
+    def new_preemptions(self) -> list[PreemptionRecord]:
+        """Preemptions since the last call, on the wall clock, node order."""
+        out: list[PreemptionRecord] = []
+        for i, node in enumerate(self.fleet.nodes):
+            s = node.speed_scale
+            log = self.sessions[i].sim.preemptions
+            for rec in log[self._preempts_seen[i]:]:
+                out.append(dataclasses.replace(
+                    rec,
+                    from_device=self._device(i, rec.from_device),
+                    at_s=rec.at_s / s,
+                    resumed_device=(
+                        None
+                        if rec.resumed_device is None
+                        else self._device(i, rec.resumed_device)
+                    ),
+                    resumed_s=(
+                        None if rec.resumed_s is None else rec.resumed_s / s
+                    ),
+                    penalty_s=rec.penalty_s / s,
+                ))
+            self._preempts_seen[i] = len(log)
+        return out
+
+    def cache_counters(self) -> dict[str, float]:
+        """The node caches' counters summed, hit rate derived once."""
+        out: dict[str, float] = {}
+        for session in self.sessions:
+            for key, value in session.cache.snapshot().items():
+                out[key] = out.get(key, 0.0) + value
+        derive_hit_rate(out)
+        return out
+
+    def _device(self, index: int, kind: str) -> str:
+        if not self._qualified:
+            return kind
+        return f"{self.fleet.nodes[index].name}:{kind}"
 
     # ------------------------------------------------------------------
     # Admission and placement
     # ------------------------------------------------------------------
     def admissible(self, job: Job) -> bool:
         """Can *some* node run the job under its cap?"""
-        return any(s.admissible(job) for s in self.sessions)
+        return self._place(job) is not None
 
-    def _placement_estimate(
-        self, session: ServiceSession, uid: str
-    ) -> WallSeconds | None:
-        """Best standalone wall time on the node, or None if cap-infeasible.
+    def _place(self, job: Job) -> tuple[int, WallSeconds] | None:
+        """Pick (node index, estimated wall time) for a submission.
 
-        The node-scaled predictor already folds speed into its times, so
-        ``best_solo`` returns wall seconds directly.
+        The admissible node with the lowest projected wall backlog wins;
+        None when no node admits the job.  The estimate is memoized per
+        (profile content, node cap): the first job of a shape profiles
+        it once into the fleet's shape table, every later job of that
+        shape is a dict lookup on every node.
         """
-        from repro.errors import InfeasibleCapError
-
+        hit = self._shape_of.get(id(job.profile))
+        shape = self._profile_shape(job.profile) if hit is None else hit[1]
         best = None
-        for kind in DeviceKind:
-            try:
-                _, t = session.predictor.best_solo(uid, kind, session.cap_w)
-            except InfeasibleCapError:
-                continue
-            if best is None or t < best:
-                best = t
-        return best
-
-    def _place(self, job: Job) -> tuple[int, float]:
-        """Pick (node index, estimated wall time) for a submission."""
-        choice = None
         for i, session in enumerate(self.sessions):
-            if not session.admissible(job):
-                continue
-            est = self._placement_estimate(session, job.uid)
-            if est is None:  # pragma: no cover - admissible implies a level
+            memo = self._placement[i]
+            key = (shape, session.cap_w)
+            if key not in memo:
+                memo[key] = self._best_solo(i, shape, session.cap_w)
+            est = memo[key]
+            if est is None:
                 continue
             projected = self._load[i] + est
-            if choice is None or projected < choice[1]:
-                choice = (i, projected, est)
-        if choice is None:
-            # No node admits the job; mirror the single-session contract
-            # (submit accepts, the cap policy late-rejects) by parking it
-            # on the first node, whose session will reject it on advance.
-            return 0, 0.0
-        return choice[0], choice[2]
+            if best is None or projected < best[0]:
+                best = (projected, i, est)
+        return None if best is None else best[1:]
+
+    def _profile_shape(self, profile: ProgramProfile) -> str:
+        first = self.sessions[0]
+        shape = fingerprint(first.processor, profile)
+        self._shape_of[id(profile)] = (profile, shape)
+        if shape not in self._shapes:
+            self._shapes = extend_table(
+                self._shapes,
+                [Job(uid=shape, profile=profile)],
+                executor=first.executor,
+                cache=first.cache,
+            )
+            base = CoRunPredictor(first.processor, self._shapes, first.space)
+            self._shape_predictors = tuple(
+                node_predictor(base, node) for node in self.fleet.nodes
+            )
+        return shape
+
+    def _best_solo(
+        self, index: int, shape: str, cap: Watts
+    ) -> WallSeconds | None:
+        """Best standalone wall time on a node, or None if cap-infeasible.
+
+        The node-scaled predictor folds speed into its times, so these
+        are wall seconds already.
+        """
+        predictor = self._shape_predictors[index]
+        times = [
+            predictor.solo_time(shape, kind, f)
+            for kind in DeviceKind
+            for f in predictor.feasible_solo_levels(shape, kind, cap)
+        ]
+        return min(times) if times else None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -269,8 +291,13 @@ class FleetSession:
     def submit(
         self, job: Job, arrival_s: WallSeconds | None = None
     ) -> WallSeconds:
-        """Place and inject ``job``; returns its wall-clock arrival."""
-        index, est = self._place(job)
+        """Place and inject ``job``; returns its wall-clock arrival.
+
+        A job no node admits is parked on the first node, mirroring the
+        single-session contract: submit accepts, and the node's cap
+        policy late-rejects it on the next advance.
+        """
+        index, est = self._place(job) or (0, 0.0)
         node = self.fleet.nodes[index]
         native = (
             None if arrival_s is None else arrival_s * node.speed_scale
@@ -284,18 +311,22 @@ class FleetSession:
     def set_cap(
         self, cap_w: Watts, at_s: WallSeconds | None = None
     ) -> WallSeconds:
-        """Re-budget the fleet; each node keeps its original cap share."""
-        if cap_w <= 0:
-            raise ValueError("cap_w must be positive")
-        effective = self.now if at_s is None else at_s
-        for i, session in enumerate(self.sessions):
-            node_at = (
-                None
-                if at_s is None
-                else at_s * self.fleet.nodes[i].speed_scale
-            )
-            session.set_cap(cap_w * self._shares[i], node_at)
-        return effective
+        """Re-budget the fleet; each node keeps its original cap share.
+
+        Returns the wall time the change takes effect: ``at_s`` when it
+        lies in the future, otherwise now.
+        """
+        check_cap(cap_w)
+        now = self.now
+        future = at_s is not None and at_s > now + _EPS
+        for session, share, scale in zip(
+            self.sessions, self._shares, self._scales
+        ):
+            # A whole-fleet share passes the cap through untouched, so an
+            # integer cap stays an integer in replies and in the log.
+            node_cap = cap_w if share == 1.0 else cap_w * share
+            session.set_cap(node_cap, at_s * scale if future else None)
+        return at_s if future else now
 
     # ------------------------------------------------------------------
     # Time
@@ -303,11 +334,10 @@ class FleetSession:
     def _to_wall(
         self, index: int, record: CompletionRecord
     ) -> CompletionRecord:
-        node = self.fleet.nodes[index]
-        s = node.speed_scale
+        s = self.fleet.nodes[index].speed_scale
         return dataclasses.replace(
             record,
-            kind=f"{node.name}:{record.kind}",
+            kind=self._device(index, record.kind),
             arrival_s=record.arrival_s / s,
             start_s=record.start_s / s,
             finish_s=record.finish_s / s,
@@ -321,28 +351,6 @@ class FleetSession:
                 0.0, self._load[index] - self._est.pop(uid, 0.0)
             )
 
-    def _collect_preemptions(self) -> None:
-        for i, session in enumerate(self.sessions):
-            node = self.fleet.nodes[i]
-            s = node.speed_scale
-            log = session.sim.preemptions
-            for rec in log[self._preempts_seen[i]:]:
-                self._preemptions.append(dataclasses.replace(
-                    rec,
-                    from_device=f"{node.name}:{rec.from_device}",
-                    at_s=rec.at_s / s,
-                    resumed_device=(
-                        None
-                        if rec.resumed_device is None
-                        else f"{node.name}:{rec.resumed_device}"
-                    ),
-                    resumed_s=(
-                        None if rec.resumed_s is None else rec.resumed_s / s
-                    ),
-                    penalty_s=rec.penalty_s / s,
-                ))
-            self._preempts_seen[i] = len(log)
-
     def _merge(
         self,
         per_node: list[tuple[list[CompletionRecord], list[LateRejection]]],
@@ -350,16 +358,17 @@ class FleetSession:
         completions: list[CompletionRecord] = []
         rejections: list[LateRejection] = []
         for i, (done, late) in enumerate(per_node):
-            node = self.fleet.nodes[i].name
             for record in done:
                 self._settle(i, record)
                 completions.append(self._to_wall(i, record))
             for rej in late:
                 self._settle(i, rej)
-                rejections.append(dataclasses.replace(
-                    rej, message=f"[{node}] {rej.message}"
-                ))
-        self._collect_preemptions()
+                if self._qualified:
+                    node = self.fleet.nodes[i].name
+                    rej = dataclasses.replace(
+                        rej, message=f"[{node}] {rej.message}"
+                    )
+                rejections.append(rej)
         completions.sort(key=lambda r: (r.finish_s, r.job_id))
         rejections.sort(key=lambda r: r.job_id)
         return completions, rejections
@@ -368,35 +377,17 @@ class FleetSession:
         self, until_s: WallSeconds
     ) -> tuple[list[CompletionRecord], list[LateRejection]]:
         """Advance every node to wall time ``until_s``."""
-        for i in range(len(self.sessions)):
-            if until_s < self._wall_now(i) - 1e-9:
-                raise ValueError(
-                    f"cannot advance to {until_s}: "
-                    f"{self.fleet.nodes[i].name} is at {self._wall_now(i)}"
-                )
+        now = self.now
+        if until_s < now - _EPS:
+            raise ValueError(f"cannot advance to {until_s}: clock is at {now}")
         per_node = [
             session.advance(
-                max(
-                    until_s * self.fleet.nodes[i].speed_scale,
-                    session.now,
-                )
+                max(until_s * node.speed_scale, session.now)
             )
-            for i, session in enumerate(self.sessions)
+            for session, node in zip(self.sessions, self.fleet.nodes)
         ]
         return self._merge(per_node)
 
     def drain(self) -> tuple[list[CompletionRecord], list[LateRejection]]:
         """Run every node until its queue and devices are empty."""
-        per_node = [session.drain() for session in self.sessions]
-        return self._merge(per_node)
-
-    def pop_late_rejections(self) -> list[LateRejection]:
-        out: list[LateRejection] = []
-        for i, session in enumerate(self.sessions):
-            node = self.fleet.nodes[i].name
-            for rej in session.pop_late_rejections():
-                self._settle(i, rej)
-                out.append(dataclasses.replace(
-                    rej, message=f"[{node}] {rej.message}"
-                ))
-        return out
+        return self._merge([session.drain() for session in self.sessions])

@@ -224,12 +224,20 @@ def merge_snapshots(snapshots: list[dict[str, float]]) -> dict[str, float]:
             s.get("turnaround_mean_s", 0.0) * s.get("turnaround_count", 0.0)
             for s in snapshots
         ) / count
-    hits = out.get("cache_hits", 0.0)
-    misses = out.get("cache_misses", 0.0)
-    if hits or misses:
-        out["cache_hit_rate"] = hits / (hits + misses)
+    derive_hit_rate(out)
     out["objective_edp_est_js"] = (
         out.get("objective_makespan_s", 0.0)
         * out.get("objective_energy_est_j", 0.0)
     )
     return out
+
+
+def derive_hit_rate(out: dict[str, float]) -> None:
+    """Re-derive ``cache_hit_rate`` from summed hit and miss counters.
+
+    Rates do not add: a merged scrape must divide the summed counters.
+    """
+    hits = out.get("cache_hits", 0.0)
+    misses = out.get("cache_misses", 0.0)
+    if hits or misses:
+        out["cache_hit_rate"] = hits / (hits + misses)

@@ -1,11 +1,12 @@
 """Shared service state behind every listener front end.
 
 :class:`ServiceState` is everything behind a listener: the scheduling
-session, multi-tenant admission (quotas + priority backlog), metrics, and
-the durable :class:`~repro.store.JobStore`.  Every job state transition
-is committed to the store's event log *before* the response that
-acknowledges it is returned, so an acknowledgement implies durability
-(group commit: batches flush once per request batch).
+session (always a :class:`~repro.service.fleet.FleetSession`; one APU is
+the one-node fleet), multi-tenant admission (quotas + priority backlog),
+metrics, and the durable :class:`~repro.store.JobStore`.  Every job
+state transition is committed to the store's event log *before* the
+response that acknowledges it is returned, so an acknowledgement implies
+durability (group commit: batches flush once per request batch).
 
 One job lifecycle: the store's fold is the only job table.  Queue depth
 is the session's count of admitted, not-yet-started jobs; per-tenant
@@ -34,7 +35,8 @@ from repro.workload.rodinia import rodinia_programs
 from repro.service import protocol
 from repro.service.admission import HeldSubmission, TenantBacklog, TenantPolicy
 from repro.service.metrics import ServiceMetrics
-from repro.service.session import CompletionRecord, LateRejection, ServiceSession
+from repro.service.fleet import FleetSession
+from repro.service.session import CompletionRecord, LateRejection
 from repro.store import events as ev
 from repro.store.store import JobStore, PREEMPTED, QUEUED
 
@@ -82,7 +84,7 @@ class ServiceState:
 
     def __init__(
         self,
-        session: ServiceSession,
+        session: FleetSession,
         *,
         queue_capacity: int = 64,
         store: JobStore | None = None,
@@ -102,11 +104,7 @@ class ServiceState:
         self.backlog = TenantBacklog(self.tenant_policy.backlog_capacity)
         self._programs = {p.name: p for p in rodinia_programs()}
         self._scaled: dict[tuple[str, float], object] = {}
-        #: (program, scale, cap_w) -> solo-feasible?  One profiling pass
-        #: per distinct shape; every later identical submission is O(1).
-        self._feasible_memo: dict[tuple[str, float, float], bool] = {}
         self._auto_id = 0
-        self._preempts_seen = 0
         self.recovered_jobs = 0
         self._recover()
 
@@ -235,20 +233,15 @@ class ServiceState:
                 events.append(ev.JobRejected(
                     job_id=rej.job_id, code=rej.code, message=rej.message
                 ))
-        for kind, job in self.session.running.items():
+        for device, job in self.session.running.items():
             stored = self.store.job(job.uid)
             if stored is not None and stored.state in (QUEUED, PREEMPTED):
-                start = self.session.sim.starts.get(job.uid)
                 events.append(ev.JobScheduled(
                     job_id=job.uid,
-                    device=kind.name.lower(),
-                    start_s=(
-                        start.start_s if start is not None
-                        else self.session.now
-                    ),
+                    device=device,
+                    start_s=self.session.wall_start(job.uid),
                 ))
-        for rec in self.session.sim.preemptions[self._preempts_seen:]:
-            self._preempts_seen += 1
+        for rec in self.session.new_preemptions():
             stored = self.store.job(rec.job)
             if stored is None or stored.state != "running":
                 continue
@@ -285,14 +278,6 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Admission helpers
     # ------------------------------------------------------------------
-    def _feasible(self, job: Job, program: str, scale: float) -> bool:
-        key = (program, scale, self.session.cap_w)
-        hit = self._feasible_memo.get(key)
-        if hit is None:
-            hit = self.session.admissible(job)
-            self._feasible_memo[key] = hit
-        return hit
-
     def _log_rejection(
         self, req: protocol.SubmitRequest, job_id: str, arrival: float,
         code: str, message: str,
@@ -397,7 +382,7 @@ class ServiceState:
                 cap_w=self.session.cap_w,
             )
         job = Job(uid=job_id, profile=self._profile_for(req.program, req.scale))
-        if not self._feasible(job, req.program, req.scale):
+        if not self.session.admissible(job):
             self.metrics.rejected_infeasible += 1
             message = (
                 f"no frequency setting admits {job_id!r} on either "
@@ -535,7 +520,7 @@ class ServiceState:
                 running=len(self.session.running),
                 now_s=self.session.now,
                 cap_w=self.session.cap_w,
-                cache=self.session.cache.snapshot(),
+                cache=self.session.cache_counters(),
                 headroom=max(0, self.queue_capacity - depth),
                 extra=extra,
             )

@@ -1,4 +1,8 @@
-"""Incremental co-scheduling state: the daemon's simulation session.
+"""Incremental co-scheduling state: one node's simulation session.
+
+:class:`ServiceSession` is the per-node engine inside the daemon's
+:class:`~repro.service.fleet.FleetSession` (one APU is the one-node
+fleet); the server never talks to it directly.
 
 Bridges three layers that were previously only composable offline:
 
@@ -90,6 +94,12 @@ class LateRejection:
     cap_w: float
     message: str
     code: str = "infeasible_cap"
+
+
+def check_cap(cap_w: float) -> None:
+    """Refuse a cap no governor can hold: zero, negative, NaN or inf."""
+    if not (cap_w > 0 and math.isfinite(cap_w)):
+        raise ValueError(f"cap_w must be finite and positive, got {cap_w}")
 
 
 class _SafeGovernor:
@@ -207,14 +217,8 @@ class ServiceSession:
         return self._jobs[uid]
 
     # ------------------------------------------------------------------
-    # Profiling and admission
+    # Profiling and feasibility
     # ------------------------------------------------------------------
-    def _ensure_profiled(self, job: Job) -> None:
-        if job.uid in self.table:
-            return
-        self._unprofiled.append(job)
-        self._flush_profiles()
-
     def _flush_profiles(self) -> None:
         """Profile every deferred submission in one table extension.
 
@@ -248,15 +252,6 @@ class ServiceSession:
             for kind in DeviceKind
         )
 
-    def admissible(self, job: Job) -> bool:
-        """Can any cap-feasible setting run ``job`` on some device?
-
-        Profiles the job first (content-cached), since feasibility is a
-        property of its standalone power curve.
-        """
-        self._ensure_profiled(job)
-        return self._solo_feasible(job.uid)
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -281,8 +276,7 @@ class ServiceSession:
         its timestamp during :meth:`advance`/:meth:`drain`, re-evaluating
         the running pair's frequencies at that instant.
         """
-        if not (cap_w > 0 and math.isfinite(cap_w)):
-            raise ValueError(f"cap_w must be finite and positive, got {cap_w}")
+        check_cap(cap_w)
         if at_s is not None and at_s > self.sim.now + _EPS:
             heapq.heappush(self._cap_events, (at_s, self._cap_seq, cap_w))
             self._cap_seq += 1

@@ -1,10 +1,11 @@
 """Sharded scheduling sessions: inline (in-process) or worker processes.
 
 Each shard owns one independent :class:`~repro.service.server.ServiceState`
-— its own SimCore-driven session, queue, tenants, and durable store file
-(``shard-<n>.sqlite``) — and submissions route to shards by a stable hash
-of their session key (the tenant), so one tenant's timeline always lands
-on the same shard, across connections *and* across restarts.
+— its own :class:`~repro.service.fleet.FleetSession`, queue, tenants, and
+durable store file (``shard-<n>.sqlite``) — and submissions route to
+shards by a stable hash of their session key (the tenant), so one
+tenant's timeline always lands on the same shard, across connections
+*and* across restarts.
 
 Two worker modes:
 
@@ -50,38 +51,31 @@ class ShardConfig:
     backlog_capacity: int = 0
     sanitize: bool | None = None
     #: ``Fleet.to_dict()`` payload (kept as a plain dict so the config
-    #: pickles cheaply into spawn workers); None = the single-APU session.
+    #: pickles cheaply into spawn workers); None = ``Fleet.single(cap_w)``.
     fleet: dict | None = None
 
 
 def build_state(config: ShardConfig):
     """Construct one shard's ServiceState (imports deferred: worker side)."""
-    from repro.service.server import ServiceState
-    from repro.service.session import ServiceSession
+    from repro.core.fleet import Fleet
     from repro.service.admission import TenantPolicy
+    from repro.service.fleet import FleetSession
+    from repro.service.server import ServiceState
     from repro.store.store import JobStore
 
-    if config.fleet is not None:
-        from repro.core.fleet import Fleet
-        from repro.service.fleet import FleetSession
-
-        session = FleetSession(
-            Fleet.from_dict(config.fleet),
-            method=config.method,
-            objective=config.objective,
-            executor=config.executor,
-            seed=config.seed,
-            sanitize=config.sanitize,
-        )
-    else:
-        session = ServiceSession(
-            method=config.method,
-            cap_w=config.cap_w,
-            objective=config.objective,
-            executor=config.executor,
-            seed=config.seed,
-            sanitize=config.sanitize,
-        )
+    fleet = (
+        Fleet.single(config.cap_w)
+        if config.fleet is None
+        else Fleet.from_dict(config.fleet)
+    )
+    session = FleetSession(
+        fleet,
+        method=config.method,
+        objective=config.objective,
+        executor=config.executor,
+        seed=config.seed,
+        sanitize=config.sanitize,
+    )
     store = (
         JobStore.open(config.durable_dir, config.shard_id)
         if config.durable_dir is not None

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.core.fleet import Fleet, Node
-from repro.service.fleet import FleetDevice, FleetSession
+from repro.service.fleet import FleetSession
 from repro.service.session import ServiceSession
 from repro.workload.program import Job
 
@@ -76,8 +76,16 @@ class TestFleetSessionLifecycle:
         running = fleet_session.running
         assert running
         for device, job in running.items():
-            assert isinstance(device, FleetDevice)
-            assert device.name == f"{device.node}:{device.kind.name}"
+            node = fleet_session.node_of(job.uid)
+            assert device in (f"{node}:cpu", f"{node}:gpu")
+
+    def test_one_node_fleet_names_devices_plainly(self, rodinia):
+        session = FleetSession(Fleet.single(15.0))
+        for name in ["cfd", "dwt2d", "lud", "srad"]:
+            session.submit(_job(rodinia, name), 0.0)
+        session.advance(1.0)
+        assert session.running
+        assert set(session.running) <= {"cpu", "gpu"}
 
     def test_advance_backwards_rejected(self, fleet_session, rodinia):
         fleet_session.submit(_job(rodinia, "cfd"), 0.0)
@@ -85,15 +93,14 @@ class TestFleetSessionLifecycle:
         with pytest.raises(ValueError, match="cannot advance"):
             fleet_session.advance(1.0)
 
-    def test_sim_view_exposes_wall_starts(self, fleet_session, rodinia):
-        fleet_session.submit(_job(rodinia, "cfd"), 0.0)
-        fleet_session.drain()
-        starts = fleet_session.sim.starts
-        assert "cfd" in starts
-        node, _, device = starts["cfd"].kind.partition(":")
-        assert node in {"big", "mid", "small"}
-        assert device in ("cpu", "gpu")
-        assert starts["cfd"].start_s >= 0.0
+    def test_wall_start_converts_the_node_clock(self, fleet_session, rodinia):
+        for name in ["cfd", "lud", "srad", "hotspot"]:
+            fleet_session.submit(_job(rodinia, name), 2.0)
+        completions, _ = fleet_session.drain()
+        for record in completions:
+            # Completion records and wall_start agree on the wall clock.
+            assert fleet_session.wall_start(record.job_id) == record.start_s
+            assert record.start_s >= 2.0 - 1e-9
 
 
 class TestFleetCapEvents:
@@ -108,22 +115,29 @@ class TestFleetCapEvents:
         with pytest.raises(ValueError, match="positive"):
             fleet_session.set_cap(0.0)
 
-    def test_preemption_log_is_stable_append_only(
+    def test_new_preemptions_hands_out_each_record_once(
         self, fleet_session, rodinia
     ):
         for name in ["cfd", "dwt2d", "lud", "srad", "hotspot", "leukocyte"]:
             fleet_session.submit(_job(rodinia, name), 0.0)
         fleet_session.advance(2.0)
-        before = fleet_session.sim.preemptions
-        fleet_session.set_cap(8.0)
+        assert fleet_session.new_preemptions() == []
+        index, kind = next(
+            (i, kind)
+            for i, session in enumerate(fleet_session.sessions)
+            for kind in session.running
+        )
+        node = FLEET.nodes[index]
+        evicted = fleet_session.sessions[index].sim.preempt(kind)
+        (rec,) = fleet_session.new_preemptions()
+        assert rec.job == evicted.uid
+        assert rec.from_device == f"{node.name}:{kind.value}"
+        # Every node sits at its native image of wall time 2.0.
+        assert rec.at_s == pytest.approx(2.0)
+        assert fleet_session.new_preemptions() == []
         fleet_session.drain()
-        after = fleet_session.sim.preemptions
-        # The server slices this log by index between reads: the prefix
-        # already handed out must never reorder or mutate.
-        assert after[: len(before)] == before
-        for rec in after:
-            node, _, _ = rec.from_device.partition(":")
-            assert node in {"big", "mid", "small"}
+        for later in fleet_session.new_preemptions():
+            assert later.job != evicted.uid
 
     def test_infeasible_everywhere_late_rejects_with_node_tag(self, rodinia):
         tiny = Fleet(
@@ -152,7 +166,7 @@ class TestTrivialFleetMatchesSingleSession:
         fleet_done, _ = fleet.drain()
         assert len(base_done) == len(fleet_done)
         for b, f in zip(base_done, fleet_done):
-            assert f.kind == f"node0:{b.kind}"
+            assert f.kind == b.kind
             # repro: noqa REP003 -- byte-identical single-node contract
             assert (b.job_id, b.start_s, b.finish_s, b.setting) == (
                 f.job_id, f.start_s, f.finish_s, f.setting
@@ -168,11 +182,14 @@ class TestFleetShardConfig:
         assert isinstance(state.session, FleetSession)
         assert state.session.fleet == FLEET
 
-    def test_build_state_without_fleet_stays_single(self):
+    def test_build_state_without_fleet_runs_a_one_node_fleet(self):
         from repro.service.shard import ShardConfig, build_state
 
-        state = build_state(ShardConfig())
-        assert isinstance(state.session, ServiceSession)
+        config = ShardConfig(cap_w=12.0)
+        state = build_state(config)
+        assert isinstance(state.session, FleetSession)
+        assert state.session.fleet == Fleet.single(12.0)
+        assert state.session.cap_w == 12.0
 
 
 @contextlib.contextmanager
@@ -228,3 +245,126 @@ class TestFleetThroughTheDaemon:
                 status = client.status()
                 assert status.cap_w == pytest.approx(30.0)
                 client.drain()
+
+
+def _fleet_state(fleet, **config):
+    from repro.service.shard import ShardConfig, build_state
+
+    return build_state(ShardConfig(fleet=fleet.to_dict(), seed=2, **config))
+
+
+def _events(state):
+    return [event for _, event in state.store.log.replay(0)]
+
+
+class TestFleetServiceState:
+    TWO = Fleet(
+        nodes=(
+            Node("Big", speed_scale=2.0, power_scale=1.3),
+            Node("small", speed_scale=0.6, power_scale=0.5),
+        ),
+        budget_w=40.0,
+    )
+
+    def test_past_set_cap_reports_and_logs_the_effective_time(self):
+        from repro.service import protocol
+        from repro.store import events as ev
+
+        state = _fleet_state(self.TWO)
+
+        def call(request):
+            line = protocol.encode(request)
+            reply = state.handle(protocol.decode_request(line))
+            return protocol.decode_response(protocol.encode(reply))
+
+        call(protocol.SubmitRequest(program="lud", uid="a"))
+        assert call(protocol.AdvanceRequest(until_s=1.0)).now_s == 1.0
+        past = call(protocol.SetCapRequest(cap_w=30.0, at_s=0.0))
+        assert past.at_s == 1.0
+        future = call(protocol.SetCapRequest(cap_w=35.0, at_s=3.0))
+        assert future.at_s == 3.0
+        clock = 0.0
+        caps = []
+        for event in _events(state):
+            if isinstance(event, ev.ClockAdvanced):
+                clock = event.now_s
+            elif isinstance(event, ev.CapChanged):
+                caps.append(event.at_s)
+                assert event.at_s >= clock
+        assert caps == [1.0, 3.0]
+
+    def test_every_logged_device_is_node_qualified_as_spelled(self, rodinia):
+        from repro.service import protocol
+
+        state = _fleet_state(self.TWO)
+        for i, name in enumerate(["cfd", "dwt2d", "lud", "srad", "hotspot"]):
+            state.handle(protocol.SubmitRequest(program=name, uid=f"j{i}"))
+        state.handle(protocol.AdvanceRequest(until_s=1.0))
+        index, kind = next(
+            (i, kind)
+            for i, session in enumerate(state.session.sessions)
+            for kind in session.running
+        )
+        state.session.sessions[index].sim.preempt(kind)
+        state.handle(protocol.AdvanceRequest(until_s=2.0))
+        state.handle(protocol.DrainRequest())
+        devices = []
+        for event in _events(state):
+            for field in ("device", "src", "dst"):
+                name = getattr(event, field, None)
+                if name is not None:
+                    devices.append(name)
+                    node = state.session.node_of(event.job_id)
+                    assert name in (f"{node}:cpu", f"{node}:gpu")
+        assert any(d.startswith("Big:") for d in devices)
+        kinds = {type(e).__name__ for e in _events(state)}
+        assert {"JobScheduled", "JobPreempted", "JobCompleted"} <= kinds
+
+    def test_cache_hit_rate_is_derived_from_summed_counters(self):
+        from repro.service import protocol
+
+        state = _fleet_state(FLEET)
+        for i, name in enumerate(["cfd", "lud", "srad", "lud", "cfd", "hotspot"]):
+            state.handle(protocol.SubmitRequest(program=name, uid=f"j{i}"))
+        state.handle(protocol.DrainRequest())
+        metrics = state.handle(protocol.MetricsRequest()).metrics
+        hits, misses = metrics["cache_hits"], metrics["cache_misses"]
+        assert hits == sum(s.cache.stats.hits for s in state.session.sessions)
+        assert 0.0 <= metrics["cache_hit_rate"] <= 1.0
+        assert metrics["cache_hit_rate"] == hits / (hits + misses)
+
+
+class TestPlacementProfilesPerShape:
+    SHAPES = [("cfd", 1.0), ("lud", 1.0), ("cfd", 0.5), ("srad", 2.0)]
+
+    @pytest.mark.parametrize("fleet", [Fleet.single(15.0), FLEET])
+    def test_a_burst_profiles_each_distinct_shape_once(
+        self, fleet, monkeypatch
+    ):
+        from repro.model import profiler
+        from repro.service import fleet as fleet_module
+        from repro.service import protocol
+        from repro.service import session as session_module
+
+        calls = []
+
+        def counting(table, jobs, **kwargs):
+            calls.append(len(jobs))
+            return profiler.extend_table(table, jobs, **kwargs)
+
+        monkeypatch.setattr(session_module, "extend_table", counting)
+        monkeypatch.setattr(fleet_module, "extend_table", counting)
+        state = _fleet_state(fleet, queue_capacity=64)
+        k = len(self.SHAPES)
+        for i in range(40):
+            program, scale = self.SHAPES[i % k]
+            reply = state.handle(protocol.SubmitRequest(
+                program=program, scale=scale, uid=f"j{i}"
+            ))
+            assert reply.state == "queued"
+        assert len(calls) <= k + 1
+        # The next clock movement profiles each node's deferred jobs in
+        # one batched extension per node.
+        state.handle(protocol.AdvanceRequest(until_s=0.5))
+        assert len(calls) <= k + len(fleet)
+        assert sum(calls) >= 40

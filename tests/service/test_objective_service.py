@@ -10,12 +10,14 @@ import pytest
 from repro.core.objectives import EnergyAwareGovernor, Objective
 from repro.service import protocol
 from repro.service.server import ServiceState
+from repro.core.fleet import Fleet
+from repro.service.fleet import FleetSession
 from repro.service.session import ServiceSession
 
 
 @pytest.fixture
 def energy_state():
-    return ServiceState(ServiceSession(objective="energy"))
+    return ServiceState(FleetSession(Fleet.single(15.0), objective="energy"))
 
 
 class TestSessionObjective:

@@ -15,7 +15,8 @@ import pytest
 from repro.service import protocol
 from repro.service.admission import TenantPolicy
 from repro.service.server import ServiceState
-from repro.service.session import ServiceSession
+from repro.core.fleet import Fleet
+from repro.service.fleet import FleetSession
 from repro.store import events as ev
 from repro.store.log import MemoryEventLog
 from repro.store.store import JobStore
@@ -23,7 +24,7 @@ from repro.store.store import JobStore
 
 def _state(log=None, **kwargs):
     store = JobStore(log) if log is not None else None
-    return ServiceState(ServiceSession(), store=store, **kwargs)
+    return ServiceState(FleetSession(Fleet.single(15.0)), store=store, **kwargs)
 
 
 def _submit(state, uid, program="cfd", **kwargs):
@@ -52,7 +53,7 @@ def _metrics(state):
 class TestQueueBound:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
-            ServiceState(ServiceSession(), queue_capacity=0)
+            ServiceState(FleetSession(Fleet.single(15.0)), queue_capacity=0)
 
     def test_backpressure_at_capacity(self):
         state = _state(queue_capacity=1)

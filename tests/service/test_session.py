@@ -142,6 +142,11 @@ class TestCapEvents:
         assert rejections[0].cap_w == 1.0
         assert session.idle
 
-    def test_infeasible_submission_reported_not_raised(self, session, rodinia):
+    def test_infeasible_submission_reported_not_raised(self, rodinia):
+        # Admission lives on the fleet session that wraps this engine.
+        from repro.core.fleet import Fleet
+        from repro.service.fleet import FleetSession
+
+        session = FleetSession(Fleet.single(15.0))
         session.set_cap(1.0)
         assert not session.admissible(_job(rodinia, "cfd"))

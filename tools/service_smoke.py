@@ -1,6 +1,6 @@
 """CI smoke check for the co-scheduling daemon.
 
-Three scenarios, each against a freshly booted ``repro serve`` on an
+Four scenarios, each against a freshly booted ``repro serve`` on an
 ephemeral port:
 
 * **basic** — submit one job, drain, assert it completed and the daemon
@@ -9,7 +9,10 @@ ephemeral port:
   shutdown, restart over the same directory, and assert the job was
   recovered (same id, idempotency key deduplicates) and still completes;
 * **multi-tenant** — sharded daemon with a per-tenant quota: one tenant's
-  burst hits ``tenant_quota`` while another tenant still gets in.
+  burst hits ``tenant_quota`` while another tenant still gets in;
+* **fleet** — durable daemon over a two-node heterogeneous fleet: submit,
+  kill without shutdown, restart, and assert the recovered job completes
+  on a node-qualified device and the store log verifies clean.
 
 Exits non-zero on any deviation, printing the daemon's stderr for
 diagnosis.
@@ -22,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 
+from repro.analysis.storecheck import verify_store_dir
 from repro.service.client import ServiceClient
 
 _BANNER_RE = re.compile(r"repro-service listening on ([\d.]+):(\d+)")
@@ -164,9 +168,53 @@ def _smoke_multi_tenant() -> str:
             proc.wait(timeout=30)
 
 
+def _smoke_fleet() -> str:
+    fleet_args = (
+        "--fleet-nodes", "big:2.0:1.3,small:0.6:0.5", "--fleet-budget", "30",
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as durable:
+        proc, host, port = _spawn(*fleet_args, "--durable", durable)
+        try:
+            with ServiceClient(host, port) as client:
+                accepted = client.submit("lud", uid="smoke-fleet")
+                if accepted.state != "queued":
+                    raise SmokeFailure(f"submission not queued: {accepted}")
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+
+        proc, host, port = _spawn(*fleet_args, "--durable", durable)
+        try:
+            with ServiceClient(host, port) as client:
+                drained = client.drain()
+                done = [(c.job_id, c.kind) for c in drained.completions]
+                if [uid for uid, _ in done] != ["smoke-fleet"]:
+                    raise SmokeFailure(
+                        f"recovered fleet job did not complete: {done}"
+                    )
+                node = done[0][1].partition(":")[0]
+                if node not in ("big", "small"):
+                    raise SmokeFailure(f"device not node-qualified: {done}")
+                client.shutdown()
+            _finish(proc)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        violations = verify_store_dir(durable)
+        if violations:
+            raise SmokeFailure(f"fleet store log is not clean: {violations}")
+        return f"fleet: smoke-fleet survived kill -9 and completed on {node}"
+
+
 def main() -> int:
     try:
-        for line in (_smoke_basic(), _smoke_durable(), _smoke_multi_tenant()):
+        for line in (
+            _smoke_basic(),
+            _smoke_durable(),
+            _smoke_multi_tenant(),
+            _smoke_fleet(),
+        ):
             print(f"service smoke OK: {line}")
     except SmokeFailure as exc:
         print(f"service smoke FAILED: {exc}", file=sys.stderr)
