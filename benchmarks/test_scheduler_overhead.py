@@ -6,4 +6,4 @@ from repro.experiments import overhead
 def test_scheduler_overhead(run_experiment):
     result = run_experiment(overhead.run)
     for key, frac in result.headline.items():
-        assert frac < 0.01, f"{key} overhead {frac:.3%} exceeds budget"
+        assert frac < 0.001, f"{key} overhead {frac:.3%} exceeds budget"

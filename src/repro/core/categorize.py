@@ -16,6 +16,7 @@ from collections.abc import Sequence
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.model.predictor import CoRunPredictor
+from repro.util.validation import check_nonnegative
 
 #: The paper's empirically selected preference threshold.
 DEFAULT_THRESHOLD = 0.20
@@ -56,8 +57,10 @@ def job_preference(
 
     The comparison times are the standalone runs at the fastest cap-feasible
     level of each device.  If the job cannot run under the cap on one device
-    at all, it trivially prefers the other.
+    at all, it trivially prefers the other.  A negative or ``NaN``
+    ``threshold`` raises ``ValueError``.
     """
+    check_nonnegative("threshold", threshold)
     try:
         _, t_cpu = predictor.best_solo(job.uid, DeviceKind.CPU, cap_w)
     except ValueError:
@@ -79,7 +82,13 @@ def categorize_jobs(
     *,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> Categorized:
-    """Classify every job into the three preference sets."""
+    """Classify every job into the three preference sets.
+
+    A negative or ``NaN`` ``threshold`` raises ``ValueError``: no relative
+    difference compares at or below ``NaN``, so it would silently give
+    every job a preference.
+    """
+    check_nonnegative("threshold", threshold)
     buckets: dict[Preference, list[Job]] = {p: [] for p in Preference}
     for job in jobs:
         buckets[job_preference(predictor, job, cap_w, threshold=threshold)].append(job)

@@ -15,6 +15,9 @@ setup, where the runtime cannot measure a co-run before launching it.  The
 small prediction error is why measured power occasionally overshoots the cap
 (Figure 9).  Cap-feasibility arithmetic lives in
 :mod:`repro.core.feasibility`, shared with the energy-aware governor.
+On a tensor-served predictor the model-driven governors read their
+choices from the model's :class:`~repro.perf.tensor.PairTables`
+(:class:`TableServedGovernor`), with the scalar search as the fallback.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.core.feasibility import (
     require_pair_settings,
 )
 from repro.model.predictor import CoRunPredictor
+from repro.perf.tensor import PairTables
 
 
 class Bias(enum.Enum):
@@ -82,8 +86,97 @@ class BiasedGovernor:
         return setting
 
 
+class TableServedGovernor:
+    """Cache and table front shared by the two stock model-driven governors.
+
+    A miss in the per-combination ``_cache`` reads the choice from the
+    governor's :class:`~repro.perf.tensor.PairTables` when its predictor is
+    tensor-served, and otherwise runs the scalar ``_choose``.  The scalar
+    path also stays for uids the model does not cover, for infeasible
+    combinations (so they raise its exact
+    :class:`~repro.errors.InfeasibleCapError`) and for subclasses, which
+    :meth:`PairTables.build <repro.perf.tensor.PairTables.build>` declines.
+    Subclasses provide ``_choose`` and ``_rank_cost``.
+    """
+
+    predictor: CoRunPredictor
+    cap_w: float
+    _cache: dict
+
+    def _choose(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
+        raise NotImplementedError
+
+    def _rank_cost(self, cpu_uid: str, gpu_uid: str, s: FrequencySetting) -> float:
+        raise NotImplementedError
+
+    def __call__(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
+        key = (
+            cpu_job.uid if cpu_job else None,
+            gpu_job.uid if gpu_job else None,
+        )
+        if key in self._cache:
+            return self._cache[key]
+        setting = self._table_choice(*key)
+        if setting is None:
+            setting = self._choose(cpu_job, gpu_job)
+        self._cache[key] = setting
+        return setting
+
+    def _table_choice(
+        self, cpu_uid: str | None, gpu_uid: str | None
+    ) -> FrequencySetting | None:
+        """The choice read from the tables, or ``None`` for the scalar path."""
+        served = PairTables.serving(self)
+        if served is None:
+            return None
+        tables, index = served[0], served[1].index
+        if cpu_uid is not None and gpu_uid is not None:
+            i, j = index.get(cpu_uid), index.get(gpu_uid)
+            if i is None or j is None or not tables.pair_valid[i, j]:
+                return None
+            return tables.settings[tables.pair_sidx[i, j]]
+        kind = DeviceKind.CPU if cpu_uid is not None else DeviceKind.GPU
+        i = index.get(cpu_uid if cpu_uid is not None else gpu_uid)
+        if i is None or not tables.solo_valid[kind][i]:
+            return None
+        f = tables.levels[kind][tables.solo_idx[kind][i]]
+        proc = self.predictor.processor
+        if kind is DeviceKind.CPU:
+            return FrequencySetting(f, proc.gpu.domain.fmin)
+        return FrequencySetting(proc.cpu.domain.fmin, f)
+
+    def min_pair_interference(
+        self, cpu_uid: str, gpu_uid: str
+    ) -> tuple[float, FrequencySetting] | None:
+        """Minimal ranking cost ``_rank_cost`` over cap-feasible settings.
+
+        This is the ranking quantity of the heuristic's Step 3 ("traverses
+        all frequency settings allowed by the power cap to compute the
+        minimal degradation").  Returns ``(cost, setting)``, or ``None``
+        when no setting fits the cap.
+        """
+        served = PairTables.serving(self)
+        if served is not None:
+            tables, index = served[0], served[1].index
+            i, j = index.get(cpu_uid), index.get(gpu_uid)
+            if i is not None and j is not None:
+                if not tables.pair_valid[i, j]:
+                    return None
+                value, sidx = tables.interference
+                return float(value[i, j]), tables.settings[sidx[i, j]]
+        feasible = pair_settings_under_cap(
+            self.predictor, cpu_uid, gpu_uid, self.cap_w
+        )
+        if not feasible:
+            return None
+        best_s = min(
+            feasible, key=lambda s: self._rank_cost(cpu_uid, gpu_uid, s)
+        )
+        return self._rank_cost(cpu_uid, gpu_uid, best_s), best_s
+
+
 @dataclass
-class ModelGovernor:
+class ModelGovernor(TableServedGovernor):
     """HCS's per-pair frequency choice: best predicted performance under the cap.
 
     For a co-running pair, picks the cap-feasible setting minimizing the
@@ -93,22 +186,12 @@ class ModelGovernor:
     the tie would be broken arbitrarily — possibly parking the faster
     device at its floor.)  For a solo job, the cap-feasible level minimizing
     its standalone time, with the idle device parked at its lowest level.
+    Step 3 ranks co-runners by the pair's summed degradations.
     """
 
     predictor: CoRunPredictor
     cap_w: float
     _cache: dict = field(default_factory=dict)
-
-    def __call__(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
-        key = (
-            cpu_job.uid if cpu_job else None,
-            gpu_job.uid if gpu_job else None,
-        )
-        if key in self._cache:
-            return self._cache[key]
-        setting = self._choose(cpu_job, gpu_job)
-        self._cache[key] = setting
-        return setting
 
     def _choose(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
         proc = self.predictor.processor
@@ -130,23 +213,5 @@ class ModelGovernor:
             return FrequencySetting(proc.cpu.domain.fmin, f)
         raise ValueError("governor consulted with no running job")
 
-    def min_pair_interference(
-        self, cpu_uid: str, gpu_uid: str
-    ) -> tuple[float, FrequencySetting] | None:
-        """Minimal predicted degradation sum over cap-feasible settings.
-
-        This is the ranking quantity of the heuristic's Step 3 ("traverses
-        all frequency settings allowed by the power cap to compute the
-        minimal degradation").  Returns ``None`` when no setting fits the
-        cap.
-        """
-        feasible = pair_settings_under_cap(
-            self.predictor, cpu_uid, gpu_uid, self.cap_w
-        )
-        if not feasible:
-            return None
-        best_s = min(
-            feasible,
-            key=lambda s: sum(self.predictor.degradations(cpu_uid, gpu_uid, s)),
-        )
-        return sum(self.predictor.degradations(cpu_uid, gpu_uid, best_s)), best_s
+    def _rank_cost(self, cpu_uid: str, gpu_uid: str, s: FrequencySetting) -> float:
+        return sum(self.predictor.degradations(cpu_uid, gpu_uid, s))

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.core.categorize import Categorized, Preference
 from repro.core.freqpolicy import ModelGovernor
 from repro.model.predictor import CoRunPredictor
+from repro.perf.tensor import PairTables
 
 _EPS = 1e-12
 
@@ -36,17 +39,126 @@ def _pool_priority(kind: DeviceKind) -> tuple[Preference, ...]:
     return (Preference.GPU, Preference.NONE, Preference.CPU)
 
 
-class _GreedyState:
+class _ScalarSource:
+    """The greedy loop's numbers, asked of the predictor and the governor."""
+
     def __init__(
-        self,
-        predictor: CoRunPredictor,
-        categorized: Categorized,
-        cap_w: float,
-        governor: ModelGovernor,
+        self, predictor: CoRunPredictor, cap_w: float, governor: ModelGovernor
     ) -> None:
         self.predictor = predictor
         self.cap_w = cap_w
         self.governor = governor
+
+    def best_time(self, job: Job, kind: DeviceKind) -> float:
+        try:
+            return self.predictor.best_solo(job.uid, kind, self.cap_w)[1]
+        except ValueError:
+            return math.inf
+
+    def interference(self, cpu_job: Job, gpu_job: Job) -> float:
+        ranked = self.governor.min_pair_interference(cpu_job.uid, gpu_job.uid)
+        return ranked[0] if ranked is not None else math.inf
+
+    def step_times(
+        self, cpu_job: Job | None, gpu_job: Job | None
+    ) -> tuple[float, float]:
+        """Predicted (CPU, GPU) times of the running jobs at the governor's
+        setting; an idle side reads ``inf``."""
+        setting = self.governor(cpu_job, gpu_job)
+        if cpu_job is not None and gpu_job is not None:
+            return self.predictor.corun_times(cpu_job.uid, gpu_job.uid, setting)
+        t_c = t_g = math.inf
+        if cpu_job is not None:
+            t_c = self.predictor.solo_time(cpu_job.uid, DeviceKind.CPU, setting.cpu_ghz)
+        if gpu_job is not None:
+            t_g = self.predictor.solo_time(gpu_job.uid, DeviceKind.GPU, setting.gpu_ghz)
+        return t_c, t_g
+
+
+class _TableSource:
+    """The same numbers read from the governor's :class:`PairTables`.
+
+    Only the rows of this call's jobs are gathered, as Python lists: the
+    best-solo times, the minimum-interference matrix, and the governor's
+    per-pair and solo times.  An infeasible combination defers to the
+    governor, which raises the scalar path's exact error.
+    """
+
+    def __init__(self, tables, tensor, governor, uids) -> None:
+        index = tensor.index
+        masks = tensor.masks(tables.cap_w)
+        rows = sorted({index[uid] for uid in uids})
+        local = {row: k for k, row in enumerate(rows)}
+        self.row = {uid: local[index[uid]] for uid in uids}
+        self.governor = governor
+        grid = np.ix_(rows, rows)
+        value, _ = tables.interference
+        self.value = value[grid].tolist()
+        self.pair_valid = tables.pair_valid[grid].tolist()
+        self.pair_t_c = tables.pair_t_c[grid].tolist()
+        self.pair_t_g = tables.pair_t_g[grid].tolist()
+        self.best = {k: masks.best_solo_time[k][rows].tolist() for k in DeviceKind}
+        self.solo_valid = {k: tables.solo_valid[k][rows].tolist() for k in DeviceKind}
+        self.solo_t = {k: tables.solo_t[k][rows].tolist() for k in DeviceKind}
+
+    def best_time(self, job: Job, kind: DeviceKind) -> float:
+        return self.best[kind][self.row[job.uid]]
+
+    def interference(self, cpu_job: Job, gpu_job: Job) -> float:
+        return self.value[self.row[cpu_job.uid]][self.row[gpu_job.uid]]
+
+    def step_times(
+        self, cpu_job: Job | None, gpu_job: Job | None
+    ) -> tuple[float, float]:
+        if cpu_job is not None and gpu_job is not None:
+            i, j = self.row[cpu_job.uid], self.row[gpu_job.uid]
+            if not self.pair_valid[i][j]:
+                self.governor(cpu_job, gpu_job)
+            return self.pair_t_c[i][j], self.pair_t_g[i][j]
+        t_c = t_g = math.inf
+        if cpu_job is not None:
+            t_c = self._solo_time(cpu_job, DeviceKind.CPU)
+        if gpu_job is not None:
+            t_g = self._solo_time(gpu_job, DeviceKind.GPU)
+        return t_c, t_g
+
+    def _solo_time(self, job: Job, kind: DeviceKind) -> float:
+        i = self.row[job.uid]
+        if not self.solo_valid[kind][i]:
+            # The governor raises the scalar path's InfeasibleCapError.
+            if kind is DeviceKind.CPU:
+                self.governor(job, None)
+            else:
+                self.governor(None, job)
+        return self.solo_t[kind][i]
+
+
+def _source(
+    predictor: CoRunPredictor,
+    categorized: Categorized,
+    cap_w: float,
+    governor: ModelGovernor,
+) -> _ScalarSource | _TableSource:
+    """The table source when the tables answer every job, else the scalar one."""
+    served = PairTables.serving(governor)
+    if served is not None and governor.predictor is predictor:
+        tables, tensor = served
+        uids = [
+            job.uid
+            for pref in Preference
+            for job in categorized.of(pref)
+        ]
+        if tables.cap_w == cap_w and all(uid in tensor.index for uid in uids):
+            return _TableSource(tables, tensor, governor, uids)
+    return _ScalarSource(predictor, cap_w, governor)
+
+
+class _GreedyState:
+    def __init__(
+        self, categorized: Categorized, source: _ScalarSource | _TableSource
+    ) -> None:
+        self._best_time = source.best_time
+        self._pair_cost = source.interference
         self.pools: dict[Preference, list[Job]] = {
             Preference.CPU: list(categorized.cpu_preferred),
             Preference.GPU: list(categorized.gpu_preferred),
@@ -56,19 +168,10 @@ class _GreedyState:
     def empty(self) -> bool:
         return not any(self.pools.values())
 
-    def _best_time(self, job: Job, kind: DeviceKind) -> float:
-        try:
-            return self.predictor.best_solo(job.uid, kind, self.cap_w)[1]
-        except ValueError:
-            return math.inf
-
     def _interference(self, job: Job, kind: DeviceKind, other: Job) -> float:
         if kind is DeviceKind.CPU:
-            pair = (job.uid, other.uid)
-        else:
-            pair = (other.uid, job.uid)
-        ranked = self.governor.min_pair_interference(*pair)
-        return ranked[0] if ranked is not None else math.inf
+            return self._pair_cost(job, other)
+        return self._pair_cost(other, job)
 
     def _other_side_span(self, kind: DeviceKind, other_remaining_s: float) -> float:
         """Projected wall time the *other* processor still needs.
@@ -162,8 +265,15 @@ def greedy_schedule(
     cap_w: float,
     governor: ModelGovernor,
 ) -> tuple[list[Job], list[Job]]:
-    """Run the greedy pairing loop; returns the (CPU, GPU) queue orders."""
-    state = _GreedyState(predictor, categorized, cap_w, governor)
+    """Run the greedy pairing loop; returns the (CPU, GPU) queue orders.
+
+    The loop reads its numbers from one source chosen per call: the
+    governor's :class:`~repro.perf.tensor.PairTables` when they cover every
+    job, otherwise the scalar predictor and governor.  Both give the same
+    floats, so the queue orders are identical.
+    """
+    source = _source(predictor, categorized, cap_w, governor)
+    state = _GreedyState(categorized, source)
     cpu_order: list[Job] = []
     gpu_order: list[Job] = []
 
@@ -187,17 +297,9 @@ def greedy_schedule(
         cpu_order.append(cur_c_job)
 
     while cur_c is not None or cur_g is not None:
-        setting = governor(
+        t_c, t_g = source.step_times(
             cur_c[0] if cur_c else None, cur_g[0] if cur_g else None
         )
-        if cur_c is not None and cur_g is not None:
-            t_c, t_g = predictor.corun_times(cur_c[0].uid, cur_g[0].uid, setting)
-        elif cur_c is not None:
-            t_c = predictor.solo_time(cur_c[0].uid, DeviceKind.CPU, setting.cpu_ghz)
-            t_g = None
-        else:
-            t_g = predictor.solo_time(cur_g[0].uid, DeviceKind.GPU, setting.gpu_ghz)
-            t_c = None
 
         dts = []
         if cur_c is not None:

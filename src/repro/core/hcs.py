@@ -10,6 +10,12 @@ refinement (IV-A.3):
 3. :func:`repro.core.greedy.greedy_schedule` — greedy minimum-interference
    pairing; S_seq jobs are appended as a solo tail, each on its best
    cap-feasible processor.
+
+On a tensor-backed context Steps 1 and 3 read the model's reductions
+(:meth:`~repro.perf.tensor.TensorModel.theorem_pairs` and the governor's
+:class:`~repro.perf.tensor.PairTables`) instead of querying the predictor
+per pair and setting; the scalar predictor stays the referee, and both
+paths give the same schedule bit for bit.
 """
 
 from __future__ import annotations

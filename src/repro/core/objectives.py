@@ -40,11 +40,11 @@ from repro.hardware.frequency import FrequencySetting
 from repro.workload.program import Job
 from repro.core.feasibility import (
     pair_energy_j,
-    pair_settings_under_cap,
     require_pair_settings,
     require_solo_levels,
     solo_energy_j,
 )
+from repro.core.freqpolicy import ModelGovernor, TableServedGovernor
 from repro.model.predictor import CoRunPredictor
 from repro.units import Hertz, Joules, Seconds, SecondsPerJoule, Watts
 
@@ -129,7 +129,7 @@ def score_execution(
 
 
 @dataclass
-class EnergyAwareGovernor:
+class EnergyAwareGovernor(TableServedGovernor):
     """Cap-feasible frequency choice minimizing a predicted objective cost.
 
     For a co-running pair the cost is the predicted energy to complete the
@@ -152,17 +152,6 @@ class EnergyAwareGovernor:
                 "EnergyAwareGovernor optimizes energy-weighted objectives; "
                 "use ModelGovernor for makespan/flow_time"
             )
-
-    def __call__(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
-        key = (
-            cpu_job.uid if cpu_job else None,
-            gpu_job.uid if gpu_job else None,
-        )
-        if key in self._cache:
-            return self._cache[key]
-        setting = self._choose(cpu_job, gpu_job)
-        self._cache[key] = setting
-        return setting
 
     def _pair_energy(self, cpu_uid: str, gpu_uid: str, s: FrequencySetting) -> Joules:
         return pair_energy_j(self.predictor, cpu_uid, gpu_uid, s)
@@ -215,27 +204,10 @@ class EnergyAwareGovernor:
             return FrequencySetting(proc.cpu.domain.fmin, best)
         raise ValueError("governor consulted with no running job")
 
-    def min_pair_interference(
-        self, cpu_uid: str, gpu_uid: str
-    ) -> tuple[float, FrequencySetting] | None:
-        """Minimal predicted objective cost over cap-feasible settings.
-
-        The greedy pairing rule ranks candidate co-runners by this quantity
-        (see :meth:`ModelGovernor.min_pair_interference
-        <repro.core.freqpolicy.ModelGovernor.min_pair_interference>`); here
-        the ranking currency is the objective cost rather than the summed
-        degradations, so an energy context pairs jobs that are cheap to run
-        *together*.  Returns ``None`` when no setting fits the cap.
-        """
-        feasible = pair_settings_under_cap(
-            self.predictor, cpu_uid, gpu_uid, self.cap_w
-        )
-        if not feasible:
-            return None
-        best_s = min(
-            feasible, key=lambda s: self._pair_cost(cpu_uid, gpu_uid, s)
-        )
-        return self._pair_cost(cpu_uid, gpu_uid, best_s), best_s
+    def _rank_cost(self, cpu_uid: str, gpu_uid: str, s: FrequencySetting) -> float:
+        # Step 3 ranks co-runners in the objective's currency, so an energy
+        # context pairs jobs that are cheap to run *together*.
+        return self._pair_cost(cpu_uid, gpu_uid, s)
 
 
 def governor_for(
@@ -252,7 +224,5 @@ def governor_for(
     """
     objective = Objective.coerce(objective)
     if objective in (Objective.MAKESPAN, Objective.FLOW_TIME):
-        from repro.core.freqpolicy import ModelGovernor
-
         return ModelGovernor(predictor, cap_w)
     return EnergyAwareGovernor(predictor, cap_w, objective)

@@ -12,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.core.feasibility import pair_settings_under_cap
 from repro.core.theorem import corun_beneficial_theorem
 from repro.model.predictor import CoRunPredictor
+from repro.perf.tensor import TensorBackedPredictor
 
 
 @dataclass(frozen=True)
@@ -45,21 +48,58 @@ def _pair_ever_beneficial(
     return False
 
 
+def _row_verdicts(
+    predictor: CoRunPredictor, jobs: Sequence[Job], cap_w: float
+) -> dict[str, bool] | None:
+    """Every job's Step 1 verdict, read from the tensor's theorem reduction.
+
+    ``None`` sends the caller to the scalar loop: the predictor is not
+    tensor-served, a uid is not covered, or some cap-feasible cell among
+    these jobs' rows holds an input the theorem rejects (the scalar loop
+    then raises its ``ValueError`` exactly where it meets one).  A row's
+    verdict holds for all its jobs; a job pairs with a job of its own
+    program only when its row holds two or more uids.
+    """
+    if not isinstance(predictor, TensorBackedPredictor):
+        return None
+    tensor = predictor.tensor
+    index = tensor.index
+    uids = {job.uid for job in jobs}
+    if not all(uid in index for uid in uids):
+        return None
+    rows = sorted({index[uid] for uid in uids})
+    grid = np.ix_(rows, rows)
+    beneficial, rejected = tensor.theorem_pairs(cap_w)
+    if rejected[grid].any():
+        return None
+    # Either placement of the two jobs may be the beneficial one.
+    pairs = beneficial[grid] | beneficial[grid].T
+    position = {row: k for k, row in enumerate(rows)}
+    local = {uid: position[index[uid]] for uid in uids}
+    uids_per_row = np.bincount(list(local.values()), minlength=len(rows))
+    np.fill_diagonal(pairs, pairs.diagonal() & (uids_per_row >= 2))
+    verdict = pairs.any(axis=1).tolist()
+    return {uid: verdict[k] for uid, k in local.items()}
+
+
 def partition_jobs(
     predictor: CoRunPredictor, jobs: Sequence[Job], cap_w: float
 ) -> Partition:
     """Split ``jobs`` into co-run candidates and run-alone jobs."""
+    verdicts = _row_verdicts(predictor, jobs, cap_w)
     co: list[Job] = []
     seq: list[Job] = []
     for job in jobs:
-        beneficial = False
-        for other in jobs:
-            if other.uid == job.uid:
-                continue
-            if _pair_ever_beneficial(predictor, job, other, cap_w) or (
-                _pair_ever_beneficial(predictor, other, job, cap_w)
-            ):
-                beneficial = True
-                break
+        if verdicts is not None:
+            beneficial = verdicts[job.uid]
+        else:
+            beneficial = any(
+                other.uid != job.uid
+                and (
+                    _pair_ever_beneficial(predictor, job, other, cap_w)
+                    or _pair_ever_beneficial(predictor, other, job, cap_w)
+                )
+                for other in jobs
+            )
         (co if beneficial else seq).append(job)
     return Partition(co=tuple(co), seq=tuple(seq))

@@ -35,7 +35,9 @@ afterwards with O(1) array lookups:
     times/power, and for every (row, device) the chosen solo level — the
     complete set of constants a timeline replay consumes.  Argmin ties
     resolve to the first feasible setting in enumeration order, exactly as
-    the governors' ``min()`` does.
+    the governors' ``min()`` does.  The same tables answer the stock
+    governors' cache misses, and a lazily built minimum-interference
+    matrix ranks HCS's greedy co-runners.
 
 :class:`BatchScheduleEvaluator`
     A :class:`~repro.perf.evaluator.ScheduleEvaluator` with two replays
@@ -61,6 +63,7 @@ path.  Exactness is enforced by ``tests/perf/test_tensor_model.py`` /
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -201,6 +204,7 @@ class TensorModel:
 
         self._cap_masks: dict[float, _CapMasks] = {}
         self._pair_tables: dict[tuple, object] = {}
+        self._theorem_pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         #: Name of the fleet node this model is scaled for (None = the
         #: calibrated machine itself); set on clones by :meth:`scaled`.
         self.node_name: str | None = None
@@ -245,6 +249,7 @@ class TensorModel:
         clone.pair_power = self.pair_power * power_scale
         clone._cap_masks = {}
         clone._pair_tables = {}
+        clone._theorem_pairs = {}
         clone._scaled_memo = {}
         clone.node_name = node_name
         if len(self._scaled_memo) >= 16:
@@ -326,6 +331,38 @@ class TensorModel:
             self._cap_masks.pop(next(iter(self._cap_masks)))
         self._cap_masks[cap_w] = masks
         return masks
+
+    def theorem_pairs(self, cap_w: Watts) -> tuple[np.ndarray, np.ndarray]:
+        """``(beneficial, rejected)``: the Co-Run Theorem per row pair (memoized).
+
+        ``beneficial[i, j]`` — some cap-feasible setting makes co-running
+        row ``i`` on the CPU with row ``j`` on the GPU beneficial under
+        :func:`~repro.core.theorem.corun_beneficial_theorem`, evaluated
+        cell by cell on the same floats and in the same operation order.
+        ``rejected[i, j]`` — some cap-feasible setting holds an input the
+        theorem's validation refuses (a non-positive length or a negative
+        or NaN degradation); callers take the scalar path there.
+        """
+        cached = self._theorem_pairs.get(cap_w)
+        if cached is not None:
+            return cached
+        settings = np.arange(len(self.settings))
+        l_c = self.solo_time[DeviceKind.CPU][:, settings // self.n_gpu_levels]
+        l_g = self.solo_time[DeviceKind.GPU][:, settings % self.n_gpu_levels]
+        l_c, l_g = l_c[:, None, :], l_g[None, :, :]
+        d_c, d_g = self.deg_c, self.deg_g
+        feasible = self.masks(cap_w).pair_ok
+        valid = (l_c > 0) & (l_g > 0) & (d_c >= 0) & (d_g >= 0)
+        cpu_longer = l_c * (1.0 + d_c) >= l_g * (1.0 + d_g)
+        wins = np.where(cpu_longer, l_c * d_c < l_g, l_g * d_g < l_c)
+        pairs = (
+            (feasible & wins).any(axis=2),
+            (feasible & ~valid).any(axis=2),
+        )
+        if len(self._theorem_pairs) >= 16:
+            self._theorem_pairs.pop(next(iter(self._theorem_pairs)))
+        self._theorem_pairs[cap_w] = pairs
+        return pairs
 
     # ------------------------------------------------------------------
     # Predictor-equivalent queries (bitwise identical to the scalar chain)
@@ -700,24 +737,79 @@ class PairTables:
 
     For every (cpu row, gpu row) pair: the governor's chosen setting index
     and the resulting co-run times and pair power; for every (row, device):
-    the chosen solo level's time and chip power.  These are exactly the
-    quantities the mean-field replay consumes, so a replay over the tables
-    is bitwise identical to one over (governor, predictor) — with the
-    single exception of infeasible combinations, which are flagged invalid
-    here and re-raised through the scalar path for identical errors.
+    the chosen solo level's index, time and chip power.  These are exactly
+    the quantities the mean-field replay consumes, so a replay over the
+    tables is bitwise identical to one over (governor, predictor) — with
+    the single exception of infeasible combinations, which are flagged
+    invalid here and re-raised through the scalar path for identical
+    errors.
+
+    The same choices answer the governor itself (:meth:`serving`), and
+    :attr:`interference` adds the greedy pairing's ranking matrix.
     """
 
-    def __init__(self, cap_w, pair_valid, pair_t_c, pair_t_g,
-                 pair_power, solo_valid, solo_t, solo_power):
+    def __init__(self, cap_w, pair_valid, pair_sidx, pair_t_c, pair_t_g,
+                 pair_power, solo_valid, solo_idx, solo_t, solo_power,
+                 settings, levels, rank):
         self.cap_w = cap_w
         self.pair_valid = pair_valid
+        self.pair_sidx = pair_sidx        # (n, n) int: chosen setting index
         self.pair_t_c = pair_t_c
         self.pair_t_g = pair_t_g
         self.pair_power = pair_power
         self.solo_valid = solo_valid      # kind -> (n,) bool
+        self.solo_idx = solo_idx          # kind -> (n,) int: chosen level index
         self.solo_t = solo_t              # kind -> (n,) float
         self.solo_power = solo_power      # kind -> (n,) float
+        self.settings = settings          # setting index -> FrequencySetting
+        self.levels = levels              # kind -> level index -> GHz
+        self._rank = rank
+        self._interference = None
         self._packed = None
+
+    @property
+    def interference(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(value, sidx)``: each pair's minimum ranking cost and its setting.
+
+        The ranking quantity of the heuristic's Step 3, reduced over the
+        cap-feasible settings: the summed degradations for
+        :class:`~repro.core.freqpolicy.ModelGovernor`, the governor's own
+        pair cost for :class:`~repro.core.objectives.EnergyAwareGovernor`
+        (whose ranking and frequency choice are then one argmin).  Infeasible
+        pairs read ``inf``.  Built on first use, so contexts that never run
+        HCS never pay for it.
+        """
+        if self._interference is None:
+            self._interference = self._rank()
+            self._rank = None
+        return self._interference
+
+    @classmethod
+    def serving(cls, governor):
+        """``(tables, tensor)`` answering a stock governor, or ``None``.
+
+        The governor must be one :meth:`build` reduces and its predictor a
+        :class:`TensorBackedPredictor`; ``tensor`` is that predictor's
+        indexed model view (``tensor.index`` maps uids to rows).  The
+        tables come from the model's memo, so every governor over one
+        model and cap shares them.
+        """
+        predictor = governor.predictor
+        if type(predictor) is not TensorBackedPredictor:
+            return None
+        tensor = predictor.tensor
+        tables = cls.build(tensor, governor, governor.cap_w)
+        return None if tables is None else (tables, tensor)
+
+    @staticmethod
+    def _memo_key(governor, cap_w: float):
+        """The memo key of a governor :meth:`build` reduces, else ``None``."""
+        kind_of = type(governor)
+        if kind_of not in _stock_governors():
+            return None
+        if governor.cap_w != cap_w:
+            return None
+        return (kind_of, getattr(governor, "objective", None), cap_w)
 
     @property
     def packed(self):
@@ -759,15 +851,11 @@ class PairTables:
         and the evaluator stays on the scalar replay.
         """
         from repro.core.freqpolicy import ModelGovernor
-        from repro.core.objectives import EnergyAwareGovernor, Objective
+        from repro.core.objectives import Objective
 
-        if getattr(governor, "cap_w", None) != cap_w:
+        memo_key = cls._memo_key(governor, cap_w)
+        if memo_key is None:
             return None
-        memo_key = (
-            type(governor).__qualname__,
-            getattr(governor, "objective", None),
-            cap_w,
-        )
         cached = tensor._pair_tables.get(memo_key)
         if cached is not None:
             return cached
@@ -776,7 +864,7 @@ class PairTables:
             # min over feasible settings of sum(corun_times) == t_c + t_g.
             pair_cost = tensor.t_corun_c + tensor.t_corun_g
             solo_cost = None
-        elif type(governor) is EnergyAwareGovernor:
+        else:
             # pair_energy_j: power * (t_c + t_g); EDP: energy * max(t_c, t_g).
             from repro.core.objectives import MAKESPAN_ENERGY_RHO
 
@@ -804,8 +892,6 @@ class PairTables:
                     )
                 else:
                     solo_cost[kind] = e * tensor.solo_time[kind]
-        else:
-            return None
 
         with np.errstate(invalid="ignore"):
             masked = np.where(masks.pair_ok, pair_cost, np.inf)
@@ -816,7 +902,15 @@ class PairTables:
         pair_t_g = take(tensor.t_corun_g, sidx[..., None], axis=2)[..., 0]
         pair_power = take(tensor.pair_power, sidx[..., None], axis=2)[..., 0]
 
-        solo_valid, solo_t, solo_power = {}, {}, {}
+        if solo_cost is None:
+            rank = _degradation_rank(tensor, masks)
+        else:
+            # The energy governor ranks by its own pair cost: the value at
+            # the setting it would choose, from the reduction above.
+            def rank():
+                return take(masked, sidx[..., None], axis=2)[..., 0], sidx
+
+        solo_valid, solo_idx, solo_t, solo_power = {}, {}, {}, {}
         rows = np.arange(tensor.n_rows)
         for kind in DeviceKind:
             if solo_cost is None:
@@ -826,16 +920,50 @@ class PairTables:
                     c = np.where(masks.solo_ok[kind], solo_cost[kind], np.inf)
                 idx = np.argmin(c, axis=1)
             solo_valid[kind] = masks.best_solo_valid[kind]
+            solo_idx[kind] = idx
             solo_t[kind] = tensor.solo_time[kind][rows, idx]
             solo_power[kind] = tensor.solo_chip_power[kind][rows, idx]
         tables = cls(
-            cap_w, pair_valid, pair_t_c, pair_t_g, pair_power,
-            solo_valid, solo_t, solo_power,
+            cap_w, pair_valid, sidx, pair_t_c, pair_t_g, pair_power,
+            solo_valid, solo_idx, solo_t, solo_power,
+            tensor.settings,
+            {DeviceKind.CPU: tensor.cpu_levels, DeviceKind.GPU: tensor.gpu_levels},
+            rank,
         )
         if len(tensor._pair_tables) >= 16:
             tensor._pair_tables.pop(next(iter(tensor._pair_tables)))
         tensor._pair_tables[memo_key] = tables
         return tables
+
+
+@functools.cache
+def _stock_governors() -> tuple:
+    """The exact governor types :class:`PairTables` reduces.
+
+    Imported on first use (perf must not import core at load) and kept,
+    because governors ask on every cache miss.
+    """
+    from repro.core.freqpolicy import ModelGovernor
+    from repro.core.objectives import EnergyAwareGovernor
+
+    return (ModelGovernor, EnergyAwareGovernor)
+
+
+def _degradation_rank(tensor: TensorModel, masks: _CapMasks):
+    """ModelGovernor's ranking reduction, deferred until first asked for.
+
+    ``deg_c + deg_g`` is the scalar ``sum((d_c, d_g))`` bit for bit (the
+    sum starts from int 0, and ``0 + d == d``); the argmin's first-minimum
+    tie rule matches ``min()`` over the settings in enumeration order.
+    """
+
+    def rank():
+        masked = np.where(masks.pair_ok, tensor.deg_c + tensor.deg_g, np.inf)
+        sidx = np.argmin(masked, axis=2)
+        value = np.take_along_axis(masked, sidx[..., None], axis=2)[..., 0]
+        return value, sidx
+
+    return rank
 
 
 class BatchScheduleEvaluator(ScheduleEvaluator):

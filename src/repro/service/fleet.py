@@ -126,6 +126,9 @@ class FleetSession:
         self._placement: list[dict[tuple[str, Watts], float | None]] = [
             {} for _ in fleet.nodes
         ]
+        #: (job, node loads, node caps, placement) of the last
+        #: :meth:`_place` call.
+        self._last_placement: tuple | None = None
 
     # ------------------------------------------------------------------
     # Introspection (plain loops: the server reads these per request)
@@ -228,6 +231,28 @@ class FleetSession:
         return self._place(job) is not None
 
     def _place(self, job: Job) -> tuple[int, WallSeconds] | None:
+        """:meth:`_choose_node`, once per submission.
+
+        The server asks :meth:`admissible` and then :meth:`submit` for the
+        same job; the second ask reuses the first answer when it is the
+        same job object and neither a node load nor a node cap (which a
+        future-dated :meth:`set_cap` changes inside :meth:`advance`)
+        moved in between — everything :meth:`_choose_node` reads.
+        """
+        caps = [session.cap_w for session in self.sessions]
+        last = self._last_placement
+        if (
+            last is not None
+            and last[0] is job
+            and last[1] == self._load
+            and last[2] == caps
+        ):
+            return last[3]
+        placed = self._choose_node(job)
+        self._last_placement = (job, list(self._load), caps, placed)
+        return placed
+
+    def _choose_node(self, job: Job) -> tuple[int, WallSeconds] | None:
         """Pick (node index, estimated wall time) for a submission.
 
         The admissible node with the lowest projected wall backlog wins;

@@ -65,3 +65,40 @@ class TestCategorizeJobs:
 
     def test_default_threshold_is_paper_value(self):
         assert DEFAULT_THRESHOLD == pytest.approx(0.20)
+
+
+class TestThresholdValidation:
+    """A NaN threshold compares false against every difference, so it
+    would silently give every job a preference; negatives mean nothing."""
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, -1e-9])
+    def test_categorize_rejects(self, predictor, rodinia_jobs, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            categorize_jobs(predictor, rodinia_jobs, 15.0, threshold=threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            job_preference(predictor, rodinia_jobs[0], 15.0, threshold=threshold)
+
+    def test_categorize_rejects_even_without_jobs(self, predictor):
+        with pytest.raises(ValueError, match="threshold"):
+            categorize_jobs(predictor, [], 15.0, threshold=float("nan"))
+
+    @pytest.mark.parametrize("method", ["hcs", "hcs+"])
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+    def test_schedule_rejects(self, predictor, rodinia_jobs, method, threshold):
+        from repro.core.api import schedule
+
+        with pytest.raises(ValueError, match="threshold"):
+            schedule(
+                rodinia_jobs, method, cap_w=15.0, predictor=predictor,
+                threshold=threshold,
+            )
+
+    @pytest.mark.parametrize("threshold", [0.0, DEFAULT_THRESHOLD, 100.0])
+    def test_schedule_accepts(self, predictor, rodinia_jobs, threshold):
+        from repro.core.api import schedule
+
+        result = schedule(
+            rodinia_jobs, "hcs", cap_w=15.0, predictor=predictor,
+            threshold=threshold,
+        )
+        assert len(result.schedule.all_uids()) == len(rodinia_jobs)

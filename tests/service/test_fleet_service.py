@@ -368,3 +368,77 @@ class TestPlacementProfilesPerShape:
         state.handle(protocol.AdvanceRequest(until_s=0.5))
         assert len(calls) <= k + len(fleet)
         assert sum(calls) >= 40
+
+
+class TestPlacementOncePerSubmission:
+    """The server asks ``admissible`` and then ``submit`` for each job;
+    the node choice must be computed once between them."""
+
+    @pytest.mark.parametrize(
+        "fleet", [Fleet.single(15.0), FLEET], ids=["one-node", "three-node"]
+    )
+    def test_server_submission_places_once(self, fleet, monkeypatch):
+        from repro.service import protocol
+        from repro.service.server import ServiceState
+
+        session = FleetSession(fleet, seed=5)
+        state = ServiceState(session)
+        placed = []
+        choose = session._choose_node
+
+        def counting(job):
+            placed.append(job.uid)
+            return choose(job)
+
+        monkeypatch.setattr(session, "_choose_node", counting)
+        uids = [f"j{i}" for i in range(4)]
+        for uid, name in zip(uids, ["cfd", "lud", "srad", "cfd"]):
+            reply = state.handle(protocol.SubmitRequest(program=name, uid=uid))
+            assert isinstance(reply, protocol.SubmitResponse)
+        assert placed == uids
+
+    def test_reuse_needs_the_same_job_and_loads(self, rodinia, monkeypatch):
+        session = FleetSession(FLEET, seed=5)
+        placed = []
+        choose = session._choose_node
+
+        def counting(job):
+            placed.append(job.uid)
+            return choose(job)
+
+        monkeypatch.setattr(session, "_choose_node", counting)
+        a, b = _job(rodinia, "cfd", "a"), _job(rodinia, "lud", "b")
+        assert session.admissible(a)
+        session.submit(b, 0.0)      # another job moves a node's load
+        session.submit(a, 0.0)      # so a is placed afresh
+        c = _job(rodinia, "srad", "c")
+        assert session.admissible(c)
+        session.set_cap(30.0)       # a cap change forgets the answer
+        session.submit(c, 0.0)
+        d = _job(rodinia, "hotspot", "d")
+        assert session.admissible(d)
+        session.submit(d, 0.0)      # same job, same loads: reused
+        assert placed == ["a", "b", "a", "c", "c", "d"]
+
+    def test_a_cap_taking_effect_forgets_the_answer(
+        self, rodinia, monkeypatch
+    ):
+        # A future-dated cap lands inside advance; no load moves, but
+        # the node caps the choice read did, so submit places afresh.
+        session = FleetSession(FLEET, seed=5)
+        placed = []
+        choose = session._choose_node
+
+        def counting(job):
+            placed.append(job.uid)
+            return choose(job)
+
+        monkeypatch.setattr(session, "_choose_node", counting)
+        session.set_cap(30.0, at_s=0.5)
+        x = _job(rodinia, "cfd", "x")
+        caps = [s.cap_w for s in session.sessions]
+        assert session.admissible(x)
+        assert session.advance(1.0) == ([], [])
+        assert [s.cap_w for s in session.sessions] != caps
+        session.submit(x, 1.0)
+        assert placed == ["x", "x"]
