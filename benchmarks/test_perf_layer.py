@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.hardware.calibration import make_ivy_bridge
+from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.genetic import GaConfig, genetic_schedule
 from repro.core.hcs import hcs_schedule
@@ -39,6 +40,10 @@ def env():
     space = characterize_space(processor)
     predictor = CoRunPredictor(processor, table, space)
     return processor, jobs, table, space, predictor
+
+
+def _ctx(predictor, jobs, **kwargs):
+    return SchedulingContext(jobs=jobs, cap_w=CAP_W, predictor=predictor, **kwargs)
 
 
 def _model_build(processor, jobs, disk_cache):
@@ -81,7 +86,7 @@ def test_bench_genetic_cached_repeat(benchmark, env):
 
     def ga_run():
         return genetic_schedule(
-            wrapped, jobs, CAP_W, config=cfg, seed=17, evaluator=evaluator
+            _ctx(wrapped, jobs, seed=17, evaluator=evaluator), config=cfg
         )
 
     t0 = time.perf_counter()
@@ -93,7 +98,11 @@ def test_bench_genetic_cached_repeat(benchmark, env):
     ga_run()
     warm_s = time.perf_counter() - t1
 
-    plain = genetic_schedule(predictor, jobs, CAP_W, config=cfg, seed=17)
+    # The caller-supplied scalar evaluator keeps the cached runs on the
+    # scalar search; pin the plain run there too so the trajectories match.
+    plain = genetic_schedule(
+        _ctx(predictor, jobs, seed=17), config=cfg, vectorized=False
+    )
     assert warm[0] == cold[0] == plain[0]
     assert warm[1] == cold[1] == plain[1]
 
@@ -114,7 +123,7 @@ def test_bench_hcs_plus_cached_repeat(benchmark, env):
 
     def hcs_run():
         return hcs_schedule(
-            wrapped, jobs, CAP_W, refine=True, seed=13, evaluator=evaluator
+            _ctx(wrapped, jobs, seed=13, evaluator=evaluator), refine=True
         )
 
     t0 = time.perf_counter()
@@ -126,7 +135,7 @@ def test_bench_hcs_plus_cached_repeat(benchmark, env):
     hcs_run()
     warm_s = time.perf_counter() - t1
 
-    plain = hcs_schedule(predictor, jobs, CAP_W, refine=True, seed=13)
+    plain = hcs_schedule(_ctx(predictor, jobs, seed=13), refine=True)
     assert warm.schedule == cold.schedule == plain.schedule
     # repro: noqa REP003 -- byte-identical warm-cache memoization contract
     assert warm.predicted_makespan_s == plain.predicted_makespan_s

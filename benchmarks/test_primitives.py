@@ -15,6 +15,7 @@ from repro.engine.sim import Scenario, run
 from repro.model.characterize import characterize_space
 from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import profile_workload
+from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.hcs import hcs_schedule
 from repro.workload.program import make_jobs
@@ -29,6 +30,10 @@ def env():
     space = characterize_space(processor)
     predictor = CoRunPredictor(processor, table, space)
     return processor, jobs, table, space, predictor
+
+
+def _ctx(predictor, jobs):
+    return SchedulingContext(jobs=jobs, cap_w=15.0, predictor=predictor)
 
 
 def test_bench_characterize_space(benchmark):
@@ -59,21 +64,21 @@ def test_bench_steady_corun_simulation(benchmark, env):
 
 def test_bench_hcs_scheduling(benchmark, env):
     processor, jobs, _, _, predictor = env
-    result = benchmark(hcs_schedule, predictor, jobs, 15.0)
+    result = benchmark(lambda: hcs_schedule(_ctx(predictor, jobs)))
     assert result.schedule.n_jobs == 8
 
 
 def test_bench_hcs_plus_scheduling(benchmark, env):
     _, jobs, _, _, predictor = env
     result = benchmark(
-        lambda: hcs_schedule(predictor, jobs, 15.0, refine=True)
+        lambda: hcs_schedule(_ctx(predictor, jobs), refine=True)
     )
     assert result.schedule.n_jobs == 8
 
 
 def test_bench_schedule_execution(benchmark, env):
     processor, jobs, _, _, predictor = env
-    hcs = hcs_schedule(predictor, jobs, 15.0)
+    hcs = hcs_schedule(_ctx(predictor, jobs))
     governor = ModelGovernor(predictor, 15.0)
     scenario = Scenario.from_queues(
         hcs.schedule.cpu_queue,

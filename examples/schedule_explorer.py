@@ -44,7 +44,7 @@ def main() -> None:
     t0 = time.perf_counter()
     hcs = runtime.run_hcs()
     ga_schedule, _ = genetic_schedule(
-        runtime.predictor, jobs, args.cap, seed=0,
+        runtime.context(seed=0),
         config=GaConfig(population=30, generations=25),
         seed_schedule=hcs.schedule,
     )
@@ -56,9 +56,7 @@ def main() -> None:
 
     # 3. A* search (near-exhaustive under the predicted model).
     t0 = time.perf_counter()
-    schedule, _, expanded = astar_schedule(
-        runtime.predictor, jobs, args.cap, node_budget=80_000
-    )
+    schedule, _, expanded = astar_schedule(runtime.context(), node_budget=80_000)
     astar_exec = runtime.execute(schedule)
     rows.append((f"A* ({expanded} nodes)", astar_exec.makespan_s,
                  (time.perf_counter() - t0) * 1e3))

@@ -4,7 +4,8 @@ Each rule enforces a convention this codebase relies on for correctness but
 that nothing machine-checked before:
 
 * REP001 — schedulers accept a ``SchedulingContext``, not raw
-  ``(predictor, jobs, cap_w)`` plumbing (outside ``repro.core`` itself).
+  ``(predictor, jobs, cap_w)`` plumbing (outside the ``repro.core``
+  modules that build a context or run below one).
 * REP002 — randomness flows through ``repro.util.rng`` / ``ctx.rng()``,
   never the process-global ``random`` / ``numpy.random`` state.
 * REP003 — no float ``==`` / ``!=`` on makespan/energy/power expressions;
@@ -81,7 +82,7 @@ def _param_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
 
 class RawPlumbingRule(LintRule):
     code = "REP001"
-    title = "raw (predictor, jobs, cap_w) plumbing outside repro.core"
+    title = "raw (predictor, jobs, cap_w) plumbing in a scheduler"
     rationale = (
         "PR 3 unified every scheduler behind SchedulingContext; a function "
         "re-growing the legacy triple re-opens the drift the context closed "
@@ -89,11 +90,16 @@ class RawPlumbingRule(LintRule):
     )
 
     _TRIPLE = {"predictor", "jobs", "cap_w"}
+    #: The ``repro.core`` modules that still take the triple: ``api`` and
+    #: ``context`` build a context from it, and the bound, partition and
+    #: categorization steps run model-level, below any context (the
+    #: invariant checker in ``repro.analysis`` calls them that way).
+    _CORE_EXEMPT = frozenset({"api", "context", "bounds", "partition", "categorize"})
 
     def applies_to(self, path: PurePath) -> bool:
-        return not (
-            path_in_layer(path, "core") or path_in_layer(path, "analysis")
-        )
+        if path_in_layer(path, "analysis"):
+            return False
+        return not (path_in_layer(path, "core") and path.stem in self._CORE_EXEMPT)
 
     def findings(self, tree: ast.Module, path: PurePath) -> Iterator[Finding]:
         for node in ast.walk(tree):

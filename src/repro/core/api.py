@@ -24,15 +24,19 @@ on the same instance reuse work.  When ``predictor`` is omitted, the
 workload is profiled and the degradation space characterized on the spot
 (optionally fanned out over ``executor`` and persisted via ``disk_cache``).
 
-The historical per-method functions remain public and unchanged; this is a
-facade, not a replacement.  New schedulers plug in with
-:func:`register_scheduler`; adapters receive the context plus the caller's
-method-specific options.
+Every caller reaches a scheduler the same way: a context, then
+:func:`dispatch` (registry lookup, adapter, result finalization, sanitizer).
+:func:`schedule` builds the context per call, :class:`Scheduler` keeps the
+model warm across calls, and :class:`~repro.core.runtime.CoScheduleRuntime`
+adds execution on top.  The per-method functions (``hcs_schedule``,
+``genetic_schedule``, ...) stay public and take the same context as their
+first argument.  New schedulers plug in with :func:`register_scheduler`;
+adapters receive the context plus the caller's method-specific options.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from collections.abc import Callable, Mapping, Sequence
 
@@ -122,21 +126,42 @@ def _maybe_sanitize(ctx: SchedulingContext, result: ScheduleResult) -> None:
         check_schedule(ctx, result.schedule, where=f"registry:{result.method}")
 
 
-def _finalize(result: ScheduleResult, ctx: SchedulingContext) -> ScheduleResult:
-    """Fill result fields only the caller-side context knows."""
+def _adapter(method: str) -> Callable[..., ScheduleResult]:
+    """The adapter registered as ``method``; ``ValueError`` lists the known."""
+    try:
+        return _REGISTRY[method.lower()]
+    except KeyError:
+        known = ", ".join(scheduler_names())
+        raise ValueError(f"unknown scheduler {method!r}; known: {known}") from None
+
+
+def dispatch(
+    ctx: SchedulingContext,
+    method: str,
+    /,
+    *,
+    stats_cache: EvalCache | None = None,
+    **opts,
+) -> ScheduleResult:
+    """Run the registered ``method`` on an existing context.
+
+    The one step every front door shares: look the adapter up, call it
+    with the method options ``opts``, fill in what only the caller knows
+    (a snapshot of ``stats_cache``, default the context's cache, and the
+    context's governor), then verify the result when the sanitizer is
+    armed.  Builds no context.
+    """
+    result = _adapter(method)(ctx, **opts)
     if result.cache_stats is None or result.governor is None:
-        result = ScheduleResult(
-            method=result.method,
-            schedule=result.schedule,
-            predicted_makespan_s=result.predicted_makespan_s,
-            details=result.details,
+        if stats_cache is None:
+            stats_cache = ctx.cache
+        result = replace(
+            result,
             cache_stats=(
                 result.cache_stats
                 if result.cache_stats is not None
-                else ctx.cache.snapshot()
+                else stats_cache.snapshot()
             ),
-            objective=result.objective,
-            predicted_score=result.predicted_score,
             governor=result.governor if result.governor is not None else ctx.governor,
         )
     _maybe_sanitize(ctx, result)
@@ -205,12 +230,7 @@ def schedule(
     """
     if not jobs:
         raise ValueError("cannot schedule an empty job set")
-    key = method.lower()
-    try:
-        adapter = _REGISTRY[key]
-    except KeyError:
-        known = ", ".join(scheduler_names())
-        raise ValueError(f"unknown scheduler {method!r}; known: {known}") from None
+    _adapter(method)  # unknown methods fail before the model is built
 
     if fleet is not None and len(getattr(fleet, "nodes", ())) > 1:
         # A multi-node fleet: delegate to the placement driver, which runs
@@ -231,7 +251,7 @@ def schedule(
             governor=governor,
             backend=backend,
         )
-        return fleet_schedule(ctx, method=key, **opts)
+        return fleet_schedule(ctx, method=method, **opts)
 
     ctx = SchedulingContext.build(
         jobs,
@@ -247,7 +267,7 @@ def schedule(
         governor=governor,
         backend=backend,
     )
-    return _finalize(adapter(ctx, **opts), ctx)
+    return dispatch(ctx, method, **opts)
 
 
 class Scheduler:
@@ -285,19 +305,12 @@ class Scheduler:
         node=None,
         **opts,
     ) -> None:
-        key = method.lower()
+        _adapter(method)  # unknown methods fail before the model is built
         #: Optional fleet :class:`~repro.core.fleet.Node` this scheduler
         #: plans for: its speed/power scaling is applied to every context
         #: (``cap_w`` stays authoritative — the node's own cap is ignored).
         self.node = node
-        try:
-            self._adapter = _REGISTRY[key]
-        except KeyError:
-            known = ", ".join(scheduler_names())
-            raise ValueError(
-                f"unknown scheduler {method!r}; known: {known}"
-            ) from None
-        self.method = key
+        self.method = method.lower()
         self.objective = Objective.coerce(objective)
         if backend not in ("tensor", "scalar"):
             raise ValueError(
@@ -348,8 +361,6 @@ class Scheduler:
         return node_predictor(self.predictor, self._capped_node())
 
     def _capped_node(self):
-        from dataclasses import replace
-
         return replace(self.node, cap_w=self.cap_w)
 
     def _rebuild(self) -> None:
@@ -459,23 +470,14 @@ class Scheduler:
         """Compute a co-schedule for ``jobs`` under the current cap."""
         if not jobs:
             raise ValueError("cannot schedule an empty job set")
-        ctx = self.context(jobs)
-        result = self._adapter(ctx, **{**self.opts, **opts})
-        if result.cache_stats is None:
-            # Report the model-wide shared cache (profiling + predictor
-            # queries), not the per-cap evaluator cache.
-            result = ScheduleResult(
-                method=result.method,
-                schedule=result.schedule,
-                predicted_makespan_s=result.predicted_makespan_s,
-                details=result.details,
-                cache_stats=self.cache.snapshot(),
-                objective=result.objective,
-                predicted_score=result.predicted_score,
-                governor=ctx.governor,
-            )
-        _maybe_sanitize(ctx, result)
-        return result
+        # Report the model-wide shared cache (profiling + predictor
+        # queries), not the per-cap evaluator cache.
+        return dispatch(
+            self.context(jobs),
+            self.method,
+            stats_cache=self.cache,
+            **{**self.opts, **opts},
+        )
 
 
 def make_scheduler(method: str = "hcs", **kwargs) -> Scheduler:

@@ -44,9 +44,6 @@ from repro.workload.program import Job
 from repro.core.bounds import lower_bound
 from repro.core.context import SchedulingContext
 from repro.core.schedule import CoSchedule
-from repro.model.predictor import CoRunPredictor
-from repro.perf.cache import EvalCache
-from repro.perf.evaluator import CachingPredictor
 
 _EPS = 1e-9
 
@@ -85,29 +82,18 @@ class AStarScheduler:
 
     def __init__(
         self,
-        predictor: CoRunPredictor | SchedulingContext,
-        jobs: Sequence[Job] | None = None,
-        cap_w: float | None = None,
+        ctx: SchedulingContext,
         *,
         use_heuristic: bool = True,
         node_budget: int = 200_000,
-        cache: EvalCache | None = None,
     ) -> None:
         # Expansion re-queries the same (pair, setting) degradations along
-        # every branch of the search tree; a caching wrapper collapses the
-        # cost.  Callers pass a shared EvalCache (or a context) to reuse
-        # answers computed by HCS/GA/refinement on the same instance.
-        if (
-            cache is not None
-            and not isinstance(predictor, SchedulingContext)
-            and not isinstance(predictor, CachingPredictor)
-        ):
-            predictor = CachingPredictor(predictor, cache)
-        ctx = SchedulingContext.coerce(predictor, jobs, cap_w, cache=cache)
-        predictor, jobs = ctx.predictor, ctx.jobs
-        self.predictor = predictor
-        self.jobs = {j.uid: j for j in jobs}
-        if len(self.jobs) != len(jobs):
+        # every branch of the search tree; build the context over a shared
+        # EvalCache (``SchedulingContext.build(..., cache=...)`` wraps the
+        # predictor) to reuse answers computed by HCS/GA/refinement.
+        self.predictor = ctx.predictor
+        self.jobs = {j.uid: j for j in ctx.jobs}
+        if len(self.jobs) != len(ctx.jobs):
             raise ValueError("job uids must be unique")
         from repro.core.feasibility import context_cap
 
@@ -118,7 +104,7 @@ class AStarScheduler:
         self.use_heuristic = use_heuristic
         self.node_budget = node_budget
         self._h_cache: dict[frozenset, float] = {}
-        self._contribution: dict[str, float] = self._per_job_contributions(jobs)
+        self._contribution: dict[str, float] = self._per_job_contributions(ctx.jobs)
 
     # ------------------------------------------------------------------
     # Heuristic
@@ -338,20 +324,12 @@ class AStarScheduler:
 
 
 def astar_schedule(
-    predictor: CoRunPredictor | SchedulingContext,
-    jobs: Sequence[Job] | None = None,
-    cap_w: float | None = None,
+    ctx: SchedulingContext,
     *,
     use_heuristic: bool = True,
     node_budget: int = 200_000,
-    cache: EvalCache | None = None,
 ) -> tuple[CoSchedule, float, int]:
     """Convenience wrapper around :class:`AStarScheduler`."""
     return AStarScheduler(
-        predictor,
-        jobs,
-        cap_w,
-        use_heuristic=use_heuristic,
-        node_budget=node_budget,
-        cache=cache,
+        ctx, use_heuristic=use_heuristic, node_budget=node_budget
     ).search()

@@ -6,8 +6,7 @@ re-built its own governor.  A :class:`SchedulingContext` freezes that whole
 bundle once — jobs, predictor, cap, :class:`~repro.core.objectives.Objective`,
 governor (via a pluggable factory), memoized evaluator, executor, eval
 cache, and seed — and every scheduler in the registry plus ``refine``,
-``online``, ``bounds``, and ``baselines`` accepts it in place of its legacy
-first arguments::
+``online``, ``bounds``, and ``baselines`` takes it as its first argument::
 
     ctx = SchedulingContext.build(jobs, cap_w=15.0, objective="energy")
     hcs = hcs_schedule(ctx, refine=True)
@@ -21,9 +20,10 @@ and an energy/EDP context to the
 cache keys are tagged with the objective so scores can never leak between
 objectives sharing one cache.
 
-Legacy call shapes (``hcs_schedule(predictor, jobs, cap_w, ...)``) remain
-supported through :meth:`SchedulingContext.coerce`, which wraps them in an
-equivalent context on the fly.
+A seed, an objective or an evaluator is part of the context, not an
+option of the scheduler: derive ``ctx.with_seed(7)`` or
+``ctx.with_objective("edp")``, or construct
+``SchedulingContext(jobs=..., cap_w=..., predictor=..., evaluator=...)``.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ class SchedulingContext:
 
     def __post_init__(self) -> None:
         from repro.core.fleet import Fleet, NodePredictor, node_predictor
+        from repro.perf.tensor import TensorBackedPredictor
 
         if not self.jobs:
             raise ValueError("cannot schedule an empty job set")
@@ -116,14 +117,14 @@ class SchedulingContext:
                     )
                 set_(self, "cap_w", cap)
                 node = self.fleet.nodes[0]
-                # Derivations (replace/with_*) re-run this with an already
-                # node-scaled predictor: keep it if the node matches, else
-                # rewrap from the unscaled base — never scale twice.
-                base = self.predictor
-                if isinstance(base, NodePredictor):
-                    if base.node != node:
-                        set_(self, "predictor", node_predictor(base.inner, node))
-                else:
+                # ``replace`` re-runs this with an already node-scaled (and
+                # perhaps tensor-served) predictor: keep it if it is scaled
+                # for this node, else drop the stale node view and rescale
+                # — never scale twice.  A trivial node scales nothing.
+                scaled = _unwrap(self.predictor, (TensorBackedPredictor,))
+                current = scaled.node if isinstance(scaled, NodePredictor) else None
+                if not node.trivial and current != node:
+                    base = scaled.inner if current is not None else scaled
                     set_(self, "predictor", node_predictor(base, node))
         if len(self.fleet.nodes) > 1:
             # A multi-node context is a placement problem, not a single
@@ -142,12 +143,11 @@ class SchedulingContext:
         if self.backend == "scalar":
             # A predictor carried over from a tensor context keeps serving
             # tensor answers unless unwrapped; scalar means scalar.
-            from repro.perf.tensor import TensorBackedPredictor
-
-            predictor = self.predictor
-            while isinstance(predictor, TensorBackedPredictor):
-                predictor = predictor.inner
-            set_(self, "predictor", predictor)
+            set_(
+                self,
+                "predictor",
+                _unwrap(self.predictor, (TensorBackedPredictor,)),
+            )
         elif self.governor is None and self.evaluator is None:
             # Tensor pipeline: precompute (memoized by profile content),
             # rebuild the governor over the tensor-served predictor, and
@@ -155,11 +155,7 @@ class SchedulingContext:
             # batch evaluator.
             # Any piece that cannot be tensorized exactly degrades to the
             # scalar path below.
-            from repro.perf.tensor import (
-                BatchScheduleEvaluator,
-                PairTables,
-                tensorize,
-            )
+            from repro.perf.tensor import BatchScheduleEvaluator, PairTables, tensorize
 
             wrapped = tensorize(self.predictor, [j.uid for j in self.jobs])
             if wrapped is not None:
@@ -239,22 +235,12 @@ class SchedulingContext:
         pool = make_executor(executor)
         shared_cache = cache if cache is not None else EvalCache()
         if predictor is None:
-            from repro.model.characterize import characterize_space
-            from repro.model.predictor import CoRunPredictor
-            from repro.model.profiler import profile_workload
-
-            if processor is None:
-                from repro.hardware.calibration import make_ivy_bridge
-
-                processor = make_ivy_bridge()
-            table = profile_workload(
-                processor, jobs, executor=pool, disk_cache=disk_cache
-            )
-            space = characterize_space(
-                processor, executor=pool, disk_cache=disk_cache
-            )
-            predictor = CachingPredictor(
-                CoRunPredictor(processor, table, space), cache=shared_cache
+            predictor = build_predictor(
+                jobs,
+                processor=processor,
+                executor=pool,
+                cache=shared_cache,
+                disk_cache=disk_cache,
             )
         elif cache is not None and not isinstance(predictor, CachingPredictor):
             predictor = CachingPredictor(predictor, cache=shared_cache)
@@ -274,57 +260,6 @@ class SchedulingContext:
             fleet=fleet,
         )
 
-    @classmethod
-    def coerce(
-        cls,
-        context,
-        jobs: Sequence[Job] | None = None,
-        cap_w: float | None = None,
-        *,
-        objective: Objective | str | None = None,
-        governor=None,
-        evaluator: ScheduleEvaluator | None = None,
-        executor=None,
-        cache: EvalCache | None = None,
-        seed=None,
-    ) -> "SchedulingContext":
-        """Adapt a legacy ``(predictor, jobs, cap_w, ...)`` call to a context.
-
-        ``context`` may already be a :class:`SchedulingContext`, in which
-        case ``jobs``/``cap_w`` must be omitted and only ``seed`` /
-        ``objective`` may override the bundled values; anything else is the
-        scheduler's legacy first argument (a predictor), and the remaining
-        pieces are resolved exactly as the legacy entry point did.
-        """
-        if isinstance(context, cls):
-            if jobs is not None or cap_w is not None:
-                raise TypeError(
-                    "jobs/cap_w must be omitted when a SchedulingContext is given"
-                )
-            ctx = context
-            if seed is not None:
-                ctx = ctx.with_seed(seed)
-            if objective is not None:
-                objective = Objective.coerce(objective)
-                if objective is not ctx.objective:
-                    ctx = ctx.with_objective(objective)
-            return ctx
-        if jobs is None or cap_w is None:
-            raise TypeError(
-                "jobs and cap_w are required without a SchedulingContext"
-            )
-        return cls(
-            jobs=tuple(jobs),
-            cap_w=cap_w,
-            predictor=context,
-            objective=Objective.MAKESPAN if objective is None else objective,
-            governor=governor,
-            evaluator=evaluator,
-            executor=executor,
-            cache=cache,
-            seed=seed,
-        )
-
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
@@ -342,19 +277,7 @@ class SchedulingContext:
         The eval cache is shared — objective-tagged keys keep the scores
         apart — so model queries stay warm across objectives.
         """
-        return SchedulingContext(
-            jobs=self.jobs,
-            cap_w=self.cap_w,
-            predictor=self.predictor,
-            objective=objective,
-            executor=self.executor,
-            cache=self.cache,
-            seed=self.seed,
-            governor_factory=self.governor_factory,
-            sanitize=self.sanitize,
-            backend=self.backend,
-            fleet=self.fleet,
-        )
+        return self._rebuilt(objective=objective, cache=self.cache)
 
     def with_backend(self, backend: str) -> "SchedulingContext":
         """Same problem on a different evaluation backend.
@@ -365,19 +288,7 @@ class SchedulingContext:
         keys keep the scores apart, and the model-query keys are
         value-identical across backends by construction.
         """
-        return SchedulingContext(
-            jobs=self.jobs,
-            cap_w=self.cap_w,
-            predictor=self.predictor,
-            objective=self.objective,
-            executor=self.executor,
-            cache=self.cache,
-            seed=self.seed,
-            governor_factory=self.governor_factory,
-            sanitize=self.sanitize,
-            backend=backend,
-            fleet=self.fleet,
-        )
+        return self._rebuilt(backend=backend, cache=self.cache)
 
     def with_sanitizer(self, enabled: bool = True) -> "SchedulingContext":
         """Same context with the invariant sanitizer armed (or disarmed).
@@ -407,27 +318,14 @@ class SchedulingContext:
         single node keeps its identity (name and scaling) under the new
         cap; re-cap a multi-node context with :meth:`with_fleet`.
         """
-        from dataclasses import replace as _replace
-
         from repro.core.fleet import Fleet
 
         if len(self.fleet.nodes) > 1:
             raise ValueError(
                 "a multi-node context has no single cap; use with_fleet()"
             )
-        node = _replace(self.fleet.nodes[0], cap_w=cap_w)
-        return SchedulingContext(
-            jobs=self.jobs,
-            cap_w=cap_w,
-            predictor=self.predictor,
-            objective=self.objective,
-            executor=self.executor,
-            seed=self.seed,
-            governor_factory=self.governor_factory,
-            sanitize=self.sanitize,
-            backend=self.backend,
-            fleet=Fleet(nodes=(node,)),
-        )
+        node = replace(self.fleet.nodes[0], cap_w=cap_w)
+        return self._rebuilt(fleet=Fleet(nodes=(node,)))
 
     def with_fleet(self, fleet) -> "SchedulingContext":
         """Same problem over a different fleet.
@@ -435,7 +333,16 @@ class SchedulingContext:
         Governor and evaluator are rebuilt and the eval cache starts fresh
         (schedule-score keys carry no node or cap identity).
         """
-        return SchedulingContext(
+        return self._rebuilt(fleet=fleet)
+
+    def _rebuilt(self, **changes) -> "SchedulingContext":
+        """A new context over this one's unscaled model, with ``changes``.
+
+        Governor, evaluator and the node/tensor views of the predictor are
+        resolved afresh; the eval cache is fresh unless ``changes`` passes
+        one.  The fleet carries the cap, so ``cap_w`` is never copied.
+        """
+        fields = dict(
             jobs=self.jobs,
             predictor=self.base_predictor,
             objective=self.objective,
@@ -444,19 +351,30 @@ class SchedulingContext:
             governor_factory=self.governor_factory,
             sanitize=self.sanitize,
             backend=self.backend,
-            fleet=fleet,
+            fleet=self.fleet,
         )
+        fields.update(changes)
+        return SchedulingContext(**fields)
 
     # ------------------------------------------------------------------
     # Fleet plumbing
     # ------------------------------------------------------------------
     @property
     def base_predictor(self):
-        """The predictor before any node scaling (the calibrated model)."""
-        from repro.core.fleet import NodePredictor
+        """The predictor without this context's tensor and node views.
 
-        predictor = self.predictor
-        while isinstance(predictor, NodePredictor):
+        That is the model the context was given: derivations rebuild their
+        views from it, so no derived context ever scales a node twice.
+        """
+        from repro.core.fleet import NodePredictor
+        from repro.perf.tensor import TensorBackedPredictor
+
+        predictor = _unwrap(self.predictor, (TensorBackedPredictor,))
+        if (
+            isinstance(predictor, NodePredictor)
+            and len(self.fleet.nodes) == 1
+            and predictor.node == self.fleet.nodes[0]
+        ):
             predictor = predictor.inner
         return predictor
 
@@ -471,25 +389,16 @@ class SchedulingContext:
         derived from the context seed so stochastic schedulers diverge
         between nodes but replay identically run-to-run.
         """
-        from dataclasses import replace as _replace
-
         from repro.core.fleet import Fleet
 
-        node = self.fleet.nodes[index]
-        cap = self.fleet.node_caps()[index]
+        node = replace(self.fleet.nodes[index], cap_w=self.fleet.node_caps()[index])
         seed = self.seed
         if isinstance(seed, (int, np.integer)):
             seed = int(seed) + 1_000_003 * index
-        return SchedulingContext(
+        return self._rebuilt(
             jobs=tuple(jobs) if jobs is not None else self.jobs,
-            predictor=self.base_predictor,
-            objective=self.objective,
-            executor=self.executor,
             seed=seed,
-            governor_factory=self.governor_factory,
-            sanitize=self.sanitize,
-            backend=self.backend,
-            fleet=Fleet(nodes=(_replace(node, cap_w=cap),)),
+            fleet=Fleet(nodes=(node,)),
         )
 
     # ------------------------------------------------------------------
@@ -545,3 +454,44 @@ class SchedulingContext:
     def perf_stats(self) -> dict[str, float]:
         """Shared eval-cache counters."""
         return self.cache.snapshot()
+
+
+def build_predictor(
+    jobs: Sequence[Job],
+    *,
+    processor=None,
+    space=None,
+    executor=None,
+    cache: EvalCache,
+    disk_cache=None,
+) -> CachingPredictor:
+    """Profile ``jobs``, characterize the degradation space, build the model.
+
+    The model-building step of the paper's runtime, shared by
+    :meth:`SchedulingContext.build` and
+    :class:`~repro.core.runtime.CoScheduleRuntime`: ``processor``
+    defaults to the calibrated Ivy Bridge, an injected ``space`` skips
+    characterization, both stages fan out over ``executor`` and persist
+    via ``disk_cache``, and the predictor answers through ``cache``.
+    """
+    from repro.model.characterize import characterize_space
+    from repro.model.predictor import CoRunPredictor
+    from repro.model.profiler import profile_workload
+    from repro.perf.diskcache import resolve_disk_cache
+
+    if processor is None:
+        from repro.hardware.calibration import make_ivy_bridge
+
+        processor = make_ivy_bridge()
+    disk = resolve_disk_cache(disk_cache)
+    table = profile_workload(processor, jobs, executor=executor, disk_cache=disk)
+    if space is None:
+        space = characterize_space(processor, executor=executor, disk_cache=disk)
+    return CachingPredictor(CoRunPredictor(processor, table, space), cache=cache)
+
+
+def _unwrap(predictor, views: tuple[type, ...]):
+    """``predictor`` with every wrapper of the ``views`` types peeled off."""
+    while isinstance(predictor, views):
+        predictor = predictor.inner
+    return predictor

@@ -196,14 +196,10 @@ def fleet_schedule(
     callers can treat every fleet uniformly.  ``method`` and ``opts`` are
     the registry vocabulary of :func:`repro.core.api.schedule`.
     """
-    from repro.core.api import _REGISTRY, _finalize, scheduler_names
+    from repro.core.api import _adapter, dispatch
 
+    _adapter(method)  # unknown methods fail before placement
     key = method.lower()
-    try:
-        adapter = _REGISTRY[key]
-    except KeyError:
-        known = ", ".join(scheduler_names())
-        raise ValueError(f"unknown scheduler {method!r}; known: {known}") from None
 
     fleet = ctx.fleet
     node_ctxs = [
@@ -219,7 +215,7 @@ def fleet_schedule(
             idle.append(node.name)
             continue
         sub = ctx.node_context(i, jobs=jobs)
-        result = _finalize(adapter(sub, **opts), sub)
+        result = dispatch(sub, key, **opts)
         metrics = sub.metrics(result.schedule)
         assignments.append(
             NodeAssignment(

@@ -15,15 +15,11 @@ within a few percent of A* on 8-job instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
-from repro.workload.program import Job
 from repro.core.context import SchedulingContext
 from repro.core.schedule import CoSchedule
-from repro.model.predictor import CoRunPredictor
-from repro.perf.evaluator import ScheduleEvaluator
 
 
 @dataclass(frozen=True)
@@ -79,19 +75,11 @@ class GeneticScheduler:
 
     def __init__(
         self,
-        predictor: CoRunPredictor | SchedulingContext,
-        jobs: Sequence[Job] | None = None,
-        cap_w: float | None = None,
+        ctx: SchedulingContext,
         *,
         config: GaConfig | None = None,
-        seed=None,
-        evaluator: ScheduleEvaluator | None = None,
-        executor=None,
         vectorized: bool | None = None,
     ) -> None:
-        ctx = SchedulingContext.coerce(
-            predictor, jobs, cap_w, evaluator=evaluator, executor=executor, seed=seed
-        )
         self.jobs = list(ctx.jobs)
         if len({j.uid for j in self.jobs}) != len(self.jobs):
             raise ValueError("job uids must be unique")
@@ -296,25 +284,17 @@ class GeneticScheduler:
 
 
 def genetic_schedule(
-    predictor: CoRunPredictor | SchedulingContext,
-    jobs: Sequence[Job] | None = None,
-    cap_w: float | None = None,
+    ctx: SchedulingContext,
     *,
     config: GaConfig | None = None,
-    seed=None,
     seed_schedule: CoSchedule | None = None,
-    evaluator: ScheduleEvaluator | None = None,
-    executor=None,
     vectorized: bool | None = None,
 ) -> tuple[CoSchedule, float]:
-    """Convenience wrapper around :class:`GeneticScheduler`."""
+    """Convenience wrapper around :class:`GeneticScheduler`.
+
+    The context's seed drives the evolution; run another seed with
+    ``genetic_schedule(ctx.with_seed(seed))``.
+    """
     return GeneticScheduler(
-        predictor,
-        jobs,
-        cap_w,
-        config=config,
-        seed=seed,
-        evaluator=evaluator,
-        executor=executor,
-        vectorized=vectorized,
+        ctx, config=config, vectorized=vectorized
     ).evolve(seed_schedule=seed_schedule)

@@ -22,9 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from collections.abc import Sequence
-
-import numpy as np
 
 from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
@@ -33,12 +30,10 @@ from repro.core.categorize import DEFAULT_THRESHOLD, Categorized, categorize_job
 from repro.core.context import SchedulingContext
 from repro.core.feasibility import context_cap
 from repro.core.greedy import greedy_schedule
-from repro.core.objectives import Objective
 from repro.core.partition import Partition, partition_jobs
 from repro.core.refine import refine_schedule
 from repro.core.schedule import CoSchedule
 from repro.model.predictor import CoRunPredictor
-from repro.perf.evaluator import ScheduleEvaluator
 
 
 @dataclass(frozen=True)
@@ -73,41 +68,24 @@ def _best_solo_kind(
 
 
 def hcs_schedule(
-    predictor: CoRunPredictor | SchedulingContext,
-    jobs: Sequence[Job] | None = None,
-    cap_w: float | None = None,
+    ctx: SchedulingContext,
     *,
     refine: bool = False,
     threshold: float = DEFAULT_THRESHOLD,
-    seed: int | np.random.Generator | None = None,
-    evaluator: ScheduleEvaluator | None = None,
-    objective: Objective | str | None = None,
     vectorized: bool | None = None,
 ) -> HcsResult:
     """Compute an HCS (or, with ``refine=True``, HCS+) co-schedule.
 
-    The first argument may be a
-    :class:`~repro.core.context.SchedulingContext`, which supplies jobs,
-    cap, governor, evaluator, objective, and seed in one bundle (the legacy
-    ``(predictor, jobs, cap_w)`` shape is coerced into one).  Under an
-    energy/EDP context the greedy pairing and the refinement passes rank
-    candidates by the context governor's objective cost.  ``evaluator``
-    (optional) shares a memoized evaluator with the refinement passes and
-    the final predicted-makespan report.  ``vectorized`` is forwarded to
+    The context supplies jobs, cap, governor, evaluator, objective, and
+    seed in one bundle.  Under an energy/EDP context the greedy pairing
+    and the refinement passes rank candidates by the context governor's
+    objective cost.  ``vectorized`` is forwarded to
     :func:`~repro.core.refine.refine_schedule`: on a tensor-backed context
     the refinement runs as vectorized full-neighborhood descent by
     default; ``False`` pins the scalar sampling passes.
     """
     t0 = time.perf_counter()
-    ctx = SchedulingContext.coerce(
-        predictor,
-        jobs,
-        cap_w,
-        objective=objective,
-        evaluator=evaluator,
-        seed=seed,
-    )
-    predictor, governor, evaluator = ctx.predictor, ctx.governor, ctx.evaluator
+    predictor, governor = ctx.predictor, ctx.governor
 
     cap = context_cap(ctx)
     part = partition_jobs(predictor, ctx.jobs, cap)

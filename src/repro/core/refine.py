@@ -11,7 +11,7 @@ All passes are linear in the number of jobs or in the number of random
 samples, preserving the paper's "almost no time to run" property
 (Section VI-D).  Candidate makespans are evaluated through a memoized
 :class:`~repro.perf.evaluator.ScheduleEvaluator`: the random passes revisit
-candidates, and a caller-supplied evaluator shares its cache with whatever
+candidates, and the context's evaluator shares its cache with whatever
 search produced the input schedule.
 
 Driven through a non-makespan :class:`~repro.core.context.SchedulingContext`
@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.context import SchedulingContext
 from repro.core.schedule import CoSchedule
 from repro.perf.evaluator import ScheduleEvaluator
-from repro.util.rng import default_rng
 
 #: Random-sample count per stochastic pass, as a multiple of the job count.
 SAMPLES_PER_JOB = 2
@@ -168,23 +167,17 @@ def _refine_vectorized(
 
 def refine_schedule(
     schedule: CoSchedule,
-    predictor,
-    governor=None,
+    ctx: SchedulingContext,
     *,
-    seed: int | np.random.Generator | None = None,
     n_samples: int | None = None,
-    evaluator: ScheduleEvaluator | None = None,
     vectorized: bool | None = None,
 ) -> CoSchedule:
     """Apply the three refinement passes; returns the improved schedule.
 
-    ``predictor`` may be a :class:`~repro.core.context.SchedulingContext`,
-    in which case the context's evaluator (and seed, unless ``seed`` is
-    given) drive the passes — the swaps then minimize the context's
-    *objective*, not necessarily the makespan.  With the legacy
-    ``(predictor, governor)`` arguments, ``evaluator`` (optional) supplies
-    a shared memoized evaluator; when omitted a private one is created,
-    which still de-duplicates re-visited candidates within this call.
+    The context's evaluator scores every candidate and its seed drives the
+    random passes, so the swaps minimize the context's *objective*, not
+    necessarily the makespan.  Refine under another seed with
+    ``refine_schedule(schedule, ctx.with_seed(seed))``.
 
     On a tensor-backed context the passes are replaced by vectorized
     full-neighborhood steepest descent (see
@@ -193,20 +186,7 @@ def refine_schedule(
     ``vectorized=False`` pins the scalar sampling passes (the equivalence
     referee); ``True`` requires the vectorized path.
     """
-    ctx = _coerce_context(schedule, predictor, governor, evaluator)
-    if ctx is not None:
-        evaluate = evaluator if evaluator is not None else ctx.evaluator
-        rng = default_rng(ctx.seed if seed is None else seed)
-    else:
-        # No equivalent context exists (empty schedule, or a governor that
-        # carries no cap to check against) — refine with a private
-        # evaluator; there is nothing the sanitizer could verify.
-        evaluate = (
-            evaluator
-            if evaluator is not None
-            else ScheduleEvaluator(predictor, governor)
-        )
-        rng = default_rng(seed)
+    evaluate = ctx.evaluator
     if n_samples is None:
         n_samples = max(1, SAMPLES_PER_JOB * schedule.n_jobs)
     best = evaluate(schedule)
@@ -224,6 +204,7 @@ def refine_schedule(
                 "(BatchScheduleEvaluator with pair tables covering every "
                 "job)"
             )
+        rng = ctx.rng()
         schedule, best = _adjacent_pass(schedule, evaluate, best)
         schedule, best = _random_intra_pass(
             schedule, evaluate, best, rng, n_samples
@@ -231,44 +212,7 @@ def refine_schedule(
         schedule, best = _random_cross_pass(
             schedule, evaluate, best, rng, n_samples
         )
-    if ctx is not None:
-        from repro.analysis.invariants import maybe_check_schedule
+    from repro.analysis.invariants import maybe_check_schedule
 
-        maybe_check_schedule(ctx, schedule, where="refine")
+    maybe_check_schedule(ctx, schedule, where="refine")
     return schedule
-
-
-def _coerce_context(
-    schedule: CoSchedule, predictor, governor, evaluator
-) -> SchedulingContext | None:
-    """Adapt ``refine_schedule``'s first arguments to one context.
-
-    A :class:`SchedulingContext` passes through unchanged; the legacy
-    ``(predictor, governor)`` shape is coerced via
-    :meth:`SchedulingContext.coerce` with the schedule's own jobs and the
-    governor's cap.  Returns ``None`` when no equivalent context exists —
-    an empty schedule, or a governor without a ``cap_w`` (nothing to
-    cap-check).
-    """
-    if isinstance(predictor, SchedulingContext):
-        if governor is not None:
-            raise TypeError(
-                "governor must be omitted when a SchedulingContext is given"
-            )
-        return predictor
-    cap_w = getattr(governor, "cap_w", None)
-    if cap_w is None or schedule.n_jobs == 0:
-        return None
-    jobs = (
-        *schedule.cpu_queue,
-        *schedule.gpu_queue,
-        *(job for job, _ in schedule.solo_tail),
-    )
-    return SchedulingContext.coerce(
-        predictor,
-        jobs,
-        cap_w,
-        objective=evaluator.objective if evaluator is not None else None,
-        governor=governor,
-        evaluator=evaluator,
-    )

@@ -15,11 +15,17 @@ This is the main entry point for library users::
     random_mean = runtime.random_average(n=20).mean_makespan_s
     print(random_mean / hcs.makespan_s)   # speedup over Random
 
-The runtime is wired through :mod:`repro.perf`: the predictor is wrapped in
-a shared evaluation cache (``cache``), profiling and characterization
-optionally persist to disk (``disk_cache`` / ``REPRO_CACHE_DIR``), and the
-parallelizable steps fan out over ``executor`` (``"serial"``, ``"threads"``,
-``"processes"``).
+The runtime is a thin composition over the same pieces every other caller
+uses: the model comes from :func:`~repro.core.context.build_predictor`
+(wrapped in a shared evaluation cache, ``cache``; profiling and
+characterization optionally persist to disk via ``disk_cache`` /
+``REPRO_CACHE_DIR`` and fan out over ``executor``), every policy runs on a
+fresh :meth:`CoScheduleRuntime.context`, HCS goes through the scheduler
+registry (:func:`~repro.core.api.dispatch`), and every execution goes
+through :meth:`~repro.core.context.SchedulingContext.simulate`, so it is
+labelled and scored with the runtime's objective.  The runtime stores no
+context: ``random_average`` over processes pickles the runtime, and a
+context would drag its tensors along.
 """
 
 from __future__ import annotations
@@ -30,25 +36,20 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.hardware.calibration import DEFAULT_POWER_CAP_W, make_ivy_bridge
+from repro.hardware.calibration import DEFAULT_POWER_CAP_W
 from repro.hardware.processor import IntegratedProcessor
 from repro.workload.program import Job
 from repro.engine.multiprog import DEFAULT_CS_OVERHEAD
-from repro.engine.sim import ExecutionResult, Scenario, run as engine_run
-from repro.model.characterize import characterize_space
-from repro.model.predictor import CoRunPredictor
-from repro.model.profiler import profile_workload
+from repro.engine.sim import ExecutionResult, Scenario
 from repro.model.space import DegradationSpace
+from repro.core.api import dispatch
 from repro.core.baselines import RandomOnlineSource, default_partition
 from repro.core.bounds import lower_bound
-from repro.core.context import SchedulingContext
+from repro.core.context import SchedulingContext, build_predictor
 from repro.core.freqpolicy import Bias, BiasedGovernor
-from repro.core.hcs import HcsResult, hcs_schedule
-from repro.core.objectives import Objective, governor_for
+from repro.core.objectives import Objective
 from repro.core.schedule import CoSchedule
 from repro.perf.cache import EvalCache
-from repro.perf.diskcache import resolve_disk_cache
-from repro.perf.evaluator import CachingPredictor
 from repro.perf.executor import make_executor
 from repro.util.rng import default_rng, spawn_rng
 
@@ -107,28 +108,24 @@ class CoScheduleRuntime:
     ) -> None:
         if not jobs:
             raise ValueError("need at least one job")
-        self.processor = processor if processor is not None else make_ivy_bridge()
         self.jobs = tuple(jobs)
         self.cap_w = cap_w
         self.objective = Objective.coerce(objective)
         self.backend = backend
         self.executor = make_executor(executor)
         self.cache = cache if cache is not None else EvalCache()
-        disk = resolve_disk_cache(disk_cache)
-        self.table = profile_workload(
-            self.processor, self.jobs, executor=self.executor, disk_cache=disk
-        )
-        self.space = (
-            space
-            if space is not None
-            else characterize_space(
-                self.processor, executor=self.executor, disk_cache=disk
-            )
-        )
-        self.predictor = CachingPredictor(
-            CoRunPredictor(self.processor, self.table, self.space),
+        self.predictor = build_predictor(
+            self.jobs,
+            processor=processor,
+            space=space,
+            executor=self.executor,
             cache=self.cache,
+            disk_cache=disk_cache,
         )
+        model = self.predictor.inner
+        self.processor = model.processor
+        self.table = model.table
+        self.space = model.space
 
     # ------------------------------------------------------------------
     # Context
@@ -162,39 +159,27 @@ class CoScheduleRuntime:
         self, *, refine: bool = False, seed=None, threshold: float | None = None
     ) -> ScheduleOutcome:
         """HCS (or HCS+ with ``refine=True``): schedule, then execute."""
-        kwargs = {}
-        if threshold is not None:
-            kwargs["threshold"] = threshold
-        result: HcsResult = hcs_schedule(
-            self.context(seed=seed), refine=refine, **kwargs
-        )
-        execution = engine_run(
-            self.processor,
+        opts = {} if threshold is None else {"threshold": threshold}
+        ctx = self.context(seed=seed)
+        result = dispatch(ctx, "hcs+" if refine else "hcs", **opts)
+        return self._outcome(
+            ctx,
+            result.method,
             Scenario.from_schedule(result.schedule),
-            governor=result.governor,
-        )
-        return ScheduleOutcome(
-            policy="hcs+" if refine else "hcs",
             schedule=result.schedule,
-            execution=execution,
-            scheduling_time_s=result.scheduling_time_s,
-            cache_stats=self.cache.snapshot(),
+            scheduling_time_s=result.details["hcs"].scheduling_time_s,
         )
 
     def run_random(self, *, seed=None, bias: Bias = Bias.GPU) -> ScheduleOutcome:
         """One Random-baseline sample: online random picks under a biased
         cap policy (the paper's semantics — an idle processor grabs a random
         remaining job, or is occasionally left idle)."""
-        source = RandomOnlineSource(self.jobs, seed=seed)
-        governor = BiasedGovernor(self.predictor, self.cap_w, bias)
-        execution = engine_run(
-            self.processor, Scenario(), policy=source, governor=governor
-        )
-        return ScheduleOutcome(
-            policy="random",
-            schedule=None,
-            execution=execution,
-            cache_stats=self.cache.snapshot(),
+        return self._outcome(
+            self.context(),
+            "random",
+            Scenario(),
+            policy=RandomOnlineSource(self.jobs, seed=seed),
+            governor=BiasedGovernor(self.predictor, self.cap_w, bias),
         )
 
     def random_average(
@@ -222,19 +207,32 @@ class CoScheduleRuntime:
     ) -> ScheduleOutcome:
         """Default baseline (Default_G / Default_C by ``bias``)."""
         part = default_partition(self.table, self.jobs)
-        governor = BiasedGovernor(self.predictor, self.cap_w, bias)
-        execution = engine_run(
-            self.processor,
+        return self._outcome(
+            self.context(),
+            "default_g" if bias is Bias.GPU else "default_c",
             Scenario.timeshare(
                 part.cpu_partition, part.gpu_partition, cs_overhead=cs_overhead
             ),
-            governor=governor,
+            governor=BiasedGovernor(self.predictor, self.cap_w, bias),
         )
-        policy = "default_g" if bias is Bias.GPU else "default_c"
+
+    def _outcome(
+        self,
+        ctx: SchedulingContext,
+        name: str,
+        scenario: Scenario,
+        *,
+        schedule: CoSchedule | None = None,
+        scheduling_time_s: float = 0.0,
+        **simulate,
+    ) -> ScheduleOutcome:
+        """Execute ``scenario`` on ``ctx``; the outcome is labelled ``name``."""
+        execution = ctx.simulate(scenario, **simulate)
         return ScheduleOutcome(
-            policy=policy,
-            schedule=None,
+            policy=name,
+            schedule=schedule,
             execution=execution,
+            scheduling_time_s=scheduling_time_s,
             cache_stats=self.cache.snapshot(),
         )
 
@@ -244,14 +242,10 @@ class CoScheduleRuntime:
     def execute(self, schedule: CoSchedule, governor=None) -> ExecutionResult:
         """Execute an arbitrary schedule.
 
-        The default governor follows the runtime's objective (the HCS
+        The default governor is the runtime context's (the HCS
         ModelGovernor for makespan, the energy-aware one otherwise)."""
-        if governor is None:
-            governor = governor_for(self.predictor, self.cap_w, self.objective)
-        return engine_run(
-            self.processor,
-            Scenario.from_schedule(schedule),
-            governor=governor,
+        return self.context().simulate(
+            Scenario.from_schedule(schedule), governor=governor
         )
 
     def lower_bound_s(self, *, deg_source=None) -> float:

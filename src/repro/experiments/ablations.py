@@ -19,6 +19,7 @@ import numpy as np
 from repro.hardware.calibration import DEFAULT_POWER_CAP_W
 from repro.workload.program import make_jobs
 from repro.workload.rodinia import rodinia_programs
+from repro.core.context import SchedulingContext
 from repro.core.hcs import hcs_schedule
 from repro.core.refine import (
     SAMPLES_PER_JOB,
@@ -164,7 +165,11 @@ def oracle_gap(cap_w: float = DEFAULT_POWER_CAP_W):
     oracle_predictor = _OraclePredictor(
         runtime.processor, runtime.table, runtime.space
     )
-    oracle_result = hcs_schedule(oracle_predictor, runtime.jobs, cap_w)
+    oracle_result = hcs_schedule(
+        SchedulingContext(
+            jobs=runtime.jobs, cap_w=cap_w, predictor=oracle_predictor
+        )
+    )
     oracle_exec = runtime.execute(
         oracle_result.schedule, oracle_result.governor
     )

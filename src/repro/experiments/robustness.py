@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.hardware.calibration import DEFAULT_POWER_CAP_W
 from repro.core.astar import astar_schedule
+from repro.core.context import SchedulingContext
 from repro.core.hcs import hcs_schedule
 from repro.core.runtime import CoScheduleRuntime
 from repro.model.predictor import CoRunPredictor
@@ -76,7 +77,9 @@ def noise_sweep(
                 noise_sigma=sigma,
                 seed=seed,
             )
-            result = hcs_schedule(noisy, runtime.jobs, cap_w)
+            result = hcs_schedule(
+                SchedulingContext(jobs=runtime.jobs, cap_w=cap_w, predictor=noisy)
+            )
             execution = runtime.execute(result.schedule, result.governor)
             makespans.append(execution.makespan_s)
         rows.append((f"sigma={sigma:.2f}", float(np.mean(makespans))))
@@ -100,7 +103,11 @@ def sampled_profiles_study(
         runtime.processor, sampled_table, runtime.space
     )
     offline = runtime.run_hcs()
-    sampled_result = hcs_schedule(sampled_predictor, runtime.jobs, cap_w)
+    sampled_result = hcs_schedule(
+        SchedulingContext(
+            jobs=runtime.jobs, cap_w=cap_w, predictor=sampled_predictor
+        )
+    )
     sampled_exec = runtime.execute(
         sampled_result.schedule, sampled_result.governor
     )
@@ -129,12 +136,12 @@ def search_headroom(cap_w: float = DEFAULT_POWER_CAP_W, n_jobs: int = 6):
     )
     hcs = sub_runtime.run_hcs()
     ga_schedule_, _ = genetic_schedule(
-        sub_runtime.predictor, jobs, cap_w, seed=0,
+        sub_runtime.context(seed=0),
         config=GaConfig(population=24, generations=20),
     )
     ga_exec = sub_runtime.execute(ga_schedule_)
     schedule, predicted, expanded = astar_schedule(
-        sub_runtime.predictor, jobs, cap_w, node_budget=60_000
+        sub_runtime.context(), node_budget=60_000
     )
     astar_exec = sub_runtime.execute(schedule)
     return [

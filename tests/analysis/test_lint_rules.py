@@ -44,8 +44,17 @@ class TestRep001RawPlumbing:
         assert codes(vs) == ["REP001"]
         assert "SchedulingContext" in vs[0].message
 
-    def test_core_is_exempt(self, tmp_path):
-        assert lint_snippet(tmp_path, "src/repro/core/plumb.py", self.SNIPPET) == []
+    @pytest.mark.parametrize(
+        "module", ["api", "context", "bounds", "partition", "categorize"]
+    )
+    def test_model_level_core_modules_are_exempt(self, tmp_path, module):
+        rel = f"src/repro/core/{module}.py"
+        assert lint_snippet(tmp_path, rel, self.SNIPPET) == []
+
+    @pytest.mark.parametrize("module", ["hcs", "genetic", "astar", "plumb"])
+    def test_flags_triple_in_other_core_modules(self, tmp_path, module):
+        vs = lint_snippet(tmp_path, f"src/repro/core/{module}.py", self.SNIPPET)
+        assert codes(vs) == ["REP001"]
 
     def test_partial_triple_is_fine(self, tmp_path):
         vs = lint_snippet(

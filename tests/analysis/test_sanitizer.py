@@ -102,7 +102,7 @@ class TestContextFlag:
 
         base = hcs_schedule(ctx.with_sanitizer(False)).schedule
         with pytest.raises(ScheduleInvariantError) as exc_info:
-            refine_schedule(base, ctx, seed=1)
+            refine_schedule(base, ctx.with_seed(1))
         assert _power_cap_named(exc_info)
         assert exc_info.value.where == "refine"
 
@@ -120,26 +120,6 @@ class TestContextFlag:
         monkeypatch.setenv(SANITIZE_ENV, "1")
         assert env_sanitizer_enabled()
         assert sanitizer_enabled(ctx)
-
-
-class TestLegacyRefinePath:
-    def test_legacy_arguments_are_sanitized_too(
-        self, monkeypatch, predictor, rodinia_jobs, rigged_governor
-    ):
-        from repro.core.hcs import hcs_schedule
-
-        base = hcs_schedule(
-            SchedulingContext.build(
-                rodinia_jobs[:4],
-                cap_w=CAP_W,
-                predictor=predictor,
-                governor=rigged_governor,
-            )
-        ).schedule
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        with pytest.raises(ScheduleInvariantError) as exc_info:
-            refine_schedule(base, predictor, rigged_governor, seed=1)
-        assert _power_cap_named(exc_info)
 
 
 class TestServiceSanitizer:

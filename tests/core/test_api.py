@@ -12,6 +12,7 @@ from repro.core.api import (
     schedule,
     scheduler_names,
 )
+from repro.core.context import SchedulingContext
 from repro.core.hcs import HcsResult, hcs_schedule
 from repro.core.schedule import CoSchedule
 from repro.errors import InfeasibleCapError
@@ -67,7 +68,9 @@ class TestRegistry:
 
 class TestUniformSurface:
     def test_hcs_matches_native_call(self, predictor, rodinia_jobs):
-        native = hcs_schedule(predictor, rodinia_jobs, CAP_W)
+        native = hcs_schedule(
+            SchedulingContext(jobs=rodinia_jobs, cap_w=CAP_W, predictor=predictor)
+        )
         unified = schedule(rodinia_jobs, "hcs", cap_w=CAP_W, predictor=predictor)
         assert unified.schedule == native.schedule
         # repro: noqa REP003 -- byte-identical facade/native contract, not a tolerance check

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.core.astar import AStarScheduler, _Node
+from repro.core.context import SchedulingContext
 from repro.model.characterize import characterize_space
 from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import profile_workload
 from repro.workload.generator import random_workload
+
+
+def _ctx(predictor, jobs):
+    return SchedulingContext(jobs=jobs, cap_w=15.0, predictor=predictor)
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +19,7 @@ def scheduler(processor):
     jobs = random_workload(3, seed=9)
     table = profile_workload(processor, jobs)
     predictor = CoRunPredictor(processor, table, characterize_space(processor))
-    return AStarScheduler(predictor, jobs, 15.0)
+    return AStarScheduler(_ctx(predictor, jobs))
 
 
 def _start_node(scheduler):
@@ -64,7 +69,7 @@ class TestHeuristic:
         predictor = CoRunPredictor(
             processor, table, characterize_space(processor)
         )
-        ucs = AStarScheduler(predictor, jobs, 15.0, use_heuristic=False)
+        ucs = AStarScheduler(_ctx(predictor, jobs), use_heuristic=False)
         assert ucs._heuristic(_start_node(ucs)) == 0.0
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bounds import lower_bound
 from repro.core.bruteforce import brute_force_best
+from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.hcs import hcs_schedule
 from repro.engine.sim import Scenario, run
@@ -18,7 +19,9 @@ class TestLowerBoundStructure:
         bound, details = lower_bound(predictor, rodinia_jobs, 15.0)
         assert bound > 0.0
         assert len(details) == len(rodinia_jobs)
-        result = hcs_schedule(predictor, rodinia_jobs, 15.0)
+        result = hcs_schedule(
+            SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
+        )
         assert bound <= result.predicted_makespan_s
 
     def test_contributions_capped_by_double_solo(self, predictor, rodinia_jobs):

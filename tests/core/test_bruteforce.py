@@ -68,6 +68,7 @@ class TestBruteForceBest:
     def test_hcs_close_to_predicted_optimum(self, processor):
         """On small random instances, HCS's predicted makespan must come
         within 15% of the enumerated predicted optimum."""
+        from repro.core.context import SchedulingContext
         from repro.core.freqpolicy import ModelGovernor
         from repro.core.hcs import hcs_schedule
         from repro.model.characterize import characterize_space
@@ -84,5 +85,7 @@ class TestBruteForceBest:
             lambda s: predicted_makespan(s, predictor, governor),
             include_solo=False,
         )
-        result = hcs_schedule(predictor, jobs, 15.0)
+        result = hcs_schedule(
+            SchedulingContext(jobs=jobs, cap_w=15.0, predictor=predictor)
+        )
         assert result.predicted_makespan_s <= best * 1.15

@@ -1,14 +1,18 @@
 """Tests for the SchedulingContext bundle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.context import SchedulingContext
+from repro.core.fleet import Fleet, Node, NodePredictor
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.hcs import hcs_schedule
 from repro.core.objectives import EnergyAwareGovernor, Objective
 from repro.perf.cache import EvalCache
 from repro.perf.evaluator import ScheduleEvaluator
+from repro.perf.tensor import TensorBackedPredictor
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +46,21 @@ class TestConstruction:
         assert ctx.evaluator.objective == "makespan"
         assert ctx.evaluator.cache is ctx.cache
 
+    def test_tensor_backend_wraps_the_predictor(self, predictor, rodinia_jobs):
+        c = SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
+        # The default tensor backend wraps the predictor; the original is
+        # still the one underneath answering anything off-tensor.
+        assert c.backend == "tensor"
+        assert c.predictor.inner is predictor
+        assert c.objective is Objective.MAKESPAN
+
+    def test_scalar_backend_unwraps_the_predictor(self, predictor, rodinia_jobs):
+        c = SchedulingContext(
+            jobs=rodinia_jobs, cap_w=15.0, predictor=predictor
+        ).with_backend("scalar")
+        assert c.predictor is predictor
+        assert c.objective is Objective.MAKESPAN
+
     def test_mismatched_evaluator_rejected(self, predictor, rodinia_jobs):
         evaluator = ScheduleEvaluator(
             predictor,
@@ -64,46 +83,18 @@ class TestConstruction:
         ) > 0.0
 
 
-class TestCoerce:
-    def test_legacy_arguments(self, predictor, rodinia_jobs):
-        c = SchedulingContext.coerce(predictor, rodinia_jobs, 15.0)
-        # The default tensor backend wraps the predictor; the original is
-        # still the one underneath answering anything off-tensor.
-        assert c.backend == "tensor"
-        assert c.predictor.inner is predictor
-        assert c.objective is Objective.MAKESPAN
-
-    def test_legacy_arguments_scalar_backend(self, predictor, rodinia_jobs):
-        c = SchedulingContext.coerce(
-            predictor, rodinia_jobs, 15.0
-        ).with_backend("scalar")
-        assert c.predictor is predictor
-        assert c.objective is Objective.MAKESPAN
-
-    def test_context_passthrough_is_identity(self, ctx):
-        assert SchedulingContext.coerce(ctx) is ctx
-
-    def test_context_plus_jobs_rejected(self, ctx, rodinia_jobs):
-        with pytest.raises(TypeError):
-            SchedulingContext.coerce(ctx, rodinia_jobs, 15.0)
-
-    def test_missing_jobs_rejected(self, predictor):
-        with pytest.raises(TypeError):
-            SchedulingContext.coerce(predictor, None, 15.0)
-
-    def test_seed_override_derives_new_context(self, ctx):
-        derived = SchedulingContext.coerce(ctx, seed=99)
-        assert derived is not ctx
-        assert derived.seed == 99
-        assert derived.evaluator is ctx.evaluator
-
-
 class TestDerivation:
     def test_with_objective_shares_the_cache(self, ctx):
         energy = ctx.with_objective("energy")
         assert energy.cache is ctx.cache
         assert energy.evaluator is not ctx.evaluator
         assert energy.evaluator.objective == "energy"
+
+    def test_with_seed_derives_new_context(self, ctx):
+        derived = ctx.with_seed(99)
+        assert derived is not ctx
+        assert derived.seed == 99
+        assert derived.evaluator is ctx.evaluator
 
     def test_with_cap_gets_a_fresh_cache(self, ctx):
         other = ctx.with_cap(12.0)
@@ -114,6 +105,71 @@ class TestDerivation:
         sub = ctx.with_jobs(rodinia_jobs[:3])
         assert len(sub.jobs) == 3
         assert sub.evaluator is ctx.evaluator
+
+
+NODE = Node("n", speed_scale=2.0, power_scale=1.3, cap_w=12.0)
+OTHER = Node("m", speed_scale=1.5, power_scale=0.9, cap_w=14.0)
+
+
+def _node_views(predictor) -> int:
+    """How many node scalings sit between ``predictor`` and the model."""
+    views = 0
+    while isinstance(predictor, (TensorBackedPredictor, NodePredictor)):
+        views += isinstance(predictor, NodePredictor)
+        predictor = predictor.inner
+    return views
+
+
+class TestNodeScaledDerivations:
+    """Every derivation of a node-scaled context scales the model once.
+
+    Each derived context must plan exactly like the same context built
+    directly: same HCS schedule, same predicted bits.
+    """
+
+    @pytest.fixture(scope="class")
+    def jobs(self, rodinia_jobs):
+        return tuple(rodinia_jobs[:6])
+
+    @pytest.fixture(scope="class")
+    def scaled(self, predictor, jobs):
+        return SchedulingContext.build(
+            jobs, fleet=Fleet(nodes=(NODE,)), predictor=predictor
+        )
+
+    def _direct(self, predictor, jobs, node=NODE, **kwargs):
+        return SchedulingContext.build(
+            jobs, fleet=Fleet(nodes=(node,)), predictor=predictor, **kwargs
+        )
+
+    @pytest.mark.parametrize(
+        "derive, direct",
+        [
+            (lambda c: c.with_backend("scalar"), {"backend": "scalar"}),
+            (lambda c: c.with_objective("energy"), {"objective": "energy"}),
+            (lambda c: c.with_seed(5), {"seed": 5}),
+            (
+                lambda c: c.with_cap(14.0),
+                {"node": replace(NODE, cap_w=14.0)},
+            ),
+            (lambda c: c.with_fleet(Fleet(nodes=(OTHER,))), {"node": OTHER}),
+            (lambda c: c.node_context(0), {}),
+        ],
+        ids=["backend", "objective", "seed", "cap", "fleet", "node_context"],
+    )
+    def test_derivation_matches_the_direct_build(
+        self, scaled, predictor, jobs, derive, direct
+    ):
+        derived = derive(scaled)
+        built = self._direct(predictor, jobs, **direct)
+        assert _node_views(derived.predictor) == 1
+        assert _node_views(derived.base_predictor) == 0
+        a, b = hcs_schedule(derived), hcs_schedule(built)
+        assert a.schedule == b.schedule
+        # repro: noqa REP003 -- derived and direct contexts must agree bit for bit
+        assert a.predicted_makespan_s == b.predicted_makespan_s
+        # repro: noqa REP003 -- same bits under the context objective
+        assert derived.score(a.schedule) == built.score(b.schedule)
 
 
 class TestServices:

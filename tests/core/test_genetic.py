@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.genetic import GaConfig, GeneticScheduler, genetic_schedule
 from repro.core.hcs import hcs_schedule
@@ -10,7 +11,8 @@ from repro.core.schedule import predicted_makespan
 
 @pytest.fixture(scope="module")
 def env(predictor, rodinia_jobs):
-    return predictor, rodinia_jobs
+    ctx = SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
+    return predictor, rodinia_jobs, ctx
 
 
 class TestGaConfig:
@@ -34,18 +36,18 @@ class TestGaConfig:
 
 class TestGeneticScheduler:
     def test_schedules_every_job(self, env):
-        predictor, jobs = env
+        predictor, jobs, ctx = env
         schedule, makespan = genetic_schedule(
-            predictor, jobs, 15.0, seed=1,
+            ctx.with_seed(1),
             config=GaConfig(population=10, generations=5),
         )
         assert sorted(schedule.all_uids()) == sorted(j.uid for j in jobs)
         assert makespan > 0
 
     def test_reported_fitness_matches_replay(self, env):
-        predictor, jobs = env
+        predictor, jobs, ctx = env
         schedule, makespan = genetic_schedule(
-            predictor, jobs, 15.0, seed=2,
+            ctx.with_seed(2),
             config=GaConfig(population=10, generations=5),
         )
         governor = ModelGovernor(predictor, 15.0)
@@ -54,21 +56,21 @@ class TestGeneticScheduler:
         )
 
     def test_deterministic_under_seed(self, env):
-        predictor, jobs = env
+        predictor, jobs, ctx = env
         cfg = GaConfig(population=12, generations=6)
-        a = genetic_schedule(predictor, jobs, 15.0, seed=5, config=cfg)
-        b = genetic_schedule(predictor, jobs, 15.0, seed=5, config=cfg)
+        a = genetic_schedule(ctx.with_seed(5), config=cfg)
+        b = genetic_schedule(ctx.with_seed(5), config=cfg)
         assert a[1] == pytest.approx(b[1])
         assert a[0] == b[0]
 
     def test_more_generations_never_hurt(self, env):
-        predictor, jobs = env
+        predictor, jobs, ctx = env
         short = genetic_schedule(
-            predictor, jobs, 15.0, seed=3,
+            ctx.with_seed(3),
             config=GaConfig(population=16, generations=2),
         )[1]
         long = genetic_schedule(
-            predictor, jobs, 15.0, seed=3,
+            ctx.with_seed(3),
             config=GaConfig(population=16, generations=25),
         )[1]
         assert long <= short + 1e-9
@@ -76,19 +78,19 @@ class TestGeneticScheduler:
     def test_memetic_seeding_never_loses_to_hcs(self, env):
         """Seeding the population with HCS's schedule makes the GA a
         refiner: elitism guarantees it cannot come back worse."""
-        predictor, jobs = env
-        hcs = hcs_schedule(predictor, jobs, 15.0)
+        predictor, jobs, ctx = env
+        hcs = hcs_schedule(ctx)
         _, fitness = genetic_schedule(
-            predictor, jobs, 15.0, seed=4,
+            ctx.with_seed(4),
             config=GaConfig(population=16, generations=10, elite=2),
             seed_schedule=hcs.schedule,
         )
         assert fitness <= hcs.predicted_makespan_s + 1e-9
 
     def test_encode_decode_roundtrip(self, env):
-        predictor, jobs = env
-        hcs = hcs_schedule(predictor, jobs, 15.0)
-        ga = GeneticScheduler(predictor, jobs, 15.0, seed=0)
+        predictor, jobs, ctx = env
+        hcs = hcs_schedule(ctx)
+        ga = GeneticScheduler(ctx.with_seed(0))
         genome = ga._encode(hcs.schedule)
         decoded = ga._decode(genome)
         # Solo-tail jobs re-enter the GPU queue (the GA genome has no solo
@@ -98,6 +100,8 @@ class TestGeneticScheduler:
         ]
 
     def test_empty_jobs_rejected(self, env):
-        predictor, _ = env
+        predictor, _, _ = env
         with pytest.raises(ValueError):
-            GeneticScheduler(predictor, [], 15.0)
+            GeneticScheduler(
+                SchedulingContext(jobs=[], cap_w=15.0, predictor=predictor)
+            )

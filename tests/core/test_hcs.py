@@ -2,44 +2,50 @@
 
 import pytest
 
+from repro.core.context import SchedulingContext
 from repro.core.hcs import hcs_schedule
 from repro.core.schedule import predicted_makespan
 
 
+@pytest.fixture
+def ctx(predictor, rodinia_jobs):
+    return SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
+
+
 class TestHcsSchedule:
-    def test_schedules_every_job(self, predictor, rodinia_jobs):
-        result = hcs_schedule(predictor, rodinia_jobs, 15.0)
+    def test_schedules_every_job(self, ctx, rodinia_jobs):
+        result = hcs_schedule(ctx)
         assert sorted(result.schedule.all_uids()) == sorted(
             j.uid for j in rodinia_jobs
         )
 
-    def test_diagnostics_present(self, predictor, rodinia_jobs):
-        result = hcs_schedule(predictor, rodinia_jobs, 15.0)
+    def test_diagnostics_present(self, ctx, rodinia_jobs):
+        result = hcs_schedule(ctx)
         n = len(rodinia_jobs)
         assert len(result.partition.co) + len(result.partition.seq) == n
         assert result.scheduling_time_s > 0.0
         assert result.predicted_makespan_s > 0.0
 
-    def test_predicted_makespan_consistent(self, predictor, rodinia_jobs):
-        result = hcs_schedule(predictor, rodinia_jobs, 15.0)
+    def test_predicted_makespan_consistent(self, ctx, predictor):
+        result = hcs_schedule(ctx)
         assert result.predicted_makespan_s == pytest.approx(
             predicted_makespan(result.schedule, predictor, result.governor)
         )
 
-    def test_refined_no_worse_than_plain(self, predictor, rodinia_jobs):
-        plain = hcs_schedule(predictor, rodinia_jobs, 15.0)
-        refined = hcs_schedule(predictor, rodinia_jobs, 15.0, refine=True)
+    def test_refined_no_worse_than_plain(self, ctx):
+        plain = hcs_schedule(ctx)
+        refined = hcs_schedule(ctx, refine=True)
         assert refined.predicted_makespan_s <= plain.predicted_makespan_s + 1e-9
 
-    def test_threshold_changes_categorization(self, predictor, rodinia_jobs):
-        wide = hcs_schedule(predictor, rodinia_jobs, 15.0, threshold=100.0)
+    def test_threshold_changes_categorization(self, ctx):
+        wide = hcs_schedule(ctx, threshold=100.0)
         assert len(wide.categorized.non_preferred) == len(
             wide.partition.co
         )
 
     def test_empty_jobs_rejected(self, predictor):
         with pytest.raises(ValueError):
-            hcs_schedule(predictor, [], 15.0)
+            hcs_schedule(SchedulingContext(jobs=[], cap_w=15.0, predictor=predictor))
 
     def test_seq_jobs_land_in_solo_tail(self, processor, rodinia):
         """A workload engineered so the theorem rejects all co-runs must
@@ -53,6 +59,8 @@ class TestHcsSchedule:
         tiny = Job("tiny", rodinia["streamcluster"].scaled(0.005, name="tiny"))
         table = profile_workload(processor, [heavy, tiny])
         predictor = CoRunPredictor(processor, table, characterize_space(processor))
-        result = hcs_schedule(predictor, [heavy, tiny], 15.0)
+        result = hcs_schedule(
+            SchedulingContext(jobs=[heavy, tiny], cap_w=15.0, predictor=predictor)
+        )
         assert len(result.schedule.solo_tail) == 2
         assert not result.schedule.cpu_queue and not result.schedule.gpu_queue

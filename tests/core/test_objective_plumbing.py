@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.api import schedule, scheduler_names
 from repro.core.baselines import default_partition, random_schedule
+from repro.core.context import SchedulingContext
 from repro.core.feasibility import predicted_power
 from repro.core.hcs import hcs_schedule
 from repro.core.objectives import Objective, score_execution
@@ -148,12 +149,22 @@ class TestMakespanBehaviorPreserved:
         ).schedule
 
     def test_hcs_matches_legacy(self, runtime, rodinia_jobs):
-        legacy = hcs_schedule(runtime.predictor, rodinia_jobs, CAP_W).schedule
+        legacy = hcs_schedule(
+            SchedulingContext(
+                jobs=rodinia_jobs, cap_w=CAP_W, predictor=runtime.predictor
+            )
+        ).schedule
         assert self._facade("hcs", rodinia_jobs, runtime) == legacy
 
     def test_hcs_plus_matches_legacy(self, runtime, rodinia_jobs):
         legacy = hcs_schedule(
-            runtime.predictor, rodinia_jobs, CAP_W, refine=True, seed=5
+            SchedulingContext(
+                jobs=rodinia_jobs,
+                cap_w=CAP_W,
+                predictor=runtime.predictor,
+                seed=5,
+            ),
+            refine=True,
         ).schedule
         assert self._facade("hcs+", rodinia_jobs, runtime, seed=5) == legacy
 

@@ -19,7 +19,7 @@ def runtime(rodinia_jobs):
 
 @pytest.fixture(scope="module")
 def schedule(runtime):
-    return hcs_schedule(runtime.predictor, runtime.jobs, 15.0).schedule
+    return hcs_schedule(runtime.context()).schedule
 
 
 class TestScoreExecution:

@@ -74,3 +74,46 @@ class TestConstruction:
             runtime.jobs, cap_w=15.0, space=runtime.space
         )
         assert reuse.space is runtime.space
+
+
+class TestObjectiveLabel:
+    """Executions carry the runtime's objective; only the label changes."""
+
+    @pytest.fixture(scope="class")
+    def energy(self, runtime):
+        return CoScheduleRuntime(
+            runtime.jobs, cap_w=15.0, objective="energy", space=runtime.space
+        )
+
+    def test_energy_outcomes_are_labelled_and_scored_as_energy(self, energy):
+        from repro.engine.sim import Scenario, run
+
+        hcs = energy.run_hcs()
+        outcomes = {
+            "hcs": hcs,
+            "random": energy.run_random(seed=3),
+            "default_g": energy.run_default(bias=Bias.GPU),
+        }
+        for name, outcome in outcomes.items():
+            execution = outcome.execution
+            assert execution.objective == "energy", name
+            # repro: noqa REP003 -- the score IS the measured energy
+            assert execution.score() == execution.energy_j, name
+        replay = energy.execute(hcs.schedule)
+        assert replay.objective == "energy"
+        # The makespan is untouched: the same schedule and governor run
+        # straight on the processor measure the same bits.
+        direct = run(
+            energy.processor,
+            Scenario.from_schedule(hcs.schedule),
+            governor=energy.context().governor,
+        )
+        assert direct.objective == "makespan"
+        # repro: noqa REP003 -- relabelling must not move a single bit
+        assert (hcs.makespan_s, replay.energy_j) == (direct.makespan_s, direct.energy_j)
+
+    def test_makespan_runtime_keeps_the_makespan_label(self, runtime):
+        execution = runtime.run_hcs().execution
+        assert execution.objective == "makespan"
+        # repro: noqa REP003 -- the score IS the makespan
+        assert execution.score() == execution.makespan_s

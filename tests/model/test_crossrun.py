@@ -80,6 +80,7 @@ class TestMergeTables:
     def test_sixteen_job_study_without_reprofiling(self, processor, table):
         """Cross-run estimation supports the Figure 11 workload with only
         the eight base profiles: predictor and HCS run unmodified."""
+        from repro.core.context import SchedulingContext
         from repro.core.hcs import hcs_schedule
         from repro.model.predictor import CoRunPredictor
         from repro.model.characterize import characterize_space
@@ -99,5 +100,7 @@ class TestMergeTables:
             processor, merged, characterize_space(processor)
         )
         all_jobs = list(first) + [j for j, _, _ in second]
-        result = hcs_schedule(predictor, all_jobs, 15.0)
+        result = hcs_schedule(
+            SchedulingContext(jobs=all_jobs, cap_w=15.0, predictor=predictor)
+        )
         assert result.schedule.n_jobs == 16

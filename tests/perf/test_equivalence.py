@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bruteforce import brute_force_best
+from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.genetic import GaConfig, genetic_schedule
 from repro.core.hcs import hcs_schedule
@@ -23,6 +24,10 @@ from repro.perf.cache import EvalCache, fingerprint
 from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
 
 CAP_W = 15.0
+
+
+def _ctx(predictor, jobs, **kwargs):
+    return SchedulingContext(jobs=jobs, cap_w=CAP_W, predictor=predictor, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +73,7 @@ class TestScheduleEvaluatorExact:
     def test_matches_predicted_makespan(self, predictor, rodinia_jobs):
         governor = ModelGovernor(predictor, CAP_W)
         evaluate = ScheduleEvaluator(predictor, governor)
-        result = hcs_schedule(predictor, rodinia_jobs, CAP_W)
+        result = hcs_schedule(_ctx(predictor, rodinia_jobs))
         expected = predicted_makespan(result.schedule, predictor, governor)
         assert evaluate(result.schedule) == expected
         assert evaluate(result.schedule) == expected  # warm hit
@@ -97,9 +102,9 @@ class TestCachedSearchesIdentical:
         wrapped = CachingPredictor(predictor, cache=shared)
         evaluator = ScheduleEvaluator(wrapped, ModelGovernor(wrapped, CAP_W), shared)
 
-        plain = hcs_schedule(predictor, rodinia_jobs, CAP_W, refine=True, seed=11)
+        plain = hcs_schedule(_ctx(predictor, rodinia_jobs, seed=11), refine=True)
         cached = hcs_schedule(
-            wrapped, rodinia_jobs, CAP_W, refine=True, seed=11, evaluator=evaluator
+            _ctx(wrapped, rodinia_jobs, seed=11, evaluator=evaluator), refine=True
         )
         assert plain.schedule == cached.schedule
         # repro: noqa REP003 -- byte-identical memoization contract
@@ -108,11 +113,20 @@ class TestCachedSearchesIdentical:
 
     def test_refinement(self, predictor, rodinia_jobs):
         governor = ModelGovernor(predictor, CAP_W)
-        base = hcs_schedule(predictor, rodinia_jobs, CAP_W).schedule
-        plain = refine_schedule(base, predictor, governor, seed=5)
+        base = hcs_schedule(_ctx(predictor, rodinia_jobs)).schedule
+        plain = refine_schedule(
+            base, _ctx(predictor, rodinia_jobs, governor=governor, seed=5)
+        )
         evaluator = ScheduleEvaluator(predictor, governor, EvalCache())
         cached = refine_schedule(
-            base, predictor, governor, seed=5, evaluator=evaluator
+            base,
+            _ctx(
+                predictor,
+                rodinia_jobs,
+                governor=governor,
+                evaluator=evaluator,
+                seed=5,
+            ),
         )
         assert plain == cached
 
@@ -122,18 +136,13 @@ class TestCachedSearchesIdentical:
         # test is about caching, not about the search trajectory.
         cfg = GaConfig(population=12, generations=4)
         plain = genetic_schedule(
-            predictor, rodinia_jobs[:6], CAP_W, config=cfg, seed=3,
-            vectorized=False,
+            _ctx(predictor, rodinia_jobs[:6], seed=3), config=cfg, vectorized=False
         )
         governor = ModelGovernor(predictor, CAP_W)
         evaluator = ScheduleEvaluator(predictor, governor, EvalCache())
         cached = genetic_schedule(
-            predictor,
-            rodinia_jobs[:6],
-            CAP_W,
+            _ctx(predictor, rodinia_jobs[:6], seed=3, evaluator=evaluator),
             config=cfg,
-            seed=3,
-            evaluator=evaluator,
             vectorized=False,
         )
         assert plain[0] == cached[0]
@@ -169,12 +178,8 @@ class TestExecutorDeterminism:
         cfg = GaConfig(population=10, generations=3)
         runs = {
             backend: genetic_schedule(
-                predictor,
-                rodinia_jobs[:5],
-                CAP_W,
+                _ctx(predictor, rodinia_jobs[:5], seed=9, executor=backend),
                 config=cfg,
-                seed=9,
-                executor=backend,
             )
             for backend in (None, "threads:2")
         }
