@@ -7,7 +7,8 @@ that nothing machine-checked before:
   ``(predictor, jobs, cap_w)`` plumbing (outside the ``repro.core``
   modules that build a context or run below one).
 * REP002 — randomness flows through ``repro.util.rng`` / ``ctx.rng()``,
-  never the process-global ``random`` / ``numpy.random`` state.
+  never the process-global ``random`` / ``numpy.random`` state, and
+  (outside ``tests/``) never the per-process salted builtin ``hash()``.
 * REP003 — no float ``==`` / ``!=`` on makespan/energy/power expressions;
   compare with a tolerance (exact-zero and identity-vs-string compares are
   exempt; byte-identical memoization checks carry a ``noqa``).
@@ -118,10 +119,13 @@ class DefaultRngRule(LintRule):
     rationale = (
         "Reproducibility is a headline property of the reproduction: every "
         "stochastic path must draw from util.rng.default_rng / ctx.rng() so "
-        "a seed replays the identical schedule."
+        "a seed replays the identical schedule.  The builtin hash() is "
+        "salted per process (PYTHONHASHSEED), so a value derived from it "
+        "changes from run to run; use zlib.crc32 or perf.cache.fingerprint."
     )
 
     def findings(self, tree: ast.Module, path: PurePath) -> Iterator[Finding]:
+        in_tests = is_test_path(path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -150,6 +154,12 @@ class DefaultRngRule(LintRule):
                         f"direct {'.'.join(chain)}() call; route randomness"
                         " through repro.util.rng (default_rng / spawn_rng)"
                         " or ctx.rng()",
+                    )
+                elif chain == ("hash",) and not in_tests:
+                    yield Finding(
+                        node,
+                        "builtin hash() is salted per process; derive stable"
+                        " values from zlib.crc32 or perf.cache.fingerprint",
                     )
 
 

@@ -68,7 +68,6 @@ from repro.errors import InfeasibleCapError
 from repro.core.api import (
     ScheduleResult,
     Scheduler,
-    make_scheduler,
     register_scheduler,
     schedule,
     scheduler_names,
@@ -126,7 +125,6 @@ __all__ = [
     "InfeasibleCapError",
     "ScheduleResult",
     "Scheduler",
-    "make_scheduler",
     "register_scheduler",
     "schedule",
     "scheduler_names",

@@ -26,8 +26,9 @@ workload is profiled and the degradation space characterized on the spot
 
 Every caller reaches a scheduler the same way: a context, then
 :func:`dispatch` (registry lookup, adapter, result finalization, sanitizer).
-:func:`schedule` builds the context per call, :class:`Scheduler` keeps the
-model warm across calls, and :class:`~repro.core.runtime.CoScheduleRuntime`
+:func:`schedule` builds the context per call, :class:`Scheduler` holds
+a caller's predictor and builds one context per call under a changing cap
+(the online service), and :class:`~repro.core.runtime.CoScheduleRuntime`
 adds execution on top.  The per-method functions (``hcs_schedule``,
 ``genetic_schedule``, ...) stay public and take the same context as their
 first argument.  New schedulers plug in with :func:`register_scheduler`;
@@ -46,11 +47,9 @@ from repro.core.bruteforce import brute_force_best
 from repro.core.context import SchedulingContext
 from repro.core.objectives import Objective, governor_for
 from repro.core.schedule import CoSchedule
-from repro.model.characterize import characterize_space
-from repro.model.profiler import ProfileTable, extend_table
 from repro.model.predictor import CoRunPredictor
 from repro.perf.cache import EvalCache
-from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
+from repro.perf.evaluator import CachingPredictor
 from repro.perf.executor import make_executor
 
 
@@ -273,16 +272,13 @@ def schedule(
 class Scheduler:
     """A reusable scheduling front end for repeated (online) calls.
 
-    :func:`schedule` resolves its predictor, governor, evaluator, and cache
-    afresh on every call, which is the right trade for one-shot batch use.
-    A long-running service consults a scheduler every time a processor goes
-    idle, over an ever-changing pending set; this wrapper resolves those
-    pieces once and reuses them across calls, and :meth:`set_cap` /
-    :meth:`set_predictor` rebuild only the cap-dependent pieces while the
-    shared :class:`~repro.perf.cache.EvalCache` stays warm.  Omit
-    ``predictor`` to let the scheduler manage its own model: the space is
-    characterized once and jobs are profiled incrementally the first time
-    a call mentions them.
+    A long-running service consults a scheduler every time a processor
+    goes idle, over an ever-changing pending set.  This holds what stays
+    fixed across those calls — the caller's predictor, the method and its
+    options — and builds one :class:`~repro.core.context.SchedulingContext`
+    per call under the current cap (:meth:`set_cap` only records it), so
+    the context resolves the governor, evaluator and tensor pipeline the
+    same way :func:`schedule` does.
 
     Score memoization is segregated per cap value (the evaluator's keys
     carry the objective but no cap), so flipping between caps never serves
@@ -294,139 +290,45 @@ class Scheduler:
         method: str = "hcs",
         *,
         cap_w: float,
+        predictor: CoRunPredictor | CachingPredictor,
         objective: Objective | str = Objective.MAKESPAN,
-        predictor: CoRunPredictor | CachingPredictor | None = None,
-        processor=None,
         cache: EvalCache | None = None,
         executor=None,
         seed=None,
-        disk_cache=None,
         backend: str = "tensor",
         node=None,
         **opts,
     ) -> None:
-        _adapter(method)  # unknown methods fail before the model is built
+        _adapter(method)  # unknown methods fail on construction
+        if backend not in ("tensor", "scalar"):
+            raise ValueError(
+                f"unknown backend {backend!r}; known: tensor, scalar"
+            )
         #: Optional fleet :class:`~repro.core.fleet.Node` this scheduler
         #: plans for: its speed/power scaling is applied to every context
         #: (``cap_w`` stays authoritative — the node's own cap is ignored).
         self.node = node
         self.method = method.lower()
         self.objective = Objective.coerce(objective)
-        if backend not in ("tensor", "scalar"):
-            raise ValueError(
-                f"unknown backend {backend!r}; known: tensor, scalar"
-            )
         self.backend = backend
         self.cache = cache if cache is not None else EvalCache()
+        self.predictor = predictor
         self.executor = make_executor(executor)
         self.seed = seed
         self.opts = opts
         self.cap_w = cap_w
+        #: The cap-governor factory every context is built with.  A
+        #: non-stock governor is honored through the scalar evaluator
+        #: (``PairTables.build`` declines it).
+        self.governor_factory = governor_for
         self._eval_caches: dict[float, EvalCache] = {}
-        if predictor is not None:
-            self._table = None
-            if not isinstance(predictor, CachingPredictor):
-                predictor = CachingPredictor(predictor, cache=self.cache)
-            self.predictor = predictor
-        else:
-            # Self-managed model: characterize once, profile jobs lazily as
-            # they first appear in a call (content-cached, so repeats of a
-            # known program cost one lookup).
-            if processor is None:
-                from repro.hardware.calibration import make_ivy_bridge
-
-                processor = make_ivy_bridge()
-            self._processor = processor
-            self._space = characterize_space(
-                processor,
-                executor=self.executor,
-                cache=self.cache,
-                disk_cache=disk_cache,
-            )
-            self._table = ProfileTable(
-                processor=processor, jobs=(), _profiles={}
-            )
-            self.predictor = CachingPredictor(
-                CoRunPredictor(processor, self._table, self._space),
-                cache=self.cache,
-            )
-        self._rebuild()
-
-    def _scoped_predictor(self):
-        """The predictor as the node sees it (scaled), or the raw one."""
-        if self.node is None:
-            return self.predictor
-        from repro.core.fleet import node_predictor
-
-        return node_predictor(self.predictor, self._capped_node())
-
-    def _capped_node(self):
-        return replace(self.node, cap_w=self.cap_w)
-
-    def _rebuild(self) -> None:
-        scoped = self._scoped_predictor()
-        self.governor = governor_for(scoped, self.cap_w, self.objective)
-        eval_cache = self._eval_caches.setdefault(self.cap_w, EvalCache())
-        self.evaluator = ScheduleEvaluator(
-            scoped,
-            self.governor,
-            cache=eval_cache,
-            objective=self.objective,
-        )
-        # Remember the stock policy pieces: the tensor fast path applies
-        # only while they are untouched, so a caller that swaps or mutates
-        # the governor/evaluator is always honored (via the scalar path).
-        self._stock_governor = self.governor
-        self._stock_evaluator = self.evaluator
 
     def set_cap(self, cap_w: float) -> None:
-        """Change the power cap; governor and evaluator are rebuilt."""
-        if cap_w != self.cap_w:
-            self.cap_w = cap_w
-            self._rebuild()
-
-    def set_predictor(
-        self, predictor: CoRunPredictor | CachingPredictor
-    ) -> None:
-        """Swap the predictor (e.g. after its profile table grew)."""
-        if not isinstance(predictor, CachingPredictor):
-            predictor = CachingPredictor(predictor, cache=self.cache)
-        self.predictor = predictor
-        self._table = None  # the caller's predictor owns the table now
-        # A caller-swapped governor must survive the rebuild — table growth
-        # is invisible to the policy, unlike a cap change.
-        swapped = (
-            self.governor if self.governor is not self._stock_governor else None
-        )
-        # Uids are never re-bound to different profiles, so per-cap score
-        # memos stay valid across table growth; only the bindings refresh.
-        self._rebuild()
-        if swapped is not None:
-            self.governor = swapped
-            self.evaluator.governor = swapped
-
-    def _ensure_profiled(self, jobs: Sequence[Job]) -> None:
-        if self._table is None:  # caller-supplied predictor owns the table
-            return
-        missing = [job for job in jobs if job.uid not in self._table]
-        if missing:
-            self._table = extend_table(
-                self._table, missing, executor=self.executor, cache=self.cache
-            )
-            self.predictor = CachingPredictor(
-                CoRunPredictor(self._processor, self._table, self._space),
-                cache=self.cache,
-            )
-            self._rebuild()
+        """Change the power cap the next calls plan under."""
+        self.cap_w = cap_w
 
     def context(self, jobs: Sequence[Job]) -> SchedulingContext:
-        """The frozen context one call would run under (jobs pre-profiled)."""
-        self._ensure_profiled(jobs)
-        untouched = (
-            self.governor is self._stock_governor
-            and self.evaluator is self._stock_evaluator
-            and self.evaluator.governor is self.governor
-        )
+        """The frozen context one call would run under."""
         fleet = None
         cap_w = self.cap_w
         if self.node is not None:
@@ -434,42 +336,23 @@ class Scheduler:
 
             # The context applies the node's scaling itself (and resolves
             # the alias cap from the node), so pass the fleet, not cap_w.
-            fleet = Fleet(nodes=(self._capped_node(),))
+            fleet = Fleet(nodes=(replace(self.node, cap_w=self.cap_w),))
             cap_w = None
-        if self.backend == "tensor" and untouched:
-            # Leave governor/evaluator unset so the context runs the tensor
-            # pipeline over the per-cap cache; ``self.governor`` /
-            # ``self.evaluator`` stay the scalar reference pieces for
-            # callers that consult the policy directly (e.g. the engine).
-            return SchedulingContext(
-                jobs=tuple(jobs),
-                cap_w=cap_w,
-                fleet=fleet,
-                predictor=self.predictor,
-                objective=self.objective,
-                executor=self.executor,
-                cache=self.evaluator.cache,
-                seed=self.seed,
-                backend="tensor",
-            )
         return SchedulingContext(
             jobs=tuple(jobs),
             cap_w=cap_w,
             fleet=fleet,
             predictor=self.predictor,
             objective=self.objective,
-            governor=self.governor,
-            evaluator=self.evaluator,
             executor=self.executor,
-            cache=self.evaluator.cache,
+            cache=self._eval_caches.setdefault(self.cap_w, EvalCache()),
             seed=self.seed,
-            backend="scalar",
+            governor_factory=self.governor_factory,
+            backend=self.backend,
         )
 
     def __call__(self, jobs: Sequence[Job], **opts) -> ScheduleResult:
         """Compute a co-schedule for ``jobs`` under the current cap."""
-        if not jobs:
-            raise ValueError("cannot schedule an empty job set")
         # Report the model-wide shared cache (profiling + predictor
         # queries), not the per-cap evaluator cache.
         return dispatch(
@@ -478,11 +361,6 @@ class Scheduler:
             stats_cache=self.cache,
             **{**self.opts, **opts},
         )
-
-
-def make_scheduler(method: str = "hcs", **kwargs) -> Scheduler:
-    """Build a reusable :class:`Scheduler` (see its docstring)."""
-    return Scheduler(method, **kwargs)
 
 
 def _result(

@@ -66,7 +66,7 @@ def portfolio_schedule(
     members the deadline or evaluation budget cut off.  ``member_opts``
     forwards method-specific keyword options to named members.
     """
-    from repro.core.api import _REGISTRY, scheduler_names
+    from repro.core.api import _adapter, scheduler_names
 
     if not members:
         raise ValueError("portfolio needs at least one member method")
@@ -75,12 +75,13 @@ def portfolio_schedule(
         key = name.lower()
         if key == "portfolio":
             raise ValueError("a portfolio cannot race itself")
-        if key not in _REGISTRY:
+        try:
+            adapters[key] = _adapter(key)
+        except ValueError:
             known = ", ".join(n for n in scheduler_names() if n != "portfolio")
             raise ValueError(
                 f"unknown portfolio member {name!r}; known: {known}"
-            )
-        adapters[key] = _REGISTRY[key]
+            ) from None
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError("deadline_s must be positive")
     if eval_budget is not None and eval_budget <= 0:

@@ -17,6 +17,7 @@ the calibrated workload:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,10 @@ class NoisyPredictor(CoRunPredictor):
         d_c, d_g = super().degradations(cpu_uid, gpu_uid, setting)
         if self.noise_sigma <= 0.0:
             return d_c, d_g
-        key = hash((cpu_uid, gpu_uid, setting, self.seed)) % (2**32)
-        rng = default_rng(int(key))
+        # crc32, not ``hash()``: the builtin is salted per process, which
+        # would change the noise (and the sweep's rows) on every run.
+        key = zlib.crc32(repr((cpu_uid, gpu_uid, setting, self.seed)).encode())
+        rng = default_rng(key)
         factors = np.exp(rng.normal(0.0, self.noise_sigma, size=2))
         return d_c * float(factors[0]), d_g * float(factors[1])
 

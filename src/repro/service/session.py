@@ -41,7 +41,8 @@ from repro.hardware.device import DeviceKind
 from repro.hardware.frequency import FrequencySetting
 from repro.hardware.processor import IntegratedProcessor
 from repro.workload.program import Job
-from repro.core.api import Scheduler, make_scheduler
+from repro.core.api import Scheduler
+from repro.core.objectives import Objective, governor_for
 from repro.engine.sim import SimCore
 from repro.engine.tracing import JobCompletion
 from repro.model.characterize import characterize_space
@@ -103,7 +104,7 @@ def check_cap(cap_w: float) -> None:
 
 
 class _SafeGovernor:
-    """Delegate to the scheduler's cap governor; never raise mid-run.
+    """Delegate to the session's cap governor; never raise mid-run.
 
     When a cap drop strands the *running* pair (no feasible setting), kill
     nothing: clamp both devices to their floor frequencies and count a cap
@@ -116,7 +117,7 @@ class _SafeGovernor:
 
     def __call__(self, cpu_job: Job | None, gpu_job: Job | None):
         try:
-            return self._session.scheduler.governor(cpu_job, gpu_job)
+            return self._session.governor(cpu_job, gpu_job)
         except InfeasibleCapError:
             self._session.cap_violations += 1
             proc = self._session.processor
@@ -141,8 +142,6 @@ class ServiceSession:
         node=None,
         **scheduler_opts,
     ) -> None:
-        from repro.core.objectives import Objective
-
         self.processor = processor if processor is not None else make_ivy_bridge()
         self.cache = EvalCache()
         self.executor = make_executor(executor)
@@ -170,7 +169,11 @@ class ServiceSession:
             self.predictor = node_predictor(self._caching, node)
         else:
             self.predictor = self._caching
-        self.scheduler: Scheduler = make_scheduler(
+        #: The engine's cap governor over the node-scaled model: executing
+        #: a plan is the session's job, so it owns the policy the running
+        #: pair's frequencies come from (rebuilt on every cap change).
+        self.governor = governor_for(self.predictor, cap_w, self.objective)
+        self.scheduler = Scheduler(
             method,
             cap_w=cap_w,
             objective=self.objective,
@@ -228,10 +231,9 @@ class ServiceSession:
         difference between O(N) and O(N²) on the service's hot path.
 
         The grown table is installed by swapping the *inner* predictor of
-        the session's one shared :class:`CachingPredictor`: the scheduler,
-        its governor and evaluator (including any the caller swapped in,
-        e.g. the sanitizer tests' rigged governors) all hold that object,
-        so they see the new jobs with no policy rebuild at all.
+        the session's one shared :class:`CachingPredictor`: the scheduler
+        (and every context it builds) and the session's governor all hold
+        that object, so they see the new jobs with no policy rebuild.
         """
         if not self._unprofiled:
             return
@@ -286,6 +288,7 @@ class ServiceSession:
 
     def _apply_cap(self, cap_w: float) -> None:
         self.cap_w = cap_w
+        self.governor = governor_for(self.predictor, cap_w, self.objective)
         self.scheduler.set_cap(cap_w)
         self._schedule_memo.clear()
         self.sim.invalidate_setting()

@@ -92,6 +92,29 @@ class TestRep002DefaultRng:
         )
         assert codes(vs) == ["REP002"]
 
+    def test_flags_builtin_hash_outside_tests(self, tmp_path):
+        vs = lint_snippet(
+            tmp_path,
+            "src/repro/experiments/h.py",
+            """
+            def seed_of(uid, seed):
+                return hash((uid, seed)) % 2**32
+            """,
+        )
+        assert codes(vs) == ["REP002"]
+        assert "salted" in vs[0].message
+
+    def test_builtin_hash_in_tests_is_fine(self, tmp_path):
+        vs = lint_snippet(
+            tmp_path,
+            "tests/experiments/h.py",
+            """
+            def test_hashable(key):
+                assert hash(key) == hash(key)
+            """,
+        )
+        assert vs == []
+
     def test_seeded_generator_methods_are_fine(self, tmp_path):
         vs = lint_snippet(
             tmp_path,

@@ -133,9 +133,11 @@ class TestServiceSanitizer:
         return make
 
     def _rig(self, session):
-        rigged = CapIgnoringGovernor(session.scheduler.predictor, CAP_W)
-        session.scheduler.governor = rigged
-        session.scheduler.evaluator.governor = rigged
+        session.scheduler.governor_factory = (
+            lambda predictor, cap_w, objective: CapIgnoringGovernor(
+                predictor, cap_w
+            )
+        )
 
     def test_batch_scheduling_is_verified(
         self, monkeypatch, session_factory, rodinia_jobs

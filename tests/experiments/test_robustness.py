@@ -1,7 +1,13 @@
 """Tests for the robustness experiment suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments import robustness
 from repro.experiments.robustness import (
     NoisyPredictor,
@@ -49,6 +55,30 @@ class TestNoisyPredictor:
         assert noisy.degradations("dwt2d", "streamcluster", s) != (
             runtime.predictor.degradations("dwt2d", "streamcluster", s)
         )
+
+    def test_noise_is_stable_across_hash_seeds(self):
+        # The noise must not depend on the per-process string-hash salt,
+        # or ``repro robustness`` prints different rows on every run.
+        probe = (
+            "from repro.experiments.common import default_runtime\n"
+            "from repro.experiments.robustness import NoisyPredictor\n"
+            "rt = default_runtime()\n"
+            "noisy = NoisyPredictor(rt.processor, rt.table, rt.space,\n"
+            "                       noise_sigma=0.5, seed=1)\n"
+            "s = rt.processor.max_setting\n"
+            "print(repr(noisy.degradations('dwt2d', 'cfd', s)))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestStudies:

@@ -27,7 +27,7 @@ class TestSessionObjective:
     def test_energy_session_uses_the_energy_governor(self):
         session = ServiceSession(objective="energy")
         assert session.objective is Objective.ENERGY
-        assert isinstance(session.scheduler.governor, EnergyAwareGovernor)
+        assert isinstance(session.governor, EnergyAwareGovernor)
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
