@@ -58,7 +58,6 @@ EXACT_NAMES: dict[str, Dim] = {
     "speed_scale": SPEED_D,
     "power_scale": PSCALE_D,
     "MAKESPAN_ENERGY_RHO": SPJ_D,
-    "_MAKESPAN_ENERGY_RHO": SPJ_D,
     # PowerSegment's field name (a segment's constant chip draw).
     "watts": W,
 }

@@ -49,10 +49,11 @@ from repro.experiments.registry import (
     ExperimentConfig,
     run_experiment,
 )
+from repro.objective import Objective
 from repro.perf.diskcache import CACHE_DIR_ENV
 
-#: Every objective the registry understands (mirrors core.objectives).
-_OBJECTIVES = ("makespan", "energy", "edp", "flow_time", "makespan_energy")
+#: Every objective the registry understands.
+_OBJECTIVES = tuple(o.value for o in Objective)
 
 
 def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:

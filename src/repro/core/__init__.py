@@ -50,12 +50,8 @@ from repro.core.baselines import default_partition, default_schedule, random_sch
 from repro.core.bruteforce import brute_force_best
 from repro.core.astar import AStarScheduler, astar_schedule
 from repro.core.genetic import GaConfig, GeneticScheduler, genetic_schedule
-from repro.core.objectives import (
-    EnergyAwareGovernor,
-    Objective,
-    governor_for,
-    score_execution,
-)
+from repro.core.objectives import EnergyAwareGovernor, governor_for
+from repro.objective import MAKESPAN_ENERGY_RHO, Objective
 from repro.core.online import FifoOnlinePolicy, HcsOnlinePolicy
 from repro.core.portfolio import DEFAULT_MEMBERS, portfolio_schedule
 from repro.core.splitting import SplitOutcome, best_split
@@ -110,9 +106,9 @@ __all__ = [
     "GeneticScheduler",
     "genetic_schedule",
     "EnergyAwareGovernor",
+    "MAKESPAN_ENERGY_RHO",
     "Objective",
     "governor_for",
-    "score_execution",
     "FifoOnlinePolicy",
     "HcsOnlinePolicy",
     "DEFAULT_MEMBERS",

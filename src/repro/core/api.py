@@ -45,7 +45,8 @@ from repro.workload.program import Job
 from repro.core.baselines import default_partition, random_schedule
 from repro.core.bruteforce import brute_force_best
 from repro.core.context import SchedulingContext
-from repro.core.objectives import Objective, governor_for
+from repro.core.objectives import governor_for
+from repro.objective import Objective
 from repro.core.schedule import CoSchedule
 from repro.model.predictor import CoRunPredictor
 from repro.perf.cache import EvalCache
@@ -191,7 +192,7 @@ def schedule(
     ``objective``
         What the method optimizes: ``"makespan"`` (default, Definition
         2.1), ``"energy"``, or ``"edp"`` — an
-        :class:`~repro.core.objectives.Objective` or its string value.
+        :class:`~repro.objective.Objective` or its string value.
         Every registered method honors it: the context's governor picks
         objective-optimal frequencies and the evaluator scores candidates
         on the objective.

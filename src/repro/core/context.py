@@ -3,7 +3,7 @@
 Before this module each scheduler entry point re-plumbed its own
 ``(predictor, jobs, cap_w, seed, evaluator, executor, ...)`` signature and
 re-built its own governor.  A :class:`SchedulingContext` freezes that whole
-bundle once — jobs, predictor, cap, :class:`~repro.core.objectives.Objective`,
+bundle once — jobs, predictor, cap, :class:`~repro.objective.Objective`,
 governor (via a pluggable factory), memoized evaluator, executor, eval
 cache, and seed — and every scheduler in the registry plus ``refine``,
 ``online``, ``bounds``, and ``baselines`` takes it as its first argument::
@@ -34,7 +34,8 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.workload.program import Job
-from repro.core.objectives import Objective, governor_for
+from repro.core.objectives import governor_for
+from repro.objective import Objective
 from repro.perf.cache import EvalCache
 from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
 from repro.perf.executor import Executor, make_executor
@@ -196,9 +197,9 @@ class SchedulingContext:
                     objective=self.objective,
                 ),
             )
-        elif self.evaluator.objective != self.objective.value:
+        elif self.evaluator.objective is not self.objective:
             raise ValueError(
-                f"evaluator scores {self.evaluator.objective!r} but the "
+                f"evaluator scores {self.evaluator.objective.value!r} but the "
                 f"context objective is {self.objective.value!r}"
             )
 

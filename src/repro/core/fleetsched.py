@@ -18,8 +18,8 @@ This driver solves it in two phases:
 
 Aggregation is objective-aware: makespan is the max over nodes (they run
 in parallel), energy and flow are sums, and the composite objectives
-combine those aggregates in the same shape as
-:meth:`~repro.core.objectives.Objective.score`.
+combine those aggregates through
+:meth:`~repro.objective.Objective.score`.
 
 Sanitizing contexts referee both levels: each per-node schedule passes
 through the standard Definition 2.1 verifier, and the fleet result through
@@ -37,7 +37,7 @@ from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.core.context import SchedulingContext
-from repro.core.objectives import MAKESPAN_ENERGY_RHO, Objective
+from repro.objective import Objective
 from repro.core.schedule import PredictedMetrics
 
 _INF = float("inf")
@@ -107,17 +107,7 @@ def aggregate_score(
     makespan = max((m.makespan_s for m in metrics), default=0.0)
     energy = sum(m.energy_j for m in metrics)
     flow = sum(m.flow_s for m in metrics)
-    if objective is Objective.MAKESPAN:
-        score = makespan
-    elif objective is Objective.ENERGY:
-        score = energy
-    elif objective is Objective.EDP:
-        score = energy * makespan
-    elif objective is Objective.MAKESPAN_ENERGY:
-        score = makespan + MAKESPAN_ENERGY_RHO * energy
-    else:
-        score = flow
-    return makespan, energy, flow, score
+    return makespan, energy, flow, objective.score(makespan, energy, flow)
 
 
 def _job_weights(

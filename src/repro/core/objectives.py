@@ -1,14 +1,11 @@
-"""Pluggable scheduling objectives: makespan, energy, energy-delay product.
+"""Objective-aware frequency governors.
 
 Definition 2.1 minimizes the makespan, but the power-cap setting naturally
 raises the energy question (the related work's co-scheduling-for-energy line
-[18, 22]).  This module makes the objective a first-class axis:
+[18, 22]).  The objective itself — the :class:`~repro.objective.Objective`
+enum and its one scoring formula — lives in :mod:`repro.objective`; this
+module builds the governors on top of it:
 
-* :class:`Objective` — the enum every layer shares, with string coercion
-  (``"makespan"`` / ``"energy"`` / ``"edp"``) so wire protocols and CLI
-  flags round-trip losslessly;
-* objective evaluators over measured executions and predicted metrics
-  (lower is always better);
 * :class:`EnergyAwareGovernor` — a drop-in replacement for the HCS
   governor that picks, among cap-feasible frequency settings, the one
   minimizing the *predicted objective cost to complete the running pair*
@@ -31,112 +28,31 @@ the CLI's exit-code-2 contract holds for energy runs too.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.hardware.device import DeviceKind
 from repro.hardware.frequency import FrequencySetting
 from repro.workload.program import Job
 from repro.core.feasibility import (
-    pair_energy_j,
     require_pair_settings,
     require_solo_levels,
     solo_energy_j,
 )
 from repro.core.freqpolicy import ModelGovernor, TableServedGovernor
 from repro.model.predictor import CoRunPredictor
-from repro.units import Hertz, Joules, Seconds, SecondsPerJoule, Watts
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.sim import ExecutionResult
-
-
-#: Weight (seconds per joule) of the energy term in the MAKESPAN_ENERGY
-#: bicriteria objective: ``score = makespan_s + RHO * energy_j``.  One is
-#: the natural scale on this platform — a 15 W cap makes a joule cost about
-#: as much slack as a fifteenth of a second of span — and keeping it a
-#: module constant keeps every layer's fingerprints comparable.
-MAKESPAN_ENERGY_RHO: SecondsPerJoule = 1.0
-
-
-class Objective(enum.Enum):
-    """What a schedule is scored on (lower is better)."""
-
-    MAKESPAN = "makespan"
-    ENERGY = "energy"
-    EDP = "edp"
-    #: Sum of job completion times (total flow with release dates at zero),
-    #: the classic speed-scaling bicriteria baseline.
-    FLOW_TIME = "flow_time"
-    #: Linear makespan + energy combination (``makespan_s + RHO * energy_j``
-    #: with :data:`MAKESPAN_ENERGY_RHO`), the other bicriteria baseline.
-    MAKESPAN_ENERGY = "makespan_energy"
-
-    @classmethod
-    def coerce(cls, value: "Objective | str") -> "Objective":
-        """Accept an :class:`Objective` or its string value."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            try:
-                return cls(value.lower())
-            except ValueError:
-                known = ", ".join(o.value for o in cls)
-                raise ValueError(
-                    f"unknown objective {value!r}; known: {known}"
-                ) from None
-        raise TypeError(
-            f"objective must be an Objective or str, got {type(value).__name__}"
-        )
-
-    def score(
-        self,
-        makespan_s: Seconds,
-        energy_j: Joules,
-        flow_s: Seconds | None = None,
-    ) -> float:
-        """Combine the base metrics into this objective's scalar."""
-        if self is Objective.MAKESPAN:
-            return makespan_s
-        if self is Objective.ENERGY:
-            return energy_j
-        if self is Objective.EDP:
-            return energy_j * makespan_s
-        if self is Objective.MAKESPAN_ENERGY:
-            return makespan_s + MAKESPAN_ENERGY_RHO * energy_j
-        if flow_s is None:
-            raise ValueError(
-                "the flow_time objective needs per-job completion times; "
-                "this metric source does not track them"
-            )
-        return flow_s
-
-
-def score_execution(
-    execution: "ExecutionResult", objective: Objective | str
-) -> float:
-    """Score a measured execution under an objective (lower is better)."""
-    objective = Objective.coerce(objective)
-    flow = None
-    if objective is Objective.FLOW_TIME:
-        arrivals = getattr(execution, "arrivals", {})
-        flow = sum(
-            c.finish_s - arrivals.get(c.job, 0.0)
-            for c in execution.completions
-        )
-    return objective.score(execution.makespan_s, execution.energy_j, flow)
+from repro.objective import Objective
+from repro.units import Hertz, Watts
 
 
 @dataclass
 class EnergyAwareGovernor(TableServedGovernor):
     """Cap-feasible frequency choice minimizing a predicted objective cost.
 
-    For a co-running pair the cost is the predicted energy to complete the
-    pair (chip power times summed co-run times — both jobs must finish, and
-    power is roughly constant while they overlap), optionally multiplied by
-    the pair's predicted span for the EDP objective.  Solo jobs minimize
-    the analogous standalone quantity.  Infeasible combinations raise
+    For a co-running pair the cost is the objective's
+    :meth:`~repro.objective.Objective.score` of the pair's predicted span
+    and the predicted energy to complete it (chip power times summed co-run
+    times — both jobs must finish, and power is roughly constant while they
+    overlap).  Solo jobs minimize the analogous standalone quantity.  Infeasible combinations raise
     :class:`~repro.errors.InfeasibleCapError`.
     """
 
@@ -153,26 +69,16 @@ class EnergyAwareGovernor(TableServedGovernor):
                 "use ModelGovernor for makespan/flow_time"
             )
 
-    def _pair_energy(self, cpu_uid: str, gpu_uid: str, s: FrequencySetting) -> Joules:
-        return pair_energy_j(self.predictor, cpu_uid, gpu_uid, s)
-
     def _pair_cost(self, cpu_uid: str, gpu_uid: str, s: FrequencySetting) -> float:
-        energy = self._pair_energy(cpu_uid, gpu_uid, s)
-        if self.objective is Objective.ENERGY:
-            return energy
+        # pair_energy_j's power * (t_c + t_g), from one corun_times query.
         t_c, t_g = self.predictor.corun_times(cpu_uid, gpu_uid, s)
-        if self.objective is Objective.MAKESPAN_ENERGY:
-            return max(t_c, t_g) + MAKESPAN_ENERGY_RHO * energy
-        return energy * max(t_c, t_g)
+        energy = self.predictor.pair_power_w(cpu_uid, gpu_uid, s) * (t_c + t_g)
+        return self.objective.score(max(t_c, t_g), energy)
 
     def _solo_cost(self, uid: str, kind: DeviceKind, f_ghz: Hertz) -> float:
         energy = solo_energy_j(self.predictor, uid, kind, f_ghz)
-        if self.objective is Objective.ENERGY:
-            return energy
         t = self.predictor.solo_time(uid, kind, f_ghz)
-        if self.objective is Objective.MAKESPAN_ENERGY:
-            return t + MAKESPAN_ENERGY_RHO * energy
-        return energy * t
+        return self.objective.score(t, energy)
 
     def _choose(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
         proc = self.predictor.processor

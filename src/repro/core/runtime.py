@@ -47,7 +47,7 @@ from repro.core.baselines import RandomOnlineSource, default_partition
 from repro.core.bounds import lower_bound
 from repro.core.context import SchedulingContext, build_predictor
 from repro.core.freqpolicy import Bias, BiasedGovernor
-from repro.core.objectives import Objective
+from repro.objective import Objective
 from repro.core.schedule import CoSchedule
 from repro.perf.cache import EvalCache
 from repro.perf.executor import make_executor

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from collections.abc import Sequence
 
 from repro.hardware.device import DeviceKind
+from repro.objective import Objective
 from repro.workload.program import Job
 
 _EPS = 1e-12
@@ -74,29 +75,18 @@ class PredictedMetrics:
     makespan_s: float
     energy_j: float
     #: Sum of predicted per-job completion times (total flow, releases at
-    #: zero).  ``nan`` when the metric source predates flow tracking.
-    flow_s: float = float("nan")
+    #: zero).
+    flow_s: float
 
     @property
     def edp_js(self) -> float:
-        return self.energy_j * self.makespan_s
+        return self.score(Objective.EDP)
 
-    def score(self, objective) -> float:
-        """Objective scalar (duck-typed: an Objective or its string value)."""
-        name = getattr(objective, "value", objective)
-        if name == "makespan":
-            return self.makespan_s
-        if name == "energy":
-            return self.energy_j
-        if name == "edp":
-            return self.edp_js
-        if name == "flow_time":
-            return self.flow_s
-        if name == "makespan_energy":
-            from repro.core.objectives import MAKESPAN_ENERGY_RHO
-
-            return self.makespan_s + MAKESPAN_ENERGY_RHO * self.energy_j
-        raise ValueError(f"unknown objective {objective!r}")
+    def score(self, objective: Objective | str) -> float:
+        """Objective scalar (an :class:`Objective` or its string value)."""
+        return Objective.coerce(objective).score(
+            self.makespan_s, self.energy_j, self.flow_s
+        )
 
 
 def predicted_makespan(schedule: CoSchedule, predictor, governor) -> float:

@@ -25,7 +25,8 @@ cost, even when it lands on the same device kind.
 
 Like the rest of the engine, this module never imports the scheduling
 layer at module scope: fleets, nodes, and plans are duck-typed, and the
-:func:`run_fleet` convenience imports the core planner lazily.
+:func:`run_fleet` convenience imports the core planner lazily.  Scores
+come from the leaf :mod:`repro.objective`, as everywhere else.
 """
 
 from __future__ import annotations
@@ -33,14 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.units import (
-    Joules,
-    PowerScale,
-    SecondsPerJoule,
-    SpeedScale,
-    WallSeconds,
-    Watts,
-)
+from repro.objective import Objective
+from repro.units import Joules, PowerScale, SpeedScale, WallSeconds, Watts
 from repro.workload.program import Job
 from repro.engine.sim import (
     ExecutionResult,
@@ -51,7 +46,6 @@ from repro.engine.sim import (
     run,
 )
 
-_MAKESPAN_ENERGY_RHO: SecondsPerJoule = 1.0  # mirrors core.objectives.MAKESPAN_ENERGY_RHO
 
 
 @dataclass(frozen=True)
@@ -85,8 +79,8 @@ class FleetExecutionResult:
 
     Nodes run in parallel on the shared wall clock, so the fleet makespan
     is the max over node wall makespans while energy and flow are sums.
-    ``score`` combines them under an objective with the same shapes as
-    :meth:`~repro.engine.sim.ExecutionResult.score`.
+    ``score`` combines them through :meth:`~repro.objective.Objective.score`,
+    like :meth:`~repro.engine.sim.ExecutionResult.score`.
     """
 
     entries: tuple[NodeExecution, ...]
@@ -108,7 +102,7 @@ class FleetExecutionResult:
 
     @property
     def edp_js(self) -> float:
-        return self.energy_j * self.makespan_s
+        return self.score(Objective.EDP)
 
     @property
     def violations(self) -> tuple[tuple[str, object], ...]:
@@ -123,22 +117,14 @@ class FleetExecutionResult:
                 return e.result
         raise KeyError(f"node {node!r} has no execution record")
 
-    def score(self, objective=None) -> float:
-        """Scalar score under an objective (lower is better)."""
-        name = getattr(objective, "value", objective)
-        if name is None:
-            name = self.objective
-        if name == "makespan":
-            return self.makespan_s
-        if name == "energy":
-            return self.energy_j
-        if name == "edp":
-            return self.edp_js
-        if name == "flow_time":
-            return self.flow_s
-        if name == "makespan_energy":
-            return self.makespan_s + _MAKESPAN_ENERGY_RHO * self.energy_j
-        raise ValueError(f"unknown objective {objective!r}")
+    def score(self, objective: Objective | str | None = None) -> float:
+        """Scalar score under an objective (lower is better); ``None``
+        scores under the result's own :attr:`objective`."""
+        if objective is None:
+            objective = self.objective
+        return Objective.coerce(objective).score(
+            self.makespan_s, self.energy_j, self.flow_s
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -311,9 +297,9 @@ class FleetSim:
     def record(self, *, objective: str | None = None) -> FleetExecutionResult:
         """The fleet execution so far, as one aggregated record."""
         if objective is None:
-            objective = getattr(
-                getattr(self.ctx, "objective", None), "value", "makespan"
-            )
+            objective = Objective.coerce(
+                getattr(self.ctx, "objective", Objective.MAKESPAN)
+            ).value
         entries = tuple(
             NodeExecution(
                 node=name,
@@ -372,10 +358,11 @@ def run_fleet(
                 result=result,
             )
         )
-    objective = getattr(getattr(ctx, "objective", None), "value", "makespan")
     return FleetExecutionResult(
         entries=tuple(entries),
-        objective=objective,
+        objective=Objective.coerce(
+            getattr(ctx, "objective", Objective.MAKESPAN)
+        ).value,
         budget_w=getattr(ctx.fleet, "budget_w", None),
         plan=plan,
     )

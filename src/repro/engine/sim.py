@@ -37,7 +37,8 @@ from collections.abc import Callable, Mapping, Sequence
 from repro.hardware.device import DeviceKind
 from repro.hardware.frequency import FrequencySetting
 from repro.hardware.processor import IntegratedProcessor
-from repro.units import Joules, Seconds, SecondsPerJoule, Watts
+from repro.objective import Objective
+from repro.units import Joules, Seconds, Watts
 from repro.workload.program import Job
 from repro.engine.corun import PhasedRunner, _pair_stalls, _segment_power
 from repro.engine.events import EventKind, SimEvent
@@ -88,12 +89,6 @@ class OnlineJobSource:
 
     def remaining(self) -> int:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-#: Mirrors ``repro.core.objectives.MAKESPAN_ENERGY_RHO`` (the engine
-#: must not import the scheduling layer).
-_MAKESPAN_ENERGY_RHO: SecondsPerJoule = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +375,7 @@ class ExecutionResult:
     @property
     def edp_js(self) -> float:
         """Energy-delay product (J x s) of the whole execution."""
-        return self.energy_j * self.makespan_s
+        return self.score(Objective.EDP)
 
     @property
     def flow_s(self) -> Seconds:
@@ -390,28 +385,18 @@ class ExecutionResult:
             for c in self.completions
         )
 
-    def score(self, objective=None) -> float:
+    def score(self, objective: Objective | str | None = None) -> float:
         """Scalar score under an objective (lower is better).
 
-        ``objective`` is duck-typed — a ``repro.core.objectives.Objective``
-        or its string value — because the engine layer must not import the
-        scheduling layer.  ``None`` scores under the result's own
+        ``objective`` is an :class:`~repro.objective.Objective` or its
+        string value; ``None`` scores under the result's own
         :attr:`objective`.
         """
-        name = getattr(objective, "value", objective)
-        if name is None:
-            name = self.objective
-        if name == "makespan":
-            return self.makespan_s
-        if name == "energy":
-            return self.energy_j
-        if name == "edp":
-            return self.edp_js
-        if name == "flow_time":
-            return self.flow_s
-        if name == "makespan_energy":
-            return self.makespan_s + _MAKESPAN_ENERGY_RHO * self.energy_j
-        raise ValueError(f"unknown objective {objective!r}")
+        if objective is None:
+            objective = self.objective
+        return Objective.coerce(objective).score(
+            self.makespan_s, self.energy_j, self.flow_s
+        )
 
     def finish_of(self, job_uid: str) -> Seconds:
         """Completion time of a specific job."""
@@ -459,10 +444,9 @@ class ExecutionResult:
         """The occupancy chain of one job, in time order."""
         return tuple(iv for iv in self.timeline if iv.job == job_uid)
 
-    def with_objective(self, objective) -> "ExecutionResult":
+    def with_objective(self, objective: Objective | str) -> "ExecutionResult":
         """A copy re-labelled with another objective (data unchanged)."""
-        name = getattr(objective, "value", objective)
-        return replace(self, objective=name)
+        return replace(self, objective=Objective.coerce(objective).value)
 
     def to_dict(self) -> dict:
         """Stable plain-data form for the service wire protocol."""
@@ -1341,9 +1325,7 @@ def run(
             "run() needs a governor: pass governor=... or a context that "
             "carries one"
         )
-    objective = "makespan"
-    if ctx is not None:
-        objective = getattr(getattr(ctx, "objective", None), "value", objective)
+    objective = Objective.coerce(getattr(ctx, "objective", Objective.MAKESPAN)).value
 
     if scenario.cpu_timeshare:
         if policy is not None:

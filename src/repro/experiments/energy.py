@@ -20,7 +20,8 @@ from __future__ import annotations
 from repro.hardware.calibration import DEFAULT_POWER_CAP_W
 from repro.core.api import schedule
 from repro.core.freqpolicy import Bias, BiasedGovernor
-from repro.core.objectives import EnergyAwareGovernor, Objective, score_execution
+from repro.core.objectives import EnergyAwareGovernor
+from repro.objective import Objective
 from repro.experiments.common import ExperimentResult, default_runtime
 from repro.util.tables import format_table
 
@@ -58,7 +59,7 @@ def run(
                 execution.makespan_s,
                 execution.energy_j / 1e3,
                 execution.mean_power_w,
-                score_execution(execution, Objective.EDP) / 1e6,
+                execution.score(Objective.EDP) / 1e6,
             )
         )
         key = name.split()[0].split("-")[0]
@@ -82,7 +83,7 @@ def run(
                 execution.makespan_s,
                 execution.energy_j / 1e3,
                 execution.mean_power_w,
-                score_execution(execution, Objective.EDP) / 1e6,
+                execution.score(Objective.EDP) / 1e6,
             )
         )
         headline[f"obj_{obj.value}_makespan_s"] = execution.makespan_s

@@ -181,5 +181,7 @@ def run() -> ExperimentResult:
         "greedy HCS vs A* search (6 jobs, same predicted model)",
         format_table(["scheduler", "measured makespan (s)"], headroom, ndigits=2),
     )
-    result.headline["hcs_over_astar"] = headroom[0][1] / headroom[1][1]
+    # Rows by label ("a* (N nodes)" -> "a*"), not by position.
+    makespan = {label.split(" (")[0]: m for label, m in headroom}
+    result.headline["hcs_over_astar"] = makespan["hcs"] / makespan["a*"]
     return result

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.objective import Objective
 from repro.units import Hertz, Seconds, Watts
 from repro.perf.cache import EvalCache, ensure_cache
 
@@ -116,12 +117,6 @@ class CachingPredictor:
         return f"CachingPredictor({self.inner!r})"
 
 
-#: Objective tags a ScheduleEvaluator accepts (duck-typed string values of
-#: ``repro.core.objectives.Objective`` — perf must not import core at load
-#: time).
-OBJECTIVE_TAGS = ("makespan", "energy", "edp", "flow_time", "makespan_energy")
-
-
 def schedule_key(
     schedule, objective: str = "makespan", backend: str = "scalar"
 ) -> tuple:
@@ -146,7 +141,8 @@ class ScheduleEvaluator:
 
     The callable interface makes it a drop-in ``evaluate`` function for the
     search-based schedulers: it returns the predicted score under
-    ``objective`` (``"makespan"`` by default, or ``"energy"`` / ``"edp"``).
+    ``objective`` (an :class:`~repro.objective.Objective` or its string
+    value; makespan by default).
     Cache keys are tagged with the objective, so one shared
     :class:`~repro.perf.cache.EvalCache` can serve evaluators with
     different objectives without ever leaking a score across them.
@@ -165,34 +161,30 @@ class ScheduleEvaluator:
         predictor,
         governor,
         cache: EvalCache | None = None,
-        objective: object = "makespan",
+        objective: Objective | str = Objective.MAKESPAN,
     ):
         self.predictor = predictor
         self.governor = governor
         self.cache = ensure_cache(cache)
-        # Duck-typed: accepts an Objective enum member or its string value.
-        self.objective: str = getattr(objective, "value", objective)
-        if self.objective not in OBJECTIVE_TAGS:
-            raise ValueError(
-                f"unknown objective {objective!r}; known: "
-                + ", ".join(OBJECTIVE_TAGS)
-            )
+        self.objective = Objective.coerce(objective)
+        # The cache-key tag, read once: ``Enum.value`` is a property.
+        self._tag = self.objective.value
 
     def _key(self, schedule) -> tuple:
-        return schedule_key(schedule, self.objective, self.backend)
+        return schedule_key(schedule, self._tag, self.backend)
 
     def _metrics_key(self, schedule) -> tuple:
         # Metrics are computed under this evaluator's governor, whose
         # frequency choices are objective-specific — the tag keeps a
         # shared cache from serving one objective's metrics to another.
         return schedule_key(
-            schedule, f"metrics:{self.objective}", self.backend
+            schedule, f"metrics:{self._tag}", self.backend
         )
 
     def _compute(self, schedule) -> float:
         # Imported lazily: repro.core modules import this module at load
         # time, so a top-level core import here would be circular.
-        if self.objective == "makespan":
+        if self.objective is Objective.MAKESPAN:
             from repro.core.schedule import predicted_makespan
 
             return predicted_makespan(schedule, self.predictor, self.governor)
@@ -218,7 +210,7 @@ class ScheduleEvaluator:
 
     def makespan_of(self, schedule) -> Seconds:
         """The predicted makespan regardless of this evaluator's objective."""
-        if self.objective == "makespan":
+        if self.objective is Objective.MAKESPAN:
             return self(schedule)
         return self.metrics(schedule).makespan_s
 
@@ -239,7 +231,7 @@ class ScheduleEvaluator:
                 pending[key] = s
         if pending:
             todo = list(pending.values())
-            if self.objective == "makespan":
+            if self.objective is Objective.MAKESPAN:
                 values = map_makespans(
                     executor, self.predictor, self.governor, todo
                 )

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.objective import Objective
 from repro.units import Hertz, PowerScale, Seconds, SpeedScale, Watts
 from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
@@ -851,7 +852,6 @@ class PairTables:
         and the evaluator stays on the scalar replay.
         """
         from repro.core.freqpolicy import ModelGovernor
-        from repro.core.objectives import Objective
 
         memo_key = cls._memo_key(governor, cap_w)
         if memo_key is None:
@@ -865,33 +865,21 @@ class PairTables:
             pair_cost = tensor.t_corun_c + tensor.t_corun_g
             solo_cost = None
         else:
-            # pair_energy_j: power * (t_c + t_g); EDP: energy * max(t_c, t_g).
-            from repro.core.objectives import MAKESPAN_ENERGY_RHO
-
-            energy = tensor.pair_power * (tensor.t_corun_c + tensor.t_corun_g)
-            if governor.objective is Objective.ENERGY:
-                pair_cost = energy
-            elif governor.objective is Objective.MAKESPAN_ENERGY:
-                # EnergyAwareGovernor._pair_cost order: max + RHO * energy.
-                pair_cost = (
-                    np.maximum(tensor.t_corun_c, tensor.t_corun_g)
-                    + MAKESPAN_ENERGY_RHO * energy
+            # EnergyAwareGovernor's costs, element-wise: the objective over
+            # (span, energy), with pair_energy_j = power * (t_c + t_g) and
+            # solo_energy_j = chip_power * solo_time.
+            score = governor.objective.score
+            pair_cost = score(
+                np.maximum(tensor.t_corun_c, tensor.t_corun_g),
+                tensor.pair_power * (tensor.t_corun_c + tensor.t_corun_g),
+            )
+            solo_cost = {
+                kind: score(
+                    tensor.solo_time[kind],
+                    tensor.solo_chip_power[kind] * tensor.solo_time[kind],
                 )
-            else:
-                pair_cost = energy * np.maximum(tensor.t_corun_c, tensor.t_corun_g)
-            solo_cost = {}
-            for kind in DeviceKind:
-                # solo_energy_j: chip_power * solo_time; EDP multiplies by
-                # solo_time again (EnergyAwareGovernor._solo_cost order).
-                e = tensor.solo_chip_power[kind] * tensor.solo_time[kind]
-                if governor.objective is Objective.ENERGY:
-                    solo_cost[kind] = e
-                elif governor.objective is Objective.MAKESPAN_ENERGY:
-                    solo_cost[kind] = (
-                        tensor.solo_time[kind] + MAKESPAN_ENERGY_RHO * e
-                    )
-                else:
-                    solo_cost[kind] = e * tensor.solo_time[kind]
+                for kind in DeviceKind
+            }
 
         with np.errstate(invalid="ignore"):
             masked = np.where(masks.pair_ok, pair_cost, np.inf)
@@ -984,7 +972,7 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
 
     backend = "tensor"
 
-    def __init__(self, predictor, governor, cache=None, objective="makespan",
+    def __init__(self, predictor, governor, cache=None, objective=Objective.MAKESPAN,
                  *, tensor: TensorModel, tables: PairTables | None):
         super().__init__(predictor, governor, cache, objective)
         self.tensor = tensor
@@ -1099,7 +1087,7 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
     # ScheduleEvaluator overrides
     # ------------------------------------------------------------------
     def _compute(self, schedule) -> float:
-        if self.objective == "makespan":
+        if self.objective is Objective.MAKESPAN:
             result = self._try_indexed(schedule)
             if result is not None:
                 return result[0]
@@ -1152,14 +1140,14 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
                 from repro.core.schedule import PredictedMetrics
 
                 for s, (mk, en, fl) in zip(covered, batch):
-                    if self.objective == "makespan":
+                    if self.objective is Objective.MAKESPAN:
                         self.prime(s, mk)
                     else:
                         m = PredictedMetrics(makespan_s=mk, energy_j=en, flow_s=fl)
                         self.cache.prime(self._metrics_key(s), m)
                         self.prime(s, m.score(self.objective))
             if rest:
-                if self.objective == "makespan":
+                if self.objective is Objective.MAKESPAN:
                     values = map_makespans(
                         executor, self.predictor, self.governor, rest
                     )
@@ -1370,24 +1358,8 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
             t = t + solo_s
             flow = flow + t
             energy = energy + solo_s * float(tb.solo_power[kind][i])
-        scores = self._objective_scores(t, energy, flow)
-        scores = np.where(bad, np.inf, scores)
+        scores = np.where(bad, np.inf, self.objective.score(t, energy, flow))
         return scores, t, energy, flow, bad
-
-    def _objective_scores(self, makespan, energy, flow):
-        """Vectorized :meth:`PredictedMetrics.score` over metric arrays."""
-        if self.objective == "makespan":
-            return makespan
-        if self.objective == "energy":
-            return energy
-        if self.objective == "edp":
-            return energy * makespan
-        if self.objective == "flow_time":
-            return flow
-        # makespan_energy — lazy core import, as everywhere in this module.
-        from repro.core.objectives import MAKESPAN_ENERGY_RHO
-
-        return makespan + MAKESPAN_ENERGY_RHO * energy
 
     def snapshot(self) -> dict[str, float]:
         snap = dict(self.cache.snapshot())

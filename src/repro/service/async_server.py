@@ -25,6 +25,7 @@ import asyncio
 import signal
 
 from repro.hardware.calibration import DEFAULT_POWER_CAP_W
+from repro.objective import Objective
 from repro.service import protocol
 from repro.service.metrics import merge_snapshots
 from repro.service.shard import ShardConfig, ShardSet
@@ -243,7 +244,7 @@ def serve_async(
     *,
     method: str = "hcs",
     cap_w: float = DEFAULT_POWER_CAP_W,
-    objective="makespan",
+    objective: Objective | str = Objective.MAKESPAN,
     queue_capacity: int = 64,
     executor: str | None = None,
     seed=None,
@@ -265,7 +266,6 @@ def serve_async(
     (``fleet`` — a :class:`~repro.core.fleet.Fleet` or its ``to_dict()``
     payload; each shard then schedules over per-node sessions).
     """
-    objective_name = getattr(objective, "value", None) or str(objective)
     fleet_dict = (
         fleet.to_dict() if hasattr(fleet, "to_dict") else fleet
     )
@@ -273,7 +273,7 @@ def serve_async(
         ShardConfig(
             method=method,
             cap_w=cap_w,
-            objective=objective_name,
+            objective=Objective.coerce(objective).value,
             queue_capacity=queue_capacity,
             executor=executor,
             seed=seed,

@@ -42,7 +42,8 @@ from repro.hardware.frequency import FrequencySetting
 from repro.hardware.processor import IntegratedProcessor
 from repro.workload.program import Job
 from repro.core.api import Scheduler
-from repro.core.objectives import Objective, governor_for
+from repro.core.objectives import governor_for
+from repro.objective import Objective
 from repro.engine.sim import SimCore
 from repro.engine.tracing import JobCompletion
 from repro.model.characterize import characterize_space

@@ -64,7 +64,8 @@ SpeedScale: TypeAlias = float
 #: A node's power-rating multiplier: ``scaled_w = power_w * power_scale``.
 PowerScale: TypeAlias = float
 
-#: The bicriteria exchange rate of ``Objective.MAKESPAN_ENERGY``:
+#: The bicriteria exchange rate of ``Objective.MAKESPAN_ENERGY``
+#: (:data:`repro.objective.MAKESPAN_ENERGY_RHO`, its one definition):
 #: multiplying joules by it yields comparable seconds.
 SecondsPerJoule: TypeAlias = float
 

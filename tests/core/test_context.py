@@ -43,7 +43,7 @@ class TestConstruction:
         )
 
     def test_evaluator_bound_to_objective_and_cache(self, ctx):
-        assert ctx.evaluator.objective == "makespan"
+        assert ctx.evaluator.objective is Objective.MAKESPAN
         assert ctx.evaluator.cache is ctx.cache
 
     def test_tensor_backend_wraps_the_predictor(self, predictor, rodinia_jobs):
@@ -88,7 +88,7 @@ class TestDerivation:
         energy = ctx.with_objective("energy")
         assert energy.cache is ctx.cache
         assert energy.evaluator is not ctx.evaluator
-        assert energy.evaluator.objective == "energy"
+        assert energy.evaluator.objective is Objective.ENERGY
 
     def test_with_seed_derives_new_context(self, ctx):
         derived = ctx.with_seed(99)

@@ -10,7 +10,7 @@ from repro.analysis.invariants import SANITIZE_ENV
 from repro.core.context import SchedulingContext
 from repro.core.fleet import Fleet, Node
 from repro.core.fleetsched import fleet_schedule, place_jobs
-from repro.core.objectives import MAKESPAN_ENERGY_RHO, Objective
+from repro.objective import MAKESPAN_ENERGY_RHO, Objective
 from repro.errors import InfeasibleCapError
 
 CAP_W = 15.0

@@ -4,7 +4,7 @@ Satellite coverage for the SchedulingContext refactor:
 
 * every registry method accepts ``objective=`` (enum or string) and
   returns a complete, cap-feasible schedule;
-* ``score_execution`` EDP math;
+* ``ExecutionResult.score`` EDP math;
 * energy-objective schedules spend no more energy than the
   makespan-objective schedule on the seed workload;
 * the refactor is behavior-preserving: under the default (makespan)
@@ -19,7 +19,7 @@ from repro.core.baselines import default_partition, random_schedule
 from repro.core.context import SchedulingContext
 from repro.core.feasibility import predicted_power
 from repro.core.hcs import hcs_schedule
-from repro.core.objectives import Objective, score_execution
+from repro.objective import Objective
 from repro.core.runtime import CoScheduleRuntime
 from repro.core.schedule import CoSchedule
 
@@ -84,10 +84,10 @@ class TestScoreExecutionMath:
     def test_edp_is_energy_times_makespan(self, runtime):
         sched = hcs_schedule(runtime.context()).schedule
         execution = runtime.execute(sched)
-        assert score_execution(execution, "edp") == pytest.approx(
+        assert execution.score("edp") == pytest.approx(
             execution.energy_j * execution.makespan_s
         )
-        assert score_execution(execution, Objective.EDP) == pytest.approx(
+        assert execution.score(Objective.EDP) == pytest.approx(
             execution.edp_js
         )
 
@@ -95,15 +95,13 @@ class TestScoreExecutionMath:
         sched = hcs_schedule(runtime.context()).schedule
         execution = runtime.execute(sched)
         for objective in Objective:
-            assert score_execution(execution, objective) == score_execution(
-                execution, objective.value
-            )
+            assert execution.score(objective) == execution.score(objective.value)
 
     def test_unknown_objective_rejected(self, runtime):
         sched = hcs_schedule(runtime.context()).schedule
         execution = runtime.execute(sched)
         with pytest.raises(ValueError):
-            score_execution(execution, "latency")
+            execution.score("latency")
 
 
 class TestEnergyObjectiveSavesEnergy:

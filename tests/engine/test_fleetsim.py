@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.context import SchedulingContext
 from repro.core.fleet import Fleet, Node
-from repro.core.objectives import MAKESPAN_ENERGY_RHO
+from repro.objective import MAKESPAN_ENERGY_RHO
 from repro.core.fleetsched import fleet_schedule
 from repro.engine import FleetSim, run, run_fleet
 from repro.engine.sim import PenaltyModel, Scenario

@@ -105,3 +105,28 @@ class TestStudies:
         result = robustness.run()
         assert "noise_worst_degradation_frac" in result.headline
         assert result.headline["sampled_vs_offline_makespan"] < 1.25
+
+
+class TestHeadline:
+    def test_hcs_over_astar_divides_by_the_astar_row(self, monkeypatch):
+        # Fixed study rows, so the driver runs no search: HCS 150 s, GA
+        # 140 s, A* 120 s.  The headline is HCS over A*, not over GA.
+        monkeypatch.setattr(
+            robustness, "noise_sweep", lambda: [("sigma=0.00", 10.0)]
+        )
+        monkeypatch.setattr(
+            robustness,
+            "sampled_profiles_study",
+            lambda: {"offline_makespan_s": 10.0, "sampled_makespan_s": 11.0},
+        )
+        monkeypatch.setattr(
+            robustness,
+            "search_headroom",
+            lambda: [
+                ("hcs (greedy)", 150.0),
+                ("genetic algorithm", 140.0),
+                ("a* (2458 nodes)", 120.0),
+            ],
+        )
+        result = robustness.run()
+        assert result.headline["hcs_over_astar"] == pytest.approx(1.25)

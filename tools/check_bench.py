@@ -5,7 +5,8 @@ Reads ``BENCH_results.json`` (written by ``benchmarks/conftest.py`` at the
 end of every benchmark session) and fails when a gated entry misses its
 threshold or the file is missing/malformed.
 
-Five gates are implemented:
+Five gates are implemented, each a group of rows in the ``CHECKS`` table
+that one loop reads:
 
 * **tensor** (default): the tensor backend's recorded speedup over the
   cold-cache scalar baseline must meet ``--min-speedup``, with no scalar
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -79,202 +81,136 @@ SOLVERS_ENTRY = "population_ga_refine"
 DEFAULT_MIN_SOLVER_SPEEDUP = 3.0
 
 
-def _check_tensor(benchmarks: dict, min_speedup: float) -> list[str]:
-    entry = benchmarks.get(TENSOR_ENTRY)
-    if entry is None:
-        return [f"missing the {TENSOR_ENTRY!r} entry"]
 
+
+#: Gate -> (results entry, the benchmark that writes it, success line).
+#: The success line is formatted with the entry's fields and the floors.
+GATES = {
+    "tensor": (
+        TENSOR_ENTRY,
+        "benchmarks/test_tensor_backend.py",
+        "tensor backend {speedup:.2f}x >= {min_speedup:g}x "
+        "(scalar {scalar_s:.3f}s, tensor {tensor_s:.3f}s)",
+    ),
+    "sim": (
+        SIM_ENTRY,
+        "benchmarks/test_sim_core.py",
+        "sim core {events:g} events at {events_per_s:,.0f}/s >= "
+        "{min_event_rate:,.0f}/s (wall {wall_s:.3f}s)",
+    ),
+    "service": (
+        SERVICE_ENTRY,
+        "benchmarks/test_service_throughput.py",
+        "service tier {submissions:g} submissions at {submissions_per_s:,.0f}/s "
+        ">= {min_submissions_per_s:,.0f}/s (p99 turnaround "
+        "{p99_turnaround_s:.3f}s, overload rejected {overload_rejected:g} at "
+        "{overload_submissions_per_s:,.0f}/s)",
+    ),
+    "fleet": (
+        FLEET_ENTRY,
+        "benchmarks/test_fleet_solvers.py",
+        "fleet tier {makespan_speedup:.2f}x >= {min_fleet_speedup:g}x over one "
+        "APU ({n_nodes:g} nodes, {completed:g}/{n_jobs:g} jobs executed, "
+        "{fleet_violations:g} violations)",
+    ),
+    "solvers": (
+        SOLVERS_ENTRY,
+        "benchmarks/test_population_solvers.py",
+        "population solvers {speedup:.2f}x >= {min_solver_speedup:g}x over the "
+        "per-schedule tensor baseline (scores {baseline_score:.4f} -> "
+        "{vectorized_score:.4f}, baseline {baseline_s:.3f}s, vectorized "
+        "{vectorized_s:.3f}s)",
+    ),
+}
+
+#: What a field holding no number means: a failure saying so, the row's own
+#: failure message, or a pass when the field is absent altogether.
+NUMERIC, FAIL, OPTIONAL = "numeric", "fail", "optional"
+
+#: One row per check: (gate, field, comparison, bound, failure message,
+#: no-number rule).  ``field`` is a dotted path into the gate's entry.  The
+#: check passes when ``value <comparison> bound``; ``bound`` is a number, a
+#: floor's name (its command-line ``--min-*`` value), or ``"=field"`` — a
+#: reference field of the same entry.  A ``None`` comparison only asks for
+#: a number.  Messages see ``{value}`` and ``{bound}``.
+CHECKS = (
+    ("tensor", "speedup", ">=", "min_speedup",
+     "tensor speedup {value:.2f}x is below the {bound:g}x gate", NUMERIC),
+    ("tensor", "tensor_stats.tensor_scalar_fallbacks", "==", 0,
+     "{value:g} scalar fallbacks on a fully tensorizable workload", OPTIONAL),
+    ("sim", "events", ">=", "min_events",
+     "trace processed {value:g} events, below the {bound:g}-event floor", NUMERIC),
+    ("sim", "events_per_s", ">=", "min_event_rate",
+     "event rate {value:,.0f}/s is below the {bound:,.0f}/s gate", NUMERIC),
+    ("service", "submissions_per_s", ">=", "min_submissions_per_s",
+     "submission rate {value:,.0f}/s is below the {bound:,.0f}/s gate", NUMERIC),
+    ("service", "p99_turnaround_s", None, None, "", NUMERIC),
+    ("service", "overload_rejected", ">", 0,
+     "no overload rejections recorded — the 2x-overload backpressure leg "
+     "did not run", FAIL),
+    ("service", "overload_submissions_per_s", ">", 0,
+     "no numeric 'overload_submissions_per_s' recorded", FAIL),
+    ("fleet", "makespan_speedup", ">=", "min_fleet_speedup",
+     "fleet makespan speedup {value:.2f}x is below the {bound:g}x gate", NUMERIC),
+    ("fleet", "scheduled", "==", "=n_jobs",
+     "only {value:g}/{bound:g} jobs scheduled", NUMERIC),
+    ("fleet", "completed", "==", "=n_jobs",
+     "only {value:g}/{bound:g} jobs completed", NUMERIC),
+    ("fleet", "fleet_violations", "==", 0,
+     "fleet invariant verifier reported {value!r} violations", FAIL),
+    ("solvers", "speedup", ">=", "min_solver_speedup",
+     "vectorized speedup {value:.2f}x is below the {bound:g}x gate", NUMERIC),
+    ("solvers", "vectorized_score", "<=", "=baseline_score",
+     "vectorized score {value:.6g} is worse than the scalar trajectory's "
+     "{bound:.6g}", NUMERIC),
+    ("solvers", "population_stats.tensor_population_calls", ">=", 1,
+     "population kernels never engaged (tensor_population_calls < 1)", FAIL),
+)
+
+_COMPARE = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "==": operator.eq,
+    "<=": operator.le,
+}
+
+
+def _lookup(entry: dict, path: str):
+    value = entry
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _gate_failures(gate: str, entry: dict, floors: dict) -> list[str]:
+    name = GATES[gate][0]
     failures: list[str] = []
-    speedup = entry.get("speedup")
-    if not isinstance(speedup, (int, float)):
-        failures.append(f"{TENSOR_ENTRY}: no numeric 'speedup' recorded")
-    elif speedup < min_speedup:
-        failures.append(
-            f"{TENSOR_ENTRY}: tensor speedup {speedup:.2f}x is below the "
-            f"{min_speedup:g}x gate"
-        )
-
-    stats = entry.get("tensor_stats", {})
-    fallbacks = stats.get("tensor_scalar_fallbacks")
-    if fallbacks not in (None, 0, 0.0):
-        failures.append(
-            f"{TENSOR_ENTRY}: {fallbacks:g} scalar fallbacks on a fully "
-            "tensorizable workload"
-        )
-    return failures
-
-
-def _check_sim(
-    benchmarks: dict,
-    min_events: int,
-    min_event_rate: float,
-    *,
-    required: bool,
-) -> list[str]:
-    entry = benchmarks.get(SIM_ENTRY)
-    if entry is None:
-        if required:
-            return [
-                f"missing the {SIM_ENTRY!r} entry (run "
-                "benchmarks/test_sim_core.py first)"
-            ]
-        return []
-
-    failures: list[str] = []
-    events = entry.get("events")
-    if not isinstance(events, (int, float)):
-        failures.append(f"{SIM_ENTRY}: no numeric 'events' recorded")
-    elif events < min_events:
-        failures.append(
-            f"{SIM_ENTRY}: trace processed {events:g} events, below the "
-            f"{min_events:g}-event floor"
-        )
-    rate = entry.get("events_per_s")
-    if not isinstance(rate, (int, float)):
-        failures.append(f"{SIM_ENTRY}: no numeric 'events_per_s' recorded")
-    elif rate < min_event_rate:
-        failures.append(
-            f"{SIM_ENTRY}: event rate {rate:,.0f}/s is below the "
-            f"{min_event_rate:,.0f}/s gate"
-        )
-    return failures
-
-
-def _check_service(
-    benchmarks: dict,
-    min_submissions_per_s: float,
-    *,
-    required: bool,
-) -> list[str]:
-    entry = benchmarks.get(SERVICE_ENTRY)
-    if entry is None:
-        if required:
-            return [
-                f"missing the {SERVICE_ENTRY!r} entry (run "
-                "benchmarks/test_service_throughput.py first)"
-            ]
-        return []
-
-    failures: list[str] = []
-    rate = entry.get("submissions_per_s")
-    if not isinstance(rate, (int, float)):
-        failures.append(
-            f"{SERVICE_ENTRY}: no numeric 'submissions_per_s' recorded"
-        )
-    elif rate < min_submissions_per_s:
-        failures.append(
-            f"{SERVICE_ENTRY}: submission rate {rate:,.0f}/s is below the "
-            f"{min_submissions_per_s:,.0f}/s gate"
-        )
-    p99 = entry.get("p99_turnaround_s")
-    if not isinstance(p99, (int, float)):
-        failures.append(
-            f"{SERVICE_ENTRY}: no numeric 'p99_turnaround_s' recorded"
-        )
-    rejected = entry.get("overload_rejected")
-    if not isinstance(rejected, (int, float)) or rejected <= 0:
-        failures.append(
-            f"{SERVICE_ENTRY}: no overload rejections recorded — the "
-            "2x-overload backpressure leg did not run"
-        )
-    overload_rate = entry.get("overload_submissions_per_s")
-    if not isinstance(overload_rate, (int, float)) or overload_rate <= 0:
-        failures.append(
-            f"{SERVICE_ENTRY}: no numeric 'overload_submissions_per_s' "
-            "recorded"
-        )
-    return failures
-
-
-def _check_fleet(
-    benchmarks: dict,
-    min_fleet_speedup: float,
-    *,
-    required: bool,
-) -> list[str]:
-    entry = benchmarks.get(FLEET_ENTRY)
-    if entry is None:
-        if required:
-            return [
-                f"missing the {FLEET_ENTRY!r} entry (run "
-                "benchmarks/test_fleet_solvers.py first)"
-            ]
-        return []
-
-    failures: list[str] = []
-    speedup = entry.get("makespan_speedup")
-    if not isinstance(speedup, (int, float)):
-        failures.append(
-            f"{FLEET_ENTRY}: no numeric 'makespan_speedup' recorded"
-        )
-    elif speedup < min_fleet_speedup:
-        failures.append(
-            f"{FLEET_ENTRY}: fleet makespan speedup {speedup:.2f}x is below "
-            f"the {min_fleet_speedup:g}x gate"
-        )
-    n_jobs = entry.get("n_jobs")
-    for stage in ("scheduled", "completed"):
-        count = entry.get(stage)
-        if not isinstance(count, (int, float)):
-            failures.append(f"{FLEET_ENTRY}: no numeric {stage!r} recorded")
-        elif count != n_jobs:
-            failures.append(
-                f"{FLEET_ENTRY}: only {count:g}/{n_jobs:g} jobs {stage}"
-            )
-    violations = entry.get("fleet_violations")
-    if violations not in (0, 0.0):
-        failures.append(
-            f"{FLEET_ENTRY}: fleet invariant verifier reported "
-            f"{violations!r} violations"
-        )
-    return failures
-
-
-def _check_solvers(
-    benchmarks: dict,
-    min_solver_speedup: float,
-    *,
-    required: bool,
-) -> list[str]:
-    entry = benchmarks.get(SOLVERS_ENTRY)
-    if entry is None:
-        if required:
-            return [
-                f"missing the {SOLVERS_ENTRY!r} entry (run "
-                "benchmarks/test_population_solvers.py first)"
-            ]
-        return []
-
-    failures: list[str] = []
-    speedup = entry.get("speedup")
-    if not isinstance(speedup, (int, float)):
-        failures.append(f"{SOLVERS_ENTRY}: no numeric 'speedup' recorded")
-    elif speedup < min_solver_speedup:
-        failures.append(
-            f"{SOLVERS_ENTRY}: vectorized speedup {speedup:.2f}x is below "
-            f"the {min_solver_speedup:g}x gate"
-        )
-    vec = entry.get("vectorized_score")
-    base = entry.get("baseline_score")
-    if not isinstance(vec, (int, float)) or not isinstance(
-        base, (int, float)
-    ):
-        failures.append(
-            f"{SOLVERS_ENTRY}: no numeric 'vectorized_score'/"
-            "'baseline_score' recorded"
-        )
-    elif vec > base:
-        failures.append(
-            f"{SOLVERS_ENTRY}: vectorized score {vec:.6g} is worse than "
-            f"the scalar trajectory's {base:.6g}"
-        )
-    stats = entry.get("population_stats", {})
-    calls = stats.get("tensor_population_calls")
-    if not isinstance(calls, (int, float)) or calls < 1:
-        failures.append(
-            f"{SOLVERS_ENTRY}: population kernels never engaged "
-            "(tensor_population_calls < 1)"
-        )
+    for row_gate, field, comparison, bound, message, no_number in CHECKS:
+        if row_gate != gate:
+            continue
+        value = _lookup(entry, field)
+        if not _is_number(value):
+            if no_number == FAIL:
+                failures.append(f"{name}: " + message.format(value=value))
+            elif no_number == NUMERIC or value is not None:
+                failures.append(f"{name}: no numeric {field!r} recorded")
+            continue
+        if comparison is None:
+            continue
+        if isinstance(bound, str) and bound.startswith("="):
+            reference = bound[1:]
+            bound = entry.get(reference)
+            if not _is_number(bound):
+                failures.append(f"{name}: no numeric {reference!r} recorded")
+                continue
+        elif isinstance(bound, str):
+            bound = floors[bound]
+        if not _COMPARE[comparison](value, bound):
+            failures.append(f"{name}: " + message.format(value=value, bound=bound))
     return failures
 
 
@@ -304,27 +240,35 @@ def check(
     if not isinstance(benchmarks, dict):
         return [f"{path}: no 'benchmarks' mapping"]
 
-    only_flags = (sim_only, service_only, fleet_only, solvers_only)
+    floors = {
+        "min_speedup": min_speedup,
+        "min_events": min_events,
+        "min_event_rate": min_event_rate,
+        "min_submissions_per_s": min_submissions_per_s,
+        "min_fleet_speedup": min_fleet_speedup,
+        "min_solver_speedup": min_solver_speedup,
+    }
+    only = _only_gates(sim_only, service_only, fleet_only, solvers_only)
+    # Default mode requires the tensor entry and checks the others when
+    # present (benchmark sessions merge into one results file).
+    required = set(only) or {"tensor"}
     failures: list[str] = []
-    if not any(only_flags):
-        failures += _check_tensor(benchmarks, min_speedup)
-    if not any(only_flags) or sim_only:
-        failures += _check_sim(
-            benchmarks, min_events, min_event_rate, required=sim_only
-        )
-    if not any(only_flags) or service_only:
-        failures += _check_service(
-            benchmarks, min_submissions_per_s, required=service_only
-        )
-    if not any(only_flags) or fleet_only:
-        failures += _check_fleet(
-            benchmarks, min_fleet_speedup, required=fleet_only
-        )
-    if not any(only_flags) or solvers_only:
-        failures += _check_solvers(
-            benchmarks, min_solver_speedup, required=solvers_only
-        )
-    return [f"{path}: {m}" if m.startswith("missing") else m for m in failures]
+    for gate in only or GATES:
+        name, producer, _ = GATES[gate]
+        entry = benchmarks.get(name)
+        if entry is None:
+            if gate in required:
+                failures.append(
+                    f"{path}: missing the {name!r} entry (run {producer} first)"
+                )
+            continue
+        failures += _gate_failures(gate, entry, floors)
+    return failures
+
+
+def _only_gates(sim: bool, service: bool, fleet: bool, solvers: bool) -> list[str]:
+    flags = {"sim": sim, "service": service, "fleet": fleet, "solvers": solvers}
+    return [gate for gate, on in flags.items() if on]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -387,78 +331,29 @@ def main(argv: list[str] | None = None) -> int:
         f"{DEFAULT_MIN_EVENT_RATE:,.0f})",
     )
     args = parser.parse_args(argv)
-    only = [
+    only = _only_gates(
         args.sim_only, args.service_only, args.fleet_only, args.solvers_only
-    ]
-    if sum(only) > 1:
+    )
+    if len(only) > 1:
         parser.error(
             "--sim-only, --service-only, --fleet-only, and --solvers-only "
             "are mutually exclusive"
         )
+    floors = {k: v for k, v in vars(args).items() if k.startswith("min_")}
     failures = check(
         Path(args.results),
-        args.min_speedup,
-        min_events=args.min_events,
-        min_event_rate=args.min_event_rate,
-        min_submissions_per_s=args.min_submissions_per_s,
-        min_fleet_speedup=args.min_fleet_speedup,
-        min_solver_speedup=args.min_solver_speedup,
         sim_only=args.sim_only,
         service_only=args.service_only,
         fleet_only=args.fleet_only,
         solvers_only=args.solvers_only,
+        **floors,
     )
     for message in failures:
         print(f"FAIL: {message}", file=sys.stderr)
     if not failures:
-        payload = json.loads(Path(args.results).read_text())
-        benchmarks = payload["benchmarks"]
-        if args.sim_only:
-            entry = benchmarks[SIM_ENTRY]
-            print(
-                f"ok: sim core {entry['events']:g} events at "
-                f"{entry['events_per_s']:,.0f}/s >= "
-                f"{args.min_event_rate:,.0f}/s "
-                f"(wall {entry['wall_s']:.3f}s)"
-            )
-        elif args.fleet_only:
-            entry = benchmarks[FLEET_ENTRY]
-            print(
-                f"ok: fleet tier {entry['makespan_speedup']:.2f}x >= "
-                f"{args.min_fleet_speedup:g}x over one APU "
-                f"({entry['n_nodes']:g} nodes, "
-                f"{entry['completed']:g}/{entry['n_jobs']:g} jobs executed, "
-                f"{entry['fleet_violations']:g} violations)"
-            )
-        elif args.solvers_only:
-            entry = benchmarks[SOLVERS_ENTRY]
-            print(
-                f"ok: population solvers {entry['speedup']:.2f}x >= "
-                f"{args.min_solver_speedup:g}x over the per-schedule "
-                f"tensor baseline (scores "
-                f"{entry['baseline_score']:.4f} -> "
-                f"{entry['vectorized_score']:.4f}, "
-                f"baseline {entry['baseline_s']:.3f}s, "
-                f"vectorized {entry['vectorized_s']:.3f}s)"
-            )
-        elif args.service_only:
-            entry = benchmarks[SERVICE_ENTRY]
-            print(
-                f"ok: service tier {entry['submissions']:g} submissions at "
-                f"{entry['submissions_per_s']:,.0f}/s >= "
-                f"{args.min_submissions_per_s:,.0f}/s "
-                f"(p99 turnaround {entry['p99_turnaround_s']:.3f}s, "
-                f"overload rejected {entry['overload_rejected']:g} at "
-                f"{entry['overload_submissions_per_s']:,.0f}/s)"
-            )
-        else:
-            entry = benchmarks[TENSOR_ENTRY]
-            print(
-                f"ok: tensor backend {entry['speedup']:.2f}x >= "
-                f"{args.min_speedup:g}x "
-                f"(scalar {entry['scalar_s']:.3f}s, "
-                f"tensor {entry['tensor_s']:.3f}s)"
-            )
+        name, _, summary = GATES[only[0] if only else "tensor"]
+        entry = json.loads(Path(args.results).read_text())["benchmarks"][name]
+        print("ok: " + summary.format(**entry, **floors))
     return 1 if failures else 0
 
 
