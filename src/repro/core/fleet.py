@@ -30,6 +30,7 @@ Cap arithmetic for a fleet lives here and in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import InfeasibleCapError
@@ -55,12 +56,14 @@ class Node:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a node needs a non-empty name")
-        if self.speed_scale <= 0:
-            raise ValueError(f"{self.name}: speed_scale must be positive")
-        if self.power_scale <= 0:
-            raise ValueError(f"{self.name}: power_scale must be positive")
-        if self.cap_w is not None and self.cap_w <= 0:
-            raise ValueError(f"{self.name}: cap_w must be positive")
+        # `not (x > 0)` also refuses NaN, which `x <= 0` lets through.
+        if not (self.speed_scale > 0 and math.isfinite(self.speed_scale)):
+            raise ValueError(f"{self.name}: speed_scale must be finite and positive")
+        if not (self.power_scale > 0 and math.isfinite(self.power_scale)):
+            raise ValueError(f"{self.name}: power_scale must be finite and positive")
+        cap = self.cap_w
+        if cap is not None and not (cap > 0 and math.isfinite(cap)):
+            raise ValueError(f"{self.name}: cap_w must be finite and positive")
 
     @property
     def trivial(self) -> bool:
@@ -107,8 +110,9 @@ class Fleet:
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"node names must be unique, got {names}")
-        if self.budget_w is not None and self.budget_w <= 0:
-            raise ValueError("budget_w must be positive")
+        budget = self.budget_w
+        if budget is not None and not (budget > 0 and math.isfinite(budget)):
+            raise ValueError("budget_w must be finite and positive")
         capless = [n for n in self.nodes if n.cap_w is None]
         if self.budget_w is None:
             if capless:

@@ -51,12 +51,7 @@ from repro.engine.sim import (
     run,
 )
 from repro.engine.feedback import ReactiveCapController, execute_with_reactive_cap
-from repro.engine.fleetsim import (
-    FleetExecutionResult,
-    FleetSim,
-    NodeExecution,
-    run_fleet,
-)
+from repro.engine.fleetsim import FleetExecutionResult, NodeExecution, run_fleet
 
 __all__ = [
     "PhaseTiming",
@@ -83,7 +78,6 @@ __all__ = [
     "ReactiveCapController",
     "execute_with_reactive_cap",
     "FleetExecutionResult",
-    "FleetSim",
     "NodeExecution",
     "run_fleet",
 ]

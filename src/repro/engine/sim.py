@@ -516,20 +516,13 @@ class _PreemptRec:
 
 @dataclass
 class _Suspended:
-    """Checkpointed progress of a preempted job.
-
-    ``foreign`` marks a checkpoint imported from another node's core (a
-    cross-node handoff in a fleet): resuming it pays the migration penalty
-    even when the device kind matches, because the state still crossed a
-    machine boundary.
-    """
+    """Checkpointed progress of a preempted job."""
 
     job: Job
     kind: DeviceKind
     phase_idx: int
     phase_frac: float
     rec: _PreemptRec
-    foreign: bool = False
 
 
 class SimCore:
@@ -716,48 +709,6 @@ class SimCore:
         self._pending.remove(job)
         self._place(job, target, from_pool=False)
         return job
-
-    def export_checkpoint(self, uid: str) -> _Suspended:
-        """Detach a preempted job's checkpoint for adoption by another core.
-
-        The job must currently be suspended (preempted and back in the
-        pending pool).  After export this core forgets the job entirely;
-        hand the returned state to :meth:`adopt_checkpoint` on the
-        destination core.  The preemption record travels with the
-        checkpoint, so the resume fields are filled in (in the destination
-        core's native time) when the job is placed again.
-        """
-        sus = self._suspended.get(uid)
-        if sus is None:
-            raise KeyError(f"job {uid!r} has no suspended checkpoint to export")
-        self._pending.remove(sus.job)
-        del self._suspended[uid]
-        self._uids.discard(uid)
-        del self._arrivals[uid]
-        self._deadlines.pop(uid, None)
-        return sus
-
-    def adopt_checkpoint(
-        self, state: _Suspended, *, deadline_s: float | None = None
-    ) -> None:
-        """Admit a checkpoint exported from another core.
-
-        The job lands in this core's pending pool marked *foreign*, so its
-        eventual placement pays the :class:`PenaltyModel` migration cost on
-        top of the resume cost even if it lands on the same device kind it
-        left — the state crossed a machine boundary.
-        """
-        uid = state.job.uid
-        if uid in self._uids:
-            raise ValueError(f"job {uid!r} already known to this core")
-        self._uids.add(uid)
-        self._arrivals[uid] = self.now
-        if deadline_s is not None:
-            self._deadlines[uid] = deadline_s
-        state.foreign = True
-        self._suspended[uid] = state
-        self._pending.append(state.job)
-        self._emit(EventKind.ARRIVAL, job=uid)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -953,7 +904,7 @@ class SimCore:
         if sus is not None:
             runner.seek(sus.phase_idx, sus.phase_frac)
             pen = self._penalties.resume_cost_s
-            migrated = sus.foreign or kind is not sus.kind
+            migrated = kind is not sus.kind
             if migrated:
                 pen += self._penalties.migrate_s
             warm = self._penalties.warmup_s
@@ -1254,10 +1205,6 @@ class FixedSchedulePolicy:
                 self._solo.popleft()
                 return job
         return None
-
-    def enqueue(self, job: Job, kind: DeviceKind) -> None:
-        """Append a late addition (e.g. a migrated checkpoint) to a queue."""
-        (self._cpu if kind is DeviceKind.CPU else self._gpu).append(job)
 
 
 class SourcePolicy:

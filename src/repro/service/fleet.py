@@ -7,7 +7,8 @@ a :class:`~repro.core.fleet.Fleet` — one independent
 EvalCache, scheduler, and SimCore.  The single-APU daemon is the
 one-node case, ``Fleet.single(cap_w)``.
 
-Clock model (mirrors :mod:`repro.engine.fleetsim`): every node session
+Clock model (the conversions of
+:class:`~repro.engine.fleetsim.NodeExecution`): every node session
 runs in *node-native* time — the calibrated APU physics, with the node's
 power rating folded into the governor via the node-scaled predictor.  The
 facade converts at its boundary: ``wall = native / speed_scale``.  All

@@ -215,9 +215,10 @@ class TestInterprocedural:
         assert dims_codes(vs) == ["REP010"]
 
     def test_foreign_receiver_is_not_checked_against_local_sig(self, tmp_path):
-        # Facades mirror an inner surface with converted units (FleetSim
-        # vs SimCore `add_arrival`); a non-self receiver must not be
-        # checked against the same-module signature of the same name.
+        # Facades mirror an inner surface with converted units
+        # (FleetSession vs ServiceSession `submit`); a non-self receiver
+        # must not be checked against the same-module signature of the
+        # same name.
         vs = lint_snippet(
             tmp_path,
             "src/repro/service/facade.py",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro
@@ -158,6 +160,12 @@ class TestInfeasibleCap:
     def test_schedule_surfaces_infeasible_cap(self, predictor, rodinia_jobs):
         with pytest.raises(InfeasibleCapError):
             schedule(rodinia_jobs, "hcs", cap_w=0.1, predictor=predictor)
+
+    def test_schedule_rejects_nan_cap(self, predictor, rodinia_jobs):
+        # A NaN cap is bad input, not a cap no job fits under.
+        with pytest.raises(ValueError, match="cap_w must be finite and positive") as exc:
+            schedule(rodinia_jobs, "hcs", cap_w=math.nan, predictor=predictor)
+        assert not isinstance(exc.value, InfeasibleCapError)
 
     def test_require_feasible_pair_settings(self, predictor, rodinia_jobs):
         a, b = rodinia_jobs[0].uid, rodinia_jobs[1].uid

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.fleet import Fleet, Node, NodePredictor, node_predictor
@@ -27,6 +29,12 @@ class TestNode:
             {"name": "n0", "speed_scale": -1.0},
             {"name": "n0", "power_scale": 0.0},
             {"name": "n0", "cap_w": 0.0},
+            {"name": "n0", "speed_scale": math.nan},
+            {"name": "n0", "speed_scale": math.inf},
+            {"name": "n0", "power_scale": math.nan},
+            {"name": "n0", "power_scale": math.inf},
+            {"name": "n0", "cap_w": math.nan},
+            {"name": "n0", "cap_w": math.inf},
         ],
     )
     def test_invalid_nodes_rejected(self, kwargs):
@@ -72,6 +80,10 @@ class TestFleet:
     def test_capless_node_without_budget_rejected(self):
         with pytest.raises(ValueError, match="budget_w"):
             Fleet(nodes=(Node("n0"),))
+
+    def test_non_finite_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget_w"):
+            Fleet(nodes=(Node("n0"),), budget_w=math.nan)
 
     def test_exhausted_budget_rejected(self):
         with pytest.raises(ValueError, match="exhaust"):

@@ -1,8 +1,6 @@
-"""Fleet execution engine: per-node cores, wall clock, cross-node migration."""
+"""Fleet execution engine: per-node runs aggregated on the wall clock."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -10,8 +8,8 @@ from repro.core.context import SchedulingContext
 from repro.core.fleet import Fleet, Node
 from repro.objective import MAKESPAN_ENERGY_RHO
 from repro.core.fleetsched import fleet_schedule
-from repro.engine import FleetSim, run, run_fleet
-from repro.engine.sim import PenaltyModel, Scenario
+from repro.engine import run, run_fleet
+from repro.engine.sim import Scenario
 
 CAP_W = 15.0
 
@@ -109,83 +107,3 @@ class TestRunFleet:
         assert payload["makespan_s"] == execution.makespan_s  # repro: noqa REP003 -- dict round-trip of the same float
         assert payload["budget_w"] == FLEET.budget_w
         assert set(payload["nodes"]) == {e.node for e in execution.entries}
-
-
-class TestFleetSim:
-    def test_live_fixed_replay_matches_run_fleet(self, fleet_ctx):
-        plan = fleet_schedule(fleet_ctx, method="hcs")
-        batch = run_fleet(fleet_ctx, plan)
-
-        fsim = FleetSim(fleet_ctx)
-        for a in plan.assignments:
-            fsim.load_schedule(a.node, a.schedule)
-        fsim.advance_to(math.inf)
-        live = fsim.record()
-        assert fsim.idle
-        # repro: noqa REP003 -- same engine, same plan, same numbers
-        assert live.makespan_s == batch.makespan_s
-
-    def test_wall_clock_conversion(self, fleet_ctx):
-        fsim = FleetSim(fleet_ctx)
-        job = fleet_ctx.jobs[0]
-        fsim.add_arrival("big", job, at_s=4.0)
-        # Native arrival on the 2x node is 8 native seconds.
-        assert fsim.core("big").arrivals[job.uid] == pytest.approx(8.0)
-        assert fsim.wall_now("big") == 0.0
-
-    def test_unknown_node_rejected(self, fleet_ctx):
-        fsim = FleetSim(fleet_ctx)
-        with pytest.raises(KeyError, match="ghost"):
-            fsim.core("ghost")
-
-    def test_advance_without_policy_raises_when_loaded(self, fleet_ctx):
-        fsim = FleetSim(fleet_ctx)
-        fsim.add_arrival("mid", fleet_ctx.jobs[0], at_s=0.0)
-        with pytest.raises(ValueError, match="policy"):
-            fsim.advance_to(10.0)
-
-    def test_context_without_fleet_rejected(self, predictor, rodinia_jobs):
-        class Bare:
-            fleet = None
-
-        with pytest.raises(TypeError, match="fleet"):
-            FleetSim(Bare())
-
-
-class TestCrossNodeMigration:
-    def test_migration_pays_the_penalty_and_completes(self, fleet_ctx):
-        penalties = PenaltyModel(
-            checkpoint_s=0.1, restart_s=0.1, migrate_s=0.5
-        )
-        plan = fleet_schedule(fleet_ctx, method="hcs")
-
-        fsim = FleetSim(fleet_ctx, penalties=penalties)
-        for a in plan.assignments:
-            fsim.load_schedule(a.node, a.schedule)
-        fsim.advance_to(1.0)
-        src = fsim.core("big")
-        assert src.running, "expected the big node busy at wall t=1"
-        kind, victim = next(iter(src.running.items()))
-        src.preempt(kind)
-        fsim.migrate_job(victim.uid, "big", "mid")
-        fsim.advance_to(math.inf)
-
-        record = fsim.record()
-        total = sum(len(e.result.completions) for e in record.entries)
-        assert total == len(fleet_ctx.jobs)
-        mid = record.node_result("mid")
-        assert victim.uid in {c.job for c in mid.completions}
-        # The preemption record stays in the source core's log; the
-        # destination fills in the resume fields when it places the job.
-        moved = [
-            p
-            for p in record.node_result("big").preemptions
-            if p.job == victim.uid
-        ]
-        assert moved and moved[-1].migrated
-        assert moved[-1].penalty_s >= penalties.migrate_s
-
-    def test_same_node_migration_rejected(self, fleet_ctx):
-        fsim = FleetSim(fleet_ctx)
-        with pytest.raises(ValueError, match="same"):
-            fsim.migrate_job("x", "big", "big")
