@@ -578,7 +578,7 @@ def _simulate(argv: list[str]) -> int:
             policy = (
                 FifoOnlinePolicy()
                 if args.policy == "fifo"
-                else HcsOnlinePolicy(ctx.predictor, args.cap_w)
+                else HcsOnlinePolicy(ctx)
             )
             scenario = Scenario(jobs=specs, until_s=until_s)
             execution = run(ctx, scenario, policy=policy)

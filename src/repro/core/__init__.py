@@ -46,7 +46,7 @@ from repro.core.greedy import greedy_schedule
 from repro.core.refine import refine_schedule
 from repro.core.hcs import HcsResult, hcs_schedule
 from repro.core.bounds import LowerBoundDetail, lower_bound
-from repro.core.baselines import default_partition, default_schedule, random_schedule
+from repro.core.baselines import default_partition, random_schedule
 from repro.core.bruteforce import brute_force_best
 from repro.core.astar import AStarScheduler, astar_schedule
 from repro.core.genetic import GaConfig, GeneticScheduler, genetic_schedule
@@ -97,7 +97,6 @@ __all__ = [
     "LowerBoundDetail",
     "lower_bound",
     "random_schedule",
-    "default_schedule",
     "default_partition",
     "brute_force_best",
     "AStarScheduler",

@@ -125,41 +125,29 @@ def default_partition(
     )
 
 
-def default_schedule(table: ProfileTable, jobs: Sequence[Job]) -> DefaultPartition:
-    """Alias of :func:`default_partition` (the Default baseline has no
-    further ordering decisions: the GPU partition runs in rank order and the
-    CPU partition is launched simultaneously)."""
-    return default_partition(table, jobs)
-
-
-class RandomOnlineSource:
+class RandomOnlinePolicy:
     """Online Random policy (the paper's actual baseline semantics).
 
-    Whenever a processor goes idle it receives a uniformly random remaining
+    Whenever a processor goes idle it receives a uniformly random arrived
     job — or, with probability ``idle_prob`` (and only while the other
     processor is busy), it is left idle until the next scheduling event.
     """
 
     def __init__(
         self,
-        jobs: Sequence[Job],
-        *,
         seed: int | np.random.Generator | None = None,
         idle_prob: float = DEFAULT_SOLO_PROB,
     ) -> None:
         if not 0.0 <= idle_prob <= 1.0:
             raise ValueError("idle_prob must be a probability")
-        self._pool = list(jobs)
         self._rng = default_rng(seed)
         self.idle_prob = idle_prob
 
-    def remaining(self) -> int:
-        return len(self._pool)
-
-    def next_job(self, kind, other_job, other_busy, now_s):
-        if not self._pool:
+    def __call__(
+        self, kind: DeviceKind, available: list[Job], other: Job | None, now: float
+    ) -> Job | None:
+        if not available:
             return None
-        if other_busy and self._rng.random() < self.idle_prob:
+        if other is not None and self._rng.random() < self.idle_prob:
             return None
-        idx = int(self._rng.integers(len(self._pool)))
-        return self._pool.pop(idx)
+        return available[int(self._rng.integers(len(available)))]

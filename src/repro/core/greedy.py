@@ -133,13 +133,18 @@ class _TableSource:
         return self.solo_t[kind][i]
 
 
-def _source(
+def pairing_source(
     predictor: CoRunPredictor,
     categorized: Categorized,
     cap_w: float,
     governor: ModelGovernor,
 ) -> _ScalarSource | _TableSource:
-    """The table source when the tables answer every job, else the scalar one."""
+    """Step 3's numbers for the categorized jobs, from one source per call.
+
+    The table source when the governor's tables answer every job, else the
+    scalar one; both give the same floats.  Each answers ``best_time(job,
+    kind)``, ``interference(cpu_job, gpu_job)`` and ``step_times``.
+    """
     served = PairTables.serving(governor)
     if served is not None and governor.predictor is predictor:
         tables, tensor = served
@@ -272,7 +277,7 @@ def greedy_schedule(
     job, otherwise the scalar predictor and governor.  Both give the same
     floats, so the queue orders are identical.
     """
-    source = _source(predictor, categorized, cap_w, governor)
+    source = pairing_source(predictor, categorized, cap_w, governor)
     state = _GreedyState(categorized, source)
     cpu_order: list[Job] = []
     gpu_order: list[Job] = []

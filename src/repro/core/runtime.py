@@ -43,7 +43,7 @@ from repro.engine.multiprog import DEFAULT_CS_OVERHEAD
 from repro.engine.sim import ExecutionResult, Scenario
 from repro.model.space import DegradationSpace
 from repro.core.api import dispatch
-from repro.core.baselines import RandomOnlineSource, default_partition
+from repro.core.baselines import RandomOnlinePolicy, default_partition
 from repro.core.bounds import lower_bound
 from repro.core.context import SchedulingContext, build_predictor
 from repro.core.freqpolicy import Bias, BiasedGovernor
@@ -172,13 +172,14 @@ class CoScheduleRuntime:
 
     def run_random(self, *, seed=None, bias: Bias = Bias.GPU) -> ScheduleOutcome:
         """One Random-baseline sample: online random picks under a biased
-        cap policy (the paper's semantics — an idle processor grabs a random
-        remaining job, or is occasionally left idle)."""
+        cap policy (the paper's semantics — the whole batch is present at
+        time zero, and an idle processor grabs a random remaining job or
+        is occasionally left idle)."""
         return self._outcome(
             self.context(),
             "random",
-            Scenario(),
-            policy=RandomOnlineSource(self.jobs, seed=seed),
+            Scenario.from_arrivals([(job, 0.0) for job in self.jobs]),
+            policy=RandomOnlinePolicy(seed),
             governor=BiasedGovernor(self.predictor, self.cap_w, bias),
         )
 

@@ -43,7 +43,6 @@ from repro.engine.sim import (
     DeviceInterval,
     ExecutionResult,
     JobSpec,
-    OnlineJobSource,
     PenaltyModel,
     PreemptionRecord,
     Scenario,
@@ -69,7 +68,6 @@ __all__ = [
     "DeviceInterval",
     "ExecutionResult",
     "JobSpec",
-    "OnlineJobSource",
     "PenaltyModel",
     "PreemptionRecord",
     "Scenario",

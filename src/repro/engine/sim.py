@@ -72,25 +72,6 @@ _DEADLINE_EPS = 1e-9
 _STUCK_DEFAULT = "policy declined to issue a job with both processors idle"
 
 
-class OnlineJobSource:
-    """Protocol for online (work-conserving-ish) scheduling policies.
-
-    ``next_job`` is consulted whenever a processor goes idle.  It may return
-    ``None`` to leave the processor idle until the next event, but only while
-    the other processor is busy (``other_busy=True``); with both processors
-    idle and jobs remaining, a job must be issued or the execution cannot
-    make progress.
-    """
-
-    def next_job(
-        self, kind: DeviceKind, other_job: Job | None, other_busy: bool, now_s: float
-    ) -> Job | None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def remaining(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 # ----------------------------------------------------------------------
 # Scenario description
 # ----------------------------------------------------------------------
@@ -155,8 +136,8 @@ class Scenario:
       ``execute_default_schedule`` semantics).  ``cs_overhead`` (>= 0)
       applies to this mode only and is rejected anywhere else.
     * **arrivals** — otherwise: ``jobs`` arrive over time and a policy
-      (or an :class:`OnlineJobSource`) places them (the old
-      ``execute_with_arrivals`` / ``execute_online`` semantics).
+      places them (the old ``execute_with_arrivals`` / ``execute_online``
+      semantics; a batch is every job arriving at time zero).
 
     ``cap_changes`` schedules governor swaps at fixed virtual times (a
     power-cap trace); ``penalties`` prices preemption and migration;
@@ -537,10 +518,8 @@ class SimCore:
     :meth:`migrate` calls, scheduled cap changes, and deadlines.
 
     Policies are callables ``(kind, pending, other_job, now) -> Job|None``
-    and may additionally provide:
+    that pick from the arrived jobs, and may additionally provide:
 
-    * ``has_work()`` — overrides "is anything pending?" (job sources that
-      mint jobs on demand);
     * ``on_event(sim, event)`` — hook invoked at every discrete event
       (arrival, start/resume, completion, preemption, cap change,
       deadline), where rescheduling decisions can preempt or migrate;
@@ -706,8 +685,7 @@ class SimCore:
             uid = job.uid if job is not None else "<idle>"
             raise RuntimeError(f"cannot migrate {uid!r}: {target} is busy")
         job = self.preempt(kind)
-        self._pending.remove(job)
-        self._place(job, target, from_pool=False)
+        self._place(job, target)
         return job
 
     # ------------------------------------------------------------------
@@ -886,14 +864,10 @@ class SimCore:
                 if uid in self._deadlines and uid not in self._finish:
                     self._emit(EventKind.DEADLINE, job=uid, at_s=at_s)
 
-    def _place(self, job: Job, kind: DeviceKind, *, from_pool: bool) -> None:
-        """Put ``job`` on device ``kind`` (fresh start or post-preemption)."""
-        if from_pool:
-            self._pending.remove(job)
-        elif job.uid not in self._uids:
-            # Online-source job: first sighting — register its metadata.
-            self._uids.add(job.uid)
-            self._arrivals.setdefault(job.uid, self.now)
+    def _place(self, job: Job, kind: DeviceKind) -> None:
+        """Move pending ``job`` onto device ``kind`` (fresh start or
+        post-preemption)."""
+        self._pending.remove(job)
         if kind is DeviceKind.CPU:
             fmax = self.processor.cpu.domain.fmax
         else:
@@ -926,25 +900,21 @@ class SimCore:
             device=str(kind),
         )
 
-    def _try_start(self, policy, have) -> list[tuple[Job, DeviceKind]]:
+    def _try_start(self, policy) -> list[tuple[Job, DeviceKind]]:
         started: list[tuple[Job, DeviceKind]] = []
-        if self._cpu_run is None and (
-            have() if have is not None else self._pending
-        ):
+        if self._cpu_run is None and self._pending:
             job = policy(
                 DeviceKind.CPU, list(self._pending), self._gpu_job, self.now
             )
             if job is not None:
-                self._place(job, DeviceKind.CPU, from_pool=have is None)
+                self._place(job, DeviceKind.CPU)
                 started.append((job, DeviceKind.CPU))
-        if self._gpu_run is None and (
-            have() if have is not None else self._pending
-        ):
+        if self._gpu_run is None and self._pending:
             job = policy(
                 DeviceKind.GPU, list(self._pending), self._cpu_job, self.now
             )
             if job is not None:
-                self._place(job, DeviceKind.GPU, from_pool=have is None)
+                self._place(job, DeviceKind.GPU)
                 started.append((job, DeviceKind.GPU))
         return started
 
@@ -1013,7 +983,6 @@ class SimCore:
         virtual "now"; jobs arriving exactly at the boundary are admitted
         and may start, but no further time passes.
         """
-        have = getattr(policy, "has_work", None)
         self._hook = getattr(policy, "on_event", None)
         stuck = getattr(policy, "stuck_message", _STUCK_DEFAULT)
         wf = self._penalties.warmup_factor
@@ -1022,12 +991,10 @@ class SimCore:
             for _ in range(_MAX_EVENTS):
                 self._admit()
                 self._fire_timed()
-                started = self._try_start(policy, have)
+                started = self._try_start(policy)
 
                 if self._cpu_run is None and self._gpu_run is None:
                     if not self._pending and not self._future:
-                        if have is not None and have():
-                            raise RuntimeError(stuck)
                         if math.isfinite(until_s) and self.now < until_s:
                             self.now = until_s
                         break
@@ -1207,29 +1174,6 @@ class FixedSchedulePolicy:
         return None
 
 
-class SourcePolicy:
-    """Adapter presenting an :class:`OnlineJobSource` as a SimCore policy."""
-
-    stuck_message = (
-        "online source declined to issue a job with both processors idle"
-    )
-
-    def __init__(self, source: OnlineJobSource):
-        self.source = source
-
-    def has_work(self) -> bool:
-        return self.source.remaining() > 0
-
-    def __call__(
-        self, kind: DeviceKind, available: list[Job], other: Job | None, now: float
-    ) -> Job | None:
-        return self.source.next_job(kind, other, other is not None, now)
-
-
-def _is_source(policy) -> bool:
-    return hasattr(policy, "next_job") and hasattr(policy, "remaining")
-
-
 # ----------------------------------------------------------------------
 # The unified entry point
 # ----------------------------------------------------------------------
@@ -1248,8 +1192,8 @@ def run(
     :class:`~repro.hardware.processor.IntegratedProcessor` (then
     ``governor`` is required) or a ``SchedulingContext`` (its predictor
     supplies the processor; its governor and objective are used unless
-    overridden).  ``policy`` applies to arrival scenarios only and may be
-    a plain callable or an :class:`OnlineJobSource`.
+    overridden).  ``policy`` applies to arrival scenarios only: a
+    ``(kind, available, other, now)`` callable (see :class:`SimCore`).
 
     With ``sanitize`` unset, the invariant verifier referees the result
     when the target context sanitizes or ``REPRO_SANITIZE=1`` is set.
@@ -1326,9 +1270,7 @@ def run(
     else:
         if policy is None:
             raise ValueError("an arrival scenario needs a policy")
-        if _is_source(policy):
-            policy = SourcePolicy(policy)
-        if not scenario.jobs and getattr(policy, "has_work", None) is None:
+        if not scenario.jobs:
             raise ValueError("need at least one arriving job")
         uids = [spec.job.uid for spec in scenario.jobs]
         if len(set(uids)) != len(uids):

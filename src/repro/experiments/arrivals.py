@@ -39,6 +39,7 @@ def run(
     seed: int = 5,
 ) -> ExperimentResult:
     runtime = default_runtime(cap_w=cap_w)
+    ctx = runtime.context()
     jobs = make_jobs(rodinia_programs())
 
     rows = []
@@ -57,7 +58,7 @@ def run(
         hcs = engine_run(
             runtime.processor,
             scenario,
-            policy=HcsOnlinePolicy(runtime.predictor, cap_w),
+            policy=HcsOnlinePolicy(ctx),
             governor=ModelGovernor(runtime.predictor, cap_w),
         )
         label = "batch (gap 0)" if gap == 0 else f"mean gap {gap:.0f}s"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware.device import DeviceKind
 from repro.core.baselines import (
-    RandomOnlineSource,
+    RandomOnlinePolicy,
     default_partition,
     random_schedule,
 )
@@ -33,28 +33,33 @@ class TestRandomSchedule:
             random_schedule(rodinia_jobs, solo_prob=1.5)
 
 
-class TestRandomOnlineSource:
+class TestRandomOnlinePolicy:
     def test_drains_the_pool(self, rodinia_jobs):
-        src = RandomOnlineSource(rodinia_jobs, seed=3, idle_prob=0.0)
+        policy = RandomOnlinePolicy(3, idle_prob=0.0)
+        pool = list(rodinia_jobs)
         drawn = []
-        while src.remaining():
-            job = src.next_job(DeviceKind.CPU, None, False, 0.0)
+        while pool:
+            job = policy(DeviceKind.CPU, pool, None, 0.0)
             assert job is not None
+            pool.remove(job)
             drawn.append(job.uid)
         assert sorted(drawn) == sorted(j.uid for j in rodinia_jobs)
 
     def test_never_declines_when_other_idle(self, rodinia_jobs):
-        src = RandomOnlineSource(rodinia_jobs, seed=3, idle_prob=1.0)
-        job = src.next_job(DeviceKind.CPU, None, False, 0.0)
-        assert job is not None
+        policy = RandomOnlinePolicy(3, idle_prob=1.0)
+        assert policy(DeviceKind.CPU, list(rodinia_jobs), None, 0.0) is not None
 
     def test_always_declines_at_idle_prob_one_with_other_busy(self, rodinia_jobs):
-        src = RandomOnlineSource(rodinia_jobs, seed=3, idle_prob=1.0)
-        assert src.next_job(DeviceKind.CPU, None, True, 0.0) is None
+        policy = RandomOnlinePolicy(3, idle_prob=1.0)
+        jobs = list(rodinia_jobs)
+        assert policy(DeviceKind.CPU, jobs[1:], jobs[0], 0.0) is None
 
     def test_empty_pool_returns_none(self):
-        src = RandomOnlineSource([], seed=0)
-        assert src.next_job(DeviceKind.CPU, None, False, 0.0) is None
+        assert RandomOnlinePolicy(0)(DeviceKind.CPU, [], None, 0.0) is None
+
+    def test_bad_probability_rejected(self):
+        with pytest.raises(ValueError):
+            RandomOnlinePolicy(0, idle_prob=-0.1)
 
 
 class TestDefaultPartition:

@@ -3,14 +3,20 @@
 import pytest
 
 from repro.hardware.device import DeviceKind
+from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import Bias, BiasedGovernor, ModelGovernor
 from repro.core.online import FifoOnlinePolicy, HcsOnlinePolicy
 from repro.engine.sim import Scenario, run
 
 
 @pytest.fixture(scope="module")
-def hcs_policy(predictor):
-    return HcsOnlinePolicy(predictor, 15.0)
+def ctx(predictor, rodinia_jobs):
+    return SchedulingContext.build(rodinia_jobs, cap_w=15.0, predictor=predictor)
+
+
+@pytest.fixture(scope="module")
+def hcs_policy(ctx):
+    return HcsOnlinePolicy(ctx)
 
 
 class TestFifoOnlinePolicy:
@@ -43,9 +49,7 @@ class TestHcsOnlinePolicy:
         picked = hcs_policy(DeviceKind.GPU, pool, None, 0.0)
         assert picked.uid == "streamcluster"
 
-    def test_min_interference_pick_against_corunner(
-        self, hcs_policy, predictor, rodinia_jobs
-    ):
+    def test_min_interference_pick_against_corunner(self, hcs_policy, rodinia_jobs):
         """With dwt2d on the CPU, the GPU should prefer a gentle partner
         over the heaviest streamer when both are available."""
         by_name = {j.uid: j for j in rodinia_jobs}
@@ -53,19 +57,28 @@ class TestHcsOnlinePolicy:
         picked = hcs_policy(DeviceKind.GPU, pool, by_name["dwt2d"], 0.0)
         assert picked.uid == "hotspot"
 
+    def test_arrival_outside_the_context_is_rejected(self, predictor, rodinia_jobs):
+        policy = HcsOnlinePolicy(
+            SchedulingContext.build(rodinia_jobs[:4], cap_w=15.0, predictor=predictor)
+        )
+        with pytest.raises(ValueError, match="not among the context's jobs"):
+            policy(DeviceKind.GPU, list(rodinia_jobs[3:5]), None, 0.0)
+
     def test_full_workload_drains_without_deadlock(
-        self, processor, predictor, rodinia_jobs
+        self, ctx, processor, predictor, rodinia_jobs
     ):
         arrivals = [(job, 3.0 * i) for i, job in enumerate(rodinia_jobs)]
         result = run(
             processor,
             Scenario.from_arrivals(arrivals),
-            policy=HcsOnlinePolicy(predictor, 15.0),
+            policy=HcsOnlinePolicy(ctx),
             governor=ModelGovernor(predictor, 15.0),
         )
         assert len(result.execution.completions) == len(rodinia_jobs)
 
-    def test_beats_fifo_on_the_batch_case(self, processor, predictor, rodinia_jobs):
+    def test_beats_fifo_on_the_batch_case(
+        self, ctx, processor, predictor, rodinia_jobs
+    ):
         arrivals = [(job, 0.0) for job in rodinia_jobs]
         fifo = run(
             processor, Scenario.from_arrivals(arrivals),
@@ -74,7 +87,7 @@ class TestHcsOnlinePolicy:
         )
         hcs = run(
             processor, Scenario.from_arrivals(arrivals),
-            policy=HcsOnlinePolicy(predictor, 15.0),
+            policy=HcsOnlinePolicy(ctx),
             governor=ModelGovernor(predictor, 15.0),
         )
         assert hcs.makespan_s < fifo.makespan_s

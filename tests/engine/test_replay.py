@@ -127,26 +127,28 @@ class TestQueueReplay:
         assert ex.energy_j == pytest.approx(ex.mean_power_w * ex.makespan_s)
 
 
-class _ScriptedSource:
-    """Online source that plays back a fixed decision list per processor."""
+class _ScriptedPolicy:
+    """Policy that plays back a fixed decision list per processor."""
 
     def __init__(self, cpu_jobs, gpu_jobs):
         self.queues = {DeviceKind.CPU: list(cpu_jobs), DeviceKind.GPU: list(gpu_jobs)}
 
-    def remaining(self):
-        return sum(len(q) for q in self.queues.values())
-
-    def next_job(self, kind, other_job, other_busy, now_s):
-        if self.queues[kind]:
-            return self.queues[kind].pop(0)
+    def __call__(self, kind, available, other, now):
+        queue = self.queues[kind]
+        if queue and queue[0] in available:
+            return queue.pop(0)
         return None
+
+
+def _batch(jobs):
+    return Scenario.from_arrivals([(job, 0.0) for job in jobs])
 
 
 class TestOnlinePolicy:
     def test_matches_queue_replay(self, processor):
         a, b = _job("a"), _job("b")
         online = run(
-            processor, Scenario(), policy=_ScriptedSource([a], [b]),
+            processor, _batch([a, b]), policy=_ScriptedPolicy([a], [b]),
             governor=_max_governor(processor),
         )
         replay = run(
@@ -155,21 +157,21 @@ class TestOnlinePolicy:
         )
         assert online.makespan_s == pytest.approx(replay.makespan_s)
 
-    def test_source_declining_with_both_idle_is_an_error(self, processor):
-        class Stubborn:
-            def remaining(self):
-                return 1
-
-            def next_job(self, kind, other_job, other_busy, now_s):
-                return None
+    def test_policy_declining_with_both_idle_is_an_error(self, processor):
+        def stubborn(kind, available, other, now):
+            return None
 
         with pytest.raises(RuntimeError, match="declined"):
-            run(processor, Scenario(), policy=Stubborn(),
+            run(processor, _batch([_job("a")]), policy=stubborn,
                 governor=_max_governor(processor))
 
     def test_all_jobs_complete(self, processor):
         jobs = [_job(f"j{i}") for i in range(5)]
-        source = _ScriptedSource(jobs[:2], jobs[2:])
-        ex = run(processor, Scenario(), policy=source,
+        ex = run(processor, _batch(jobs), policy=_ScriptedPolicy(jobs[:2], jobs[2:]),
                  governor=_max_governor(processor))
         assert {c.job for c in ex.completions} == {j.uid for j in jobs}
+
+    def test_arrival_scenario_needs_a_job(self, processor):
+        with pytest.raises(ValueError, match="at least one arriving job"):
+            run(processor, Scenario(), policy=_ScriptedPolicy([], []),
+                governor=_max_governor(processor))

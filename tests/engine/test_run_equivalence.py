@@ -15,10 +15,12 @@ import pytest
 
 from repro.analysis.invariants import SANITIZE_ENV
 from repro.core.api import schedule, scheduler_names
-from repro.core.baselines import RandomOnlineSource
+from repro.core.baselines import RandomOnlinePolicy
+from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.online import FifoOnlinePolicy, HcsOnlinePolicy
 from repro.engine.sim import Scenario, run
+from repro.util.rng import default_rng
 from tests.engine._reference import (
     reference_execute_default_schedule,
     reference_execute_online,
@@ -27,6 +29,32 @@ from tests.engine._reference import (
 )
 
 CAP_W = 15.0
+
+
+def _batch(jobs) -> Scenario:
+    """Every job arriving at time zero."""
+    return Scenario.from_arrivals([(job, 0.0) for job in jobs])
+
+
+class _SeededSource:
+    """A job source for the legacy online executor: each idle processor
+    draws a uniformly random remaining job, or with probability
+    ``idle_prob`` stays idle while the other processor is busy."""
+
+    def __init__(self, jobs, *, seed, idle_prob=0.1):
+        self._pool = list(jobs)
+        self._rng = default_rng(seed)
+        self.idle_prob = idle_prob
+
+    def remaining(self):
+        return len(self._pool)
+
+    def next_job(self, kind, other_job, other_busy, now_s):
+        if not self._pool:
+            return None
+        if other_busy and self._rng.random() < self.idle_prob:
+            return None
+        return self._pool.pop(int(self._rng.integers(len(self._pool))))
 
 
 def assert_identical(execution, ref) -> None:
@@ -91,12 +119,17 @@ class TestScenarioByteIdentity:
     def test_arrival_sequences_replay_identically(
         self, processor, predictor, rodinia_jobs, policy_cls
     ):
+        arrivals = [(job, 11.0 * i) for i, job in enumerate(rodinia_jobs[:6])]
+
         def make_policy():
             if policy_cls is None:
-                return HcsOnlinePolicy(predictor, CAP_W)
+                return HcsOnlinePolicy(
+                    SchedulingContext.build(
+                        rodinia_jobs[:6], cap_w=CAP_W, predictor=predictor
+                    )
+                )
             return policy_cls()
 
-        arrivals = [(job, 11.0 * i) for i, job in enumerate(rodinia_jobs[:6])]
         execution = run(
             processor,
             Scenario.from_arrivals(arrivals),
@@ -122,18 +155,23 @@ class TestScenarioByteIdentity:
     def test_online_source_replays_identically(
         self, processor, predictor, rodinia_jobs
     ):
+        """The Random policy over a batch arriving at time zero replays the
+        legacy online executor fed by a seeded job source: same segments
+        and completions.  Arrivals differ by design: the batch's jobs all
+        arrive at zero, where a source's job was stamped when it started."""
         execution = run(
             processor,
-            Scenario(),
-            policy=RandomOnlineSource(rodinia_jobs, seed=11),
+            _batch(rodinia_jobs),
+            policy=RandomOnlinePolicy(11),
             governor=ModelGovernor(predictor, CAP_W),
         )
         ref = reference_execute_online(
             processor,
-            RandomOnlineSource(rodinia_jobs, seed=11),
+            _SeededSource(rodinia_jobs, seed=11),
             ModelGovernor(predictor, CAP_W),
         )
         assert_identical(execution, ref)
+        assert execution.arrivals == {job.uid: 0.0 for job in rodinia_jobs}
 
     def test_timeshare_replays_identically(
         self, processor, predictor, rodinia_jobs
@@ -160,8 +198,8 @@ class TestEventDeterminism:
         def go():
             return run(
                 processor,
-                Scenario(),
-                policy=RandomOnlineSource(rodinia_jobs, seed=5),
+                _batch(rodinia_jobs),
+                policy=RandomOnlinePolicy(5),
                 governor=ModelGovernor(predictor, CAP_W),
                 record_events=True,
             )
@@ -177,8 +215,8 @@ class TestEventDeterminism:
         runs = {
             run(
                 processor,
-                Scenario(),
-                policy=RandomOnlineSource(rodinia_jobs, seed=seed),
+                _batch(rodinia_jobs),
+                policy=RandomOnlinePolicy(seed),
                 governor=ModelGovernor(predictor, CAP_W),
             ).makespan_s
             for seed in range(4)

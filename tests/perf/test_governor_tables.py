@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
-from repro.core.greedy import _ScalarSource, _source, _TableSource
+from repro.core.greedy import _ScalarSource, _TableSource, pairing_source
 from repro.core.categorize import categorize_jobs
 from repro.core.objectives import Objective, governor_for
 from repro.errors import InfeasibleCapError
@@ -143,12 +143,12 @@ def test_subclassed_governor_takes_the_scalar_path(scalar_predictor, jobs):
 def test_greedy_reads_the_tables_only_when_they_answer(scalar_predictor, jobs):
     ctx = SchedulingContext.build(jobs, cap_w=15.0, predictor=scalar_predictor)
     cat = categorize_jobs(ctx.predictor, jobs, 15.0)
-    assert isinstance(_source(ctx.predictor, cat, 15.0, ctx.governor), _TableSource)
+    assert isinstance(pairing_source(ctx.predictor, cat, 15.0, ctx.governor), _TableSource)
     scalar = ctx.with_backend("scalar")
     assert isinstance(
-        _source(scalar.predictor, cat, 15.0, scalar.governor), _ScalarSource
+        pairing_source(scalar.predictor, cat, 15.0, scalar.governor), _ScalarSource
     )
     # A governor over another predictor, or at another cap, is not trusted.
     other = ModelGovernor(tensorize(scalar_predictor), 15.0)
-    assert isinstance(_source(ctx.predictor, cat, 15.0, other), _ScalarSource)
-    assert isinstance(_source(ctx.predictor, cat, 12.0, ctx.governor), _ScalarSource)
+    assert isinstance(pairing_source(ctx.predictor, cat, 15.0, other), _ScalarSource)
+    assert isinstance(pairing_source(ctx.predictor, cat, 12.0, ctx.governor), _ScalarSource)
