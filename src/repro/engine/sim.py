@@ -393,12 +393,7 @@ class ExecutionResult:
                 return c.start_s
         raise KeyError(f"job {job_uid!r} not in execution record")
 
-    # -- legacy ArrivalExecution surface -------------------------------
-    @property
-    def execution(self) -> "ExecutionResult":
-        """Self-reference kept for old ``ArrivalExecution.execution`` users."""
-        return self
-
+    # -- arrival-driven metrics ----------------------------------------
     def turnaround_s(self, uid: str) -> Seconds:
         return self.finish_of(uid) - self.arrivals[uid]
 

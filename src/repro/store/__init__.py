@@ -7,7 +7,9 @@ to a replayable log (:mod:`repro.store.log`) *before* the client is
 acknowledged; in-memory state is nothing but a fold over that log
 (:mod:`repro.store.store`), so a ``kill -9`` at any instant loses at most
 unacknowledged work.  Recovery = load the last snapshot, replay the
-suffix.
+suffix.  Snapshots are incremental: one row per job plus a small
+versioned header, and each snapshot writes only the jobs changed since
+the previous one (:mod:`repro.store.log` has the format).
 """
 
 from repro.store.events import (

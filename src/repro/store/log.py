@@ -9,6 +9,20 @@ Both backends share one contract:
 * ``save_snapshot(seq, state)`` / ``load_snapshot()`` persist a fold of
   the log prefix up to ``seq``, so recovery replays only the suffix.
 
+A snapshot is stored as one row per job plus a small header (cap, clock,
+counters and the format version :data:`SNAPSHOT_VERSION`).
+``save_snapshot`` upserts the rows it is given under ``state["jobs"]``
+and replaces the header, atomically; rows it is not given keep their
+last saved value.  A fold never drops a job, so passing only the jobs
+changed since the previous snapshot — what :class:`~repro.store.JobStore`
+does — writes O(changed jobs), and passing every job writes a full
+snapshot.  ``load_snapshot`` merges the header with every row and
+returns the complete state (header fields plus ``"jobs"``) that
+``StoreState.from_dict`` reads.  A header without a version is the older
+single-blob format (the whole state, jobs included, in one JSON value):
+it loads as is, and the store rewrites every job into rows at its next
+snapshot.
+
 The SQLite backend runs in WAL mode with ``synchronous=NORMAL``: commits
 are durable against process death (the failure mode the service defends
 against — the e2e suite SIGKILLs it mid-burst) without paying an fsync
@@ -25,14 +39,32 @@ from collections.abc import Iterable, Iterator
 
 from repro.store.events import Event, decode_event, encode_event
 
+#: Snapshot format: header plus one row per job.  Headers written before
+#: the per-job rows existed carry no version.
+SNAPSHOT_VERSION = 2
+
+
+def _split_snapshot(state: dict) -> tuple[dict, dict]:
+    """``(header, rows)``: the versioned header and the job rows."""
+    header = {k: v for k, v in state.items() if k != "jobs"}
+    header["version"] = SNAPSHOT_VERSION
+    return header, state.get("jobs", {})
+
+
+def _merge_snapshot(header: dict, rows: Iterable[tuple[str, dict]]) -> dict:
+    """The full state dict: a versioned header plus every job row."""
+    if header.get("version") != SNAPSHOT_VERSION:
+        return header  # single-blob format: the jobs are in the header
+    return {**header, "jobs": dict(rows)}
+
 
 class EventLog:
     """Interface shared by the durable and in-memory backends."""
 
     #: Whether rows survive process death.  The store only *auto*-snapshots
     #: durable logs: a snapshot of an in-memory log cannot outlive the
-    #: process, so taking one every N events is pure O(jobs) overhead on
-    #: the submission path (explicit ``snapshot()`` calls still work).
+    #: process, so taking one every N events is pure overhead on the
+    #: submission path (explicit ``snapshot()`` calls still work).
     durable = False
 
     def append(self, event: Event) -> int:
@@ -68,6 +100,7 @@ class MemoryEventLog(EventLog):
     def __init__(self) -> None:
         self._events: list[Event] = []
         self._snapshot: tuple[int, dict] | None = None
+        self._rows: dict[str, dict] = {}
 
     def append_many(self, events: Iterable[Event]) -> int:
         self._events.extend(events)
@@ -84,12 +117,15 @@ class MemoryEventLog(EventLog):
     def save_snapshot(self, seq: int, state: dict) -> None:
         # Round-trip through JSON so both backends impose the same
         # "snapshot must be JSON-serializable" contract.
-        self._snapshot = (seq, json.loads(json.dumps(state)))
+        header, rows = _split_snapshot(json.loads(json.dumps(state)))
+        self._rows.update(rows)
+        self._snapshot = (seq, header)
 
     def load_snapshot(self) -> tuple[int, dict] | None:
         if self._snapshot is None:
             return None
-        seq, state = self._snapshot
+        seq, header = self._snapshot
+        state = _merge_snapshot(header, self._rows.items())
         return seq, json.loads(json.dumps(state))
 
 
@@ -121,6 +157,11 @@ class SQLiteEventLog(EventLog):
             " seq INTEGER NOT NULL,"
             " state TEXT NOT NULL)"
         )
+        cur.execute(
+            "CREATE TABLE IF NOT EXISTS snapshot_jobs ("
+            " job_id TEXT PRIMARY KEY,"
+            " row TEXT NOT NULL)"
+        )
         self._conn.commit()
 
     def append_many(self, events: Iterable[Event]) -> int:
@@ -149,24 +190,43 @@ class SQLiteEventLog(EventLog):
         return int(row[0] or 0)
 
     def save_snapshot(self, seq: int, state: dict) -> None:
-        blob = json.dumps(state, separators=(",", ":"))
-        with self._lock:
+        header, rows = _split_snapshot(state)
+        blob = json.dumps(header, separators=(",", ":"))
+        encoded = [
+            (job_id, json.dumps(row, separators=(",", ":")))
+            for job_id, row in rows.items()
+        ]
+        # One transaction: a crash (or an error) leaves the previous
+        # snapshot whole.  ``DO UPDATE`` keeps a row's rowid, so rows load
+        # back in first-saved (submission) order.
+        with self._lock, self._conn:
+            self._conn.executemany(
+                "INSERT INTO snapshot_jobs (job_id, row) VALUES (?, ?)"
+                " ON CONFLICT (job_id) DO UPDATE SET row=excluded.row",
+                encoded,
+            )
             self._conn.execute(
                 "INSERT INTO snapshots (id, seq, state) VALUES (1, ?, ?)"
                 " ON CONFLICT (id) DO UPDATE SET seq=excluded.seq,"
                 " state=excluded.state",
                 (seq, blob),
             )
-            self._conn.commit()
 
     def load_snapshot(self) -> tuple[int, dict] | None:
         with self._lock:
             row = self._conn.execute(
                 "SELECT seq, state FROM snapshots WHERE id = 1"
             ).fetchone()
-        if row is None:
-            return None
-        return int(row[0]), json.loads(row[1])
+            if row is None:
+                return None
+            jobs = self._conn.execute(
+                "SELECT job_id, row FROM snapshot_jobs ORDER BY rowid"
+            ).fetchall()
+        # One decode for all rows: the decoder then shares each field-name
+        # string across rows instead of allocating one per row.
+        decoded = json.loads("[" + ",".join(blob for _, blob in jobs) + "]")
+        rows = zip((job_id for job_id, _ in jobs), decoded)
+        return int(row[0]), _merge_snapshot(json.loads(row[1]), rows)
 
     def close(self) -> None:
         with self._lock:

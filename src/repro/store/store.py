@@ -18,13 +18,16 @@ corrupt, and the store refuses to guess.
 :class:`JobStore` wraps a state and a log: ``commit()`` applies events
 and stages them, ``flush()`` group-commits the staged batch durably (the
 service acknowledges clients only after the flush), and ``open()``
-recovers state as snapshot + suffix replay.
+recovers state as snapshot + suffix replay.  Snapshots are incremental:
+the store tracks the jobs touched since its last snapshot and writes only
+their rows, so a snapshot costs O(changed jobs), not O(jobs ever
+submitted).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.store.events import (
@@ -40,7 +43,7 @@ from repro.store.events import (
     JobScheduled,
     JobSubmitted,
 )
-from repro.store.log import EventLog, open_log
+from repro.store.log import SNAPSHOT_VERSION, EventLog, open_log
 
 #: Lifecycle vocabulary (``StoredJob.state``).
 SUBMITTED = "submitted"
@@ -79,16 +82,25 @@ class StoredJob:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in _JOB_FIELDS}
+
+
+#: ``StoredJob`` is flat (atoms only), so its dict form is one getattr per
+#: field — ``dataclasses.asdict``'s recursive deepcopy dominated snapshot
+#: and verifier profiles.
+_JOB_FIELDS = tuple(f.name for f in fields(StoredJob))
 
 
 @dataclass
 class StoreState:
     """The fold target: jobs, idempotency index, cap, clock, counters.
 
-    ``tenant_live`` counts each tenant's live (not yet terminal) jobs —
-    the quota index.  It is derived from ``jobs``: the fold keeps it up
-    to date, construction recomputes it, and snapshots do not carry it.
+    ``idempotency`` maps each key to the job that owns it.  It is a
+    function of ``jobs``: snapshots do not carry it and ``from_dict``
+    rebuilds it from the job records.  ``tenant_live`` counts each
+    tenant's live (not yet terminal) jobs — the quota index.  It is also
+    derived from ``jobs``: the fold keeps it up to date, construction
+    recomputes it, and snapshots do not carry it.
     """
 
     jobs: dict[str, StoredJob] = field(default_factory=dict)
@@ -253,25 +265,37 @@ class StoreState:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
+    def header(self) -> dict:
+        """The non-job part of a snapshot: cap, clock and counters."""
         return {
-            "jobs": {uid: job.as_dict() for uid, job in self.jobs.items()},
-            "idempotency": dict(self.idempotency),
             "cap_w": self.cap_w,
             "now_s": self.now_s,
             "completed": self.completed,
             "rejected": self.rejected,
         }
 
+    def to_dict(self) -> dict:
+        return {
+            "jobs": {uid: job.as_dict() for uid, job in self.jobs.items()},
+            "idempotency": dict(self.idempotency),
+            **self.header(),
+        }
+
     @classmethod
     def from_dict(cls, payload: dict) -> "StoreState":
-        # ``tenant_live`` is not in the payload: construction recounts it.
+        # Neither index is read from the payload: the idempotency index is
+        # rebuilt from the jobs here, and construction recounts
+        # ``tenant_live``.
+        jobs = {
+            uid: StoredJob(**job) for uid, job in payload.get("jobs", {}).items()
+        }
         return cls(
-            jobs={
-                uid: StoredJob(**job)
-                for uid, job in payload.get("jobs", {}).items()
+            jobs=jobs,
+            idempotency={
+                job.idempotency_key: uid
+                for uid, job in jobs.items()
+                if job.idempotency_key is not None
             },
-            idempotency=dict(payload.get("idempotency", {})),
             cap_w=payload.get("cap_w"),
             now_s=float(payload.get("now_s", 0.0)),
             completed=int(payload.get("completed", 0)),
@@ -298,6 +322,12 @@ class JobStore:
     service acknowledges a client only after the flush that covers its
     events, so an acknowledgement implies durability; a crash between
     commit and flush loses only never-acknowledged work.
+
+    ``_dirty`` holds, in first-touched order, the ids of the jobs whose
+    rows differ from the last saved snapshot: every job an applied event
+    names, every job replayed from the log suffix, and every job of a
+    snapshot loaded in the single-blob format.  A snapshot writes exactly
+    those rows and clears the set once the write has returned.
     """
 
     def __init__(
@@ -312,6 +342,7 @@ class JobStore:
         self.applied_seq = 0
         self._pending: list[Event] = []
         self._since_snapshot = 0
+        self._dirty: dict[str, None] = {}
         self._recover()
 
     @classmethod
@@ -335,9 +366,19 @@ class JobStore:
         if loaded is not None:
             self.applied_seq, payload = loaded
             self.state = StoreState.from_dict(payload)
+            if payload.get("version") != SNAPSHOT_VERSION:
+                # The next snapshot replaces the single-blob header, so it
+                # must write every job out as a row.
+                self._dirty = dict.fromkeys(self.state.jobs)
         for seq, event in self.log.replay(self.applied_seq):
             self.state.apply(event)
+            self._touch(event)
             self.applied_seq = seq
+
+    def _touch(self, event: Event) -> None:
+        job_id = getattr(event, "job_id", None)
+        if job_id is not None:
+            self._dirty[job_id] = None
 
     # ------------------------------------------------------------------
     # Writes
@@ -346,6 +387,7 @@ class JobStore:
         """Validate and apply ``events``; stage them for the next flush."""
         for event in events:
             self.state.apply(event)
+            self._touch(event)
             self._pending.append(event)
 
     def flush(self) -> None:
@@ -355,8 +397,7 @@ class JobStore:
             self.applied_seq = self.log.append_many(batch)
             self._since_snapshot += len(batch)
         # Auto-snapshots bound recovery replay time, which only matters
-        # when the log survives the process; in-memory mode skips the
-        # O(jobs) serialization on the submission path.
+        # when the log survives the process; in-memory mode skips them.
         if self.log.durable and self._since_snapshot >= self.snapshot_interval:
             self._save_snapshot()
 
@@ -366,7 +407,13 @@ class JobStore:
         self._save_snapshot()
 
     def _save_snapshot(self) -> None:
-        self.log.save_snapshot(self.applied_seq, self.state.to_dict())
+        jobs = self.state.jobs
+        payload = self.state.header()
+        payload["jobs"] = {uid: jobs[uid].as_dict() for uid in self._dirty}
+        self.log.save_snapshot(self.applied_seq, payload)
+        # Cleared only once the write returned: a failed snapshot leaves
+        # the set whole for the next attempt.
+        self._dirty.clear()
         self._since_snapshot = 0
 
     def close(self) -> None:

@@ -74,7 +74,7 @@ class TestHcsOnlinePolicy:
             policy=HcsOnlinePolicy(ctx),
             governor=ModelGovernor(predictor, 15.0),
         )
-        assert len(result.execution.completions) == len(rodinia_jobs)
+        assert len(result.completions) == len(rodinia_jobs)
 
     def test_beats_fifo_on_the_batch_case(
         self, ctx, processor, predictor, rodinia_jobs

@@ -45,7 +45,7 @@ class TestArrivalScenarios:
             processor, Scenario.from_arrivals(arrivals),
             policy=_any_policy, governor=_max_governor(processor),
         )
-        assert len(result.execution.completions) == 2
+        assert len(result.completions) == 2
         assert result.turnaround_s("a") > 0
         assert result.mean_turnaround_s > 0
         assert result.max_turnaround_s >= result.mean_turnaround_s
@@ -56,7 +56,7 @@ class TestArrivalScenarios:
             processor, Scenario.from_arrivals(arrivals),
             policy=_any_policy, governor=_max_governor(processor),
         )
-        completion = result.execution.completions[0]
+        completion = result.completions[0]
         assert completion.start_s >= 50.0
 
     def test_idle_gap_jumps_to_next_arrival(self, processor):
@@ -69,7 +69,7 @@ class TestArrivalScenarios:
         )
         assert result.makespan_s == pytest.approx(100.0 + solo_time, rel=1e-6)
         # Idle time carries no power segments.
-        busy = sum(s.duration_s for s in result.execution.segments)
+        busy = sum(s.duration_s for s in result.segments)
         assert busy == pytest.approx(solo_time, rel=1e-6)
 
     def test_declining_policy_leaves_cpu_idle(self, processor):
@@ -78,7 +78,7 @@ class TestArrivalScenarios:
             processor, Scenario.from_arrivals(arrivals),
             policy=_gpu_first_policy, governor=_max_governor(processor),
         )
-        kinds = {c.job: c.kind for c in result.execution.completions}
+        kinds = {c.job: c.kind for c in result.completions}
         assert set(kinds.values()) == {"gpu"}
 
     def test_turnaround_includes_waiting(self, processor):
@@ -147,7 +147,7 @@ class TestArrivalScenarios:
             processor, Scenario.from_arrivals([(first, 0.0)]),
             policy=_any_policy, governor=_max_governor(processor),
         )
-        t_idle = solo.execution.finish_of("first")
+        t_idle = solo.finish_of("first")
         second = _job("second")
         result = run(
             processor,
@@ -200,10 +200,10 @@ class TestSimCoreIncremental:
         record = sim.record()
         assert record.makespan_s >= closed.makespan_s  # boundary overshoot
         stepped = {c.job: c.finish_s for c in record.completions}
-        oneshot = {c.job: c.finish_s for c in closed.execution.completions}
+        oneshot = {c.job: c.finish_s for c in closed.completions}
         assert stepped == pytest.approx(oneshot)
-        assert record.cpu_busy_s == pytest.approx(closed.execution.cpu_busy_s)
-        assert record.gpu_busy_s == pytest.approx(closed.execution.gpu_busy_s)
+        assert record.cpu_busy_s == pytest.approx(closed.cpu_busy_s)
+        assert record.gpu_busy_s == pytest.approx(closed.gpu_busy_s)
 
     def test_withdraw_pending_and_future(self, processor):
         sim = SimCore(processor, _max_governor(processor))

@@ -5,9 +5,12 @@ ephemeral port:
 
 * **basic** — submit one job, drain, assert it completed and the daemon
   shut down cleanly;
-* **durable** — submit against ``--durable``, kill the daemon without
-  shutdown, restart over the same directory, and assert the job was
-  recovered (same id, idempotency key deduplicates) and still completes;
+* **durable** — submit enough jobs against ``--durable`` that the store
+  takes at least two incremental snapshots, kill the daemon without
+  shutdown, restart over the same directory, and assert every
+  acknowledged job was recovered (same ids, idempotency keys
+  deduplicate) and the recovered queue runs, then kill it again and
+  assert the store log verifies clean;
 * **multi-tenant** — sharded daemon with a per-tenant quota: one tenant's
   burst hits ``tenant_quota`` while another tenant still gets in;
 * **fleet** — durable daemon over a two-node heterogeneous fleet: submit,
@@ -24,11 +27,21 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 from repro.analysis.storecheck import verify_store_dir
 from repro.service.client import ServiceClient
+from repro.store import SQLiteEventLog
 
 _BANNER_RE = re.compile(r"repro-service listening on ([\d.]+):(\d+)")
+
+#: Jobs the durable scenario submits before the kill.  Each admitted
+#: submission is two store events, so 1,100 jobs cross 2 x 1,024 events:
+#: the killed daemon has taken at least two auto-snapshots, and recovery
+#: loads an incremental one.
+_DURABLE_JOBS = 1100
+_SNAPSHOT_INTERVAL = 1024  # JobStore's default, which the daemon uses
+_DURABLE_ADVANCE_S = 5.0
 
 
 class SmokeFailure(RuntimeError):
@@ -87,48 +100,79 @@ def _smoke_basic() -> str:
 
 
 def _smoke_durable() -> str:
+    capacity = ("--queue-capacity", str(_DURABLE_JOBS))
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as durable:
-        proc, host, port = _spawn("--durable", durable)
+        proc, host, port = _spawn("--durable", durable, *capacity)
+        acked: list[str] = []
         try:
             with ServiceClient(host, port) as client:
-                accepted = client.submit(
-                    "cfd", uid="smoke-durable", idempotency_key="smoke-key"
-                )
-                if accepted.state != "queued":
-                    raise SmokeFailure(f"submission not queued: {accepted}")
+                for i in range(_DURABLE_JOBS):
+                    accepted = client.submit(
+                        "cfd" if i % 2 else "lud",
+                        scale=0.1,
+                        uid=f"smoke-durable-{i}",
+                        idempotency_key=f"smoke-key-{i}",
+                    )
+                    if accepted.state != "queued":
+                        raise SmokeFailure(f"submission not queued: {accepted}")
+                    acked.append(accepted.job_id)
         finally:
-            # Hard kill: the acknowledged job must survive in the log.
+            # Hard kill: the acknowledged jobs must survive in the log.
             proc.kill()
             proc.wait(timeout=30)
 
-        proc, host, port = _spawn("--durable", durable)
+        log = SQLiteEventLog(Path(durable) / "shard-0.sqlite")
+        try:
+            loaded = log.load_snapshot()
+        finally:
+            log.close()
+        if loaded is None or loaded[0] < 2 * _SNAPSHOT_INTERVAL:
+            raise SmokeFailure(
+                f"expected two auto-snapshots before the kill, the last "
+                f"covers seq {None if loaded is None else loaded[0]}"
+            )
+
+        proc, host, port = _spawn("--durable", durable, *capacity)
         try:
             with ServiceClient(host, port) as client:
-                jobs = {j["job_id"]: j for j in client.jobs()}
-                if "smoke-durable" not in jobs:
+                jobs = {j["job_id"] for j in client.jobs()}
+                lost = [uid for uid in acked if uid not in jobs]
+                if lost:
                     raise SmokeFailure(
-                        f"acknowledged job lost across restart: {jobs}"
+                        f"{len(lost)} acknowledged jobs lost across "
+                        f"restart: {lost[:5]}"
                     )
-                retry = client.submit(
-                    "cfd", uid="smoke-retry", idempotency_key="smoke-key"
-                )
-                if not retry.deduplicated or retry.job_id != "smoke-durable":
+                # The first key lives in the earliest snapshot's rows, the
+                # last one only in the replayed suffix.
+                for i in (0, _DURABLE_JOBS - 1):
+                    retry = client.submit(
+                        "cfd", uid=f"smoke-retry-{i}",
+                        idempotency_key=f"smoke-key-{i}",
+                    )
+                    if not retry.deduplicated or retry.job_id != acked[i]:
+                        raise SmokeFailure(
+                            f"idempotent retry not deduplicated: {retry}"
+                        )
+                # Draining 1,100 jobs is too slow for a smoke check; the first
+                # completions show the recovered queue is schedulable.
+                advanced = client.advance(_DURABLE_ADVANCE_S)
+                finished = [c.job_id for c in advanced.completions]
+                if not finished or not set(finished) <= set(acked):
                     raise SmokeFailure(
-                        f"idempotent retry not deduplicated: {retry}"
+                        f"recovered jobs did not run: {finished}"
                     )
-                drained = client.drain()
-                finished = [c.job_id for c in drained.completions]
-                if finished != ["smoke-durable"]:
-                    raise SmokeFailure(
-                        f"recovered job did not complete: {finished}"
-                    )
-                client.shutdown()
-            _finish(proc)
-            return "durable: smoke-durable survived kill -9 and completed"
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+            # A second kill: the store must verify clean mid-run too.
+            proc.kill()
+            proc.wait(timeout=30)
+        violations = verify_store_dir(durable)
+        if violations:
+            raise SmokeFailure(f"durable store log is not clean: {violations}")
+        return (
+            f"durable: {len(acked)} jobs survived kill -9 across "
+            f"incremental snapshots; {len(finished)} completed by "
+            f"t={_DURABLE_ADVANCE_S:.0f}s (virtual)"
+        )
 
 
 def _smoke_multi_tenant() -> str:
