@@ -47,8 +47,8 @@ afterwards with O(1) array lookups:
       single schedules and small batches;
     * **batched lockstep evaluation**: ``evaluate_all`` and
       ``score_population`` score an entire GA population / brute-force
-      chunk in one vectorized sweep, advancing all schedules event-by-event
-      with masked NumPy updates.
+      chunk in one vectorized sweep, advancing all schedules event by
+      event with one gather from :attr:`PairTables.replay_table` each.
 
     Scores are bitwise identical to the scalar evaluator's; cache keys are
     tagged with the backend so mixed backends can never serve each other's
@@ -81,6 +81,10 @@ from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator, schedule_k
 #: (n_jobs^2 x n_settings).  Beyond it the precompute no longer amortizes
 #: and the memory cost stops being negligible; callers fall back to scalar.
 MAX_TENSOR_ELEMENTS = 2_000_000
+
+#: Smallest ``evaluate_all`` batch replayed in lockstep; smaller batches
+#: replay one schedule at a time (see docs/PERF.md for the measurement).
+LOCKSTEP_MIN_BATCH = 20
 
 #: Completion tolerance of the mean-field replay (must equal
 #: ``repro.core.schedule._EPS``; asserted by the equivalence tests).
@@ -766,7 +770,7 @@ class PairTables:
         self.levels = levels              # kind -> level index -> GHz
         self._rank = rank
         self._interference = None
-        self._packed = None
+        self._replay_table = None
 
     @property
     def interference(self) -> tuple[np.ndarray, np.ndarray]:
@@ -813,32 +817,38 @@ class PairTables:
         return (kind_of, getattr(governor, "objective", None), cap_w)
 
     @property
-    def packed(self):
-        """Channel-stacked copies of the tables for single-gather replay.
+    def replay_table(self) -> np.ndarray:
+        """The sentinel-extended table the lockstep replay gathers from.
 
-        ``(pair, solo_cpu, solo_gpu)``, every row laid out as
-        ``[t_c, t_g, power, valid]`` — pair is ``(n, n, 4)``, the solos are
-        ``(n, 4)`` with the device's solo time in its own slot and a
-        harmless ``1.0`` in the idle device's slot (that channel is only
-        ever read branch-masked).  One fancy gather per table per replay
-        event instead of one per field; values are exact copies, validity
-        is 1.0/0.0.
+        A flat ``((n+1)², 3)`` array of ``[t_c, t_g, power]`` rows, cell
+        ``c·(n+1) + g`` for cpu row ``c`` and gpu row ``g``.  Row and
+        column ``n`` are the idle sentinel: cell ``(c, n)`` holds cpu row
+        ``c``'s solo level and ``(n, g)`` gpu row ``g``'s, with the idle
+        side's time ``+inf`` so ``min(frac_c·t_c, frac_g·t_g)`` is the
+        solo time bit for bit (``min(x, inf) == x``).  Infeasible pair and
+        solo cells hold unit times and NaN power, so a lane that meets one
+        still finishes, with NaN energy.  Cell ``(n, n)`` (both sides
+        idle) marks a finished lane.  Built on first use; every feasible
+        value is an exact copy of the tables'.
         """
-        if self._packed is None:
-            pair = np.empty(self.pair_t_c.shape + (4,))
-            pair[..., 0] = self.pair_t_c
-            pair[..., 1] = self.pair_t_g
-            pair[..., 2] = self.pair_power
-            pair[..., 3] = self.pair_valid
-            solo = {}
-            for kind in DeviceKind:
-                s = np.ones((self.pair_t_c.shape[0], 4))
-                s[:, 0 if kind is DeviceKind.CPU else 1] = self.solo_t[kind]
-                s[:, 2] = self.solo_power[kind]
-                s[:, 3] = self.solo_valid[kind]
-                solo[kind] = s
-            self._packed = (pair, solo[DeviceKind.CPU], solo[DeviceKind.GPU])
-        return self._packed
+        if self._replay_table is None:
+            n = self.pair_t_c.shape[0]
+            cells = np.empty((n + 1, n + 1, 3))
+            ok = self.pair_valid
+            cells[:n, :n, 0] = np.where(ok, self.pair_t_c, 1.0)
+            cells[:n, :n, 1] = np.where(ok, self.pair_t_g, 1.0)
+            cells[:n, :n, 2] = np.where(ok, self.pair_power, np.nan)
+            for kind, solo in (
+                (DeviceKind.CPU, cells[:n, n]), (DeviceKind.GPU, cells[n, :n])
+            ):
+                ok = self.solo_valid[kind]
+                busy, idle = (0, 1) if kind is DeviceKind.CPU else (1, 0)
+                solo[:, busy] = np.where(ok, self.solo_t[kind], 1.0)
+                solo[:, idle] = np.inf
+                solo[:, 2] = np.where(ok, self.solo_power[kind], np.nan)
+            cells[n, n] = (np.inf, np.inf, 0.0)
+            self._replay_table = cells.reshape(-1, 3)
+        return self._replay_table
 
     @classmethod
     def build(cls, tensor: TensorModel, governor, cap_w: float):
@@ -954,16 +964,31 @@ def _degradation_rank(tensor: TensorModel, masks: _CapMasks):
     return rank
 
 
+def _sentinel_queues(Q, lengths, idle: int, scale: int):
+    """``Q`` flattened for the lockstep replay, with lane start cursors.
+
+    Every slot past a lane's length, plus one extra column, holds the
+    ``idle`` sentinel, so a cursor that runs off its queue stays on it;
+    values are multiplied by ``scale``.
+    """
+    K, w = Q.shape
+    padded = np.full((K, w + 1), idle, dtype=np.int64)
+    padded[:, :w] = np.where(np.arange(w) < lengths[:, None], Q, idle)
+    return (padded * scale).ravel(), np.arange(K) * (w + 1)
+
+
 class BatchScheduleEvaluator(ScheduleEvaluator):
     """A :class:`ScheduleEvaluator` replaying over :class:`PairTables`.
 
     Drop-in compatible (same cache, same governor, same scores to the bit)
     but with two fast paths:
 
-    * single schedules and batches of up to 4 replay one at a time, from
-      t=0, with O(1) table lookups per event;
+    * single schedules and ``evaluate_all`` batches smaller than
+      :data:`LOCKSTEP_MIN_BATCH` replay one at a time, from t=0, with O(1)
+      table lookups per event;
     * larger ``evaluate_all`` batches and ``score_population`` advance a
-      whole population in one masked-NumPy lockstep sweep.
+      whole population in one lockstep sweep over the sentinel-extended
+      :attr:`PairTables.replay_table`.
 
     Schedules the tables cannot replay (uncovered uids, infeasible
     pair/solo combinations, no tables for the governor) fall back to the
@@ -1168,13 +1193,13 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
     def _batch_replay(self, schedules):
         """Replay of many schedules; ``None`` if any is infeasible.
 
-        Up to 4 schedules replay one at a time; larger batches run in
-        lockstep, where masked in-place ufuncs leave finished lanes
-        untouched, so lane k's result equals an isolated replay.
+        Batches smaller than :data:`LOCKSTEP_MIN_BATCH` replay one
+        schedule at a time; larger ones run in lockstep, whose lane k
+        equals an isolated replay of schedule k.
         """
         self.batch_stats["batch_calls"] += 1
         self.batch_stats["batch_schedules"] += len(schedules)
-        if len(schedules) <= 4:
+        if len(schedules) < LOCKSTEP_MIN_BATCH:
             out = []
             for s in schedules:
                 result = self._indexed_replay(s)
@@ -1222,98 +1247,54 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         are meaningless).  Lane arithmetic is bitwise identical to
         :meth:`_indexed_replay` of the same queues.
         """
-        # The loop body is dominated by numpy dispatch overhead on small
-        # per-event arrays, so the tables are read through channel-stacked
-        # copies (one fancy gather per table instead of one per field) and
-        # frozen lanes are preserved with masked in-place ufuncs instead of
-        # fresh ``np.where`` allocations.  Both are bitwise-neutral: the
-        # packed tables hold exact copies, and ``out=..., where=mask``
-        # writes the identical values a masked ``np.where`` would keep.
-        pair_pack, solo_c_pack, solo_g_pack = self.tables.packed
+        # The loop is dominated by numpy dispatch on small per-event
+        # arrays, so each event is one gather per queue side and one
+        # table gather: the sentinel cells of ``replay_table`` turn solo
+        # events into pair events with an infinitely long idle side, and
+        # NaN power marks infeasible cells instead of a validity check.
+        table = self.tables.replay_table
+        width = self.tables.pair_t_c.shape[0] + 1
+        idle = width - 1
+        # Cell index = cpu row * width + gpu row, so the cpu queue is
+        # pre-scaled; each cursor is a flat position into its queue.
+        flat_c, pos_c = _sentinel_queues(Qc, len_c, idle, width)
+        flat_g, pos_g = _sentinel_queues(Qg, len_g, idle, 1)
         K = Qc.shape[0]
-        pc = np.zeros(K, dtype=np.int64)
-        pg = np.zeros(K, dtype=np.int64)
-        cur_c = np.full(K, -1, dtype=np.int64)
-        cur_g = np.full(K, -1, dtype=np.int64)
-        frac_c = np.zeros(K)
-        frac_g = np.zeros(K)
+        frac_c = np.ones(K)
+        frac_g = np.ones(K)
         t = np.zeros(K)
         energy = np.zeros(K)
         flow = np.zeros(K)
-        active = np.ones(K, dtype=bool)
-        bad = np.zeros(K, dtype=bool)
+        finished = idle * width + idle
 
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # Finished lanes read ``inf/inf``; their updates are masked out.
+        with np.errstate(invalid="ignore"):
             while True:
-                need_c = active & (cur_c < 0) & (pc < len_c)
-                if need_c.any():
-                    rows = np.nonzero(need_c)[0]
-                    cur_c[rows] = Qc[rows, pc[rows]]
-                    frac_c[rows] = 1.0
-                    pc[rows] += 1
-                need_g = active & (cur_g < 0) & (pg < len_g)
-                if need_g.any():
-                    rows = np.nonzero(need_g)[0]
-                    cur_g[rows] = Qg[rows, pg[rows]]
-                    frac_g[rows] = 1.0
-                    pg[rows] += 1
-                mask_c = cur_c >= 0
-                mask_g = cur_g >= 0
-                active &= mask_c | mask_g
-                if not active.any():
+                cell = flat_c[pos_c] + flat_g[pos_g]
+                live = cell != finished
+                if not live.any():
                     break
-
-                ic = np.maximum(cur_c, 0)
-                ig = np.maximum(cur_g, 0)
-                run_c = active & mask_c
-                run_g = active & mask_g
-                pair = run_c & run_g
-                only_c = run_c ^ pair
-                # One gather per table; rows for lanes outside a branch are
-                # garbage but every read below is branch-masked.
-                row = np.where(
-                    pair[:, None],
-                    pair_pack[ic, ig],
-                    np.where(only_c[:, None], solo_c_pack[ic], solo_g_pack[ig]),
-                )
-                newbad = active & (row[:, 3] == 0.0)
-                if newbad.any():
-                    bad |= newbad
-                    active &= ~newbad
-                    if not active.any():
-                        break
-                    keep = ~newbad
-                    pair &= keep
-                    only_c &= keep
-                    run_c &= active
-                    run_g &= active
-
+                row = np.take(table, cell, axis=0)
                 t_c = row[:, 0]
                 t_g = row[:, 1]
-                dt_c = frac_c * t_c
-                dt_g = frac_g * t_g
-                dt = np.where(
-                    pair, np.minimum(dt_c, dt_g), np.where(only_c, dt_c, dt_g)
-                )
-                np.add(energy, dt * row[:, 2], out=energy, where=active)
-
+                dt = np.minimum(frac_c * t_c, frac_g * t_g)
+                np.add(energy, dt * row[:, 2], out=energy, where=live)
+                np.add(t, dt, out=t, where=live)
+                # A completed side moves its cursor to the next job (or
+                # the sentinel) and starts it whole.
                 rem_c = frac_c - dt / t_c
-                done_c = run_c & (rem_c <= _EPS)
-                np.copyto(frac_c, rem_c, where=run_c)
-                np.copyto(frac_c, 0.0, where=done_c)
-                np.copyto(cur_c, -1, where=done_c)
+                done_c = rem_c <= _EPS
+                frac_c = np.where(done_c, 1.0, rem_c)
+                pos_c += done_c
                 rem_g = frac_g - dt / t_g
-                done_g = run_g & (rem_g <= _EPS)
-                np.copyto(frac_g, rem_g, where=run_g)
-                np.copyto(frac_g, 0.0, where=done_g)
-                np.copyto(cur_g, -1, where=done_g)
-                np.add(t, dt, out=t, where=active)
+                done_g = rem_g <= _EPS
+                frac_g = np.where(done_g, 1.0, rem_g)
+                pos_g += done_g
                 # Same op order as the scalar replay: flow += done * t,
                 # with done counting completions this event (0, 1 or 2).
-                ndone = done_c.astype(np.int64) + done_g.astype(np.int64)
-                flow += ndone * t
+                flow += np.add(done_c, done_g, dtype=np.int64) * t
 
-        return t, energy, flow, bad
+        return t, energy, flow, np.isnan(energy)
 
     # ------------------------------------------------------------------
     # Population scoring (index matrices in, objective scores out)

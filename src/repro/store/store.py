@@ -343,6 +343,7 @@ class JobStore:
         self._pending: list[Event] = []
         self._since_snapshot = 0
         self._dirty: dict[str, None] = {}
+        self.snapshot_failures = 0
         self._recover()
 
     @classmethod
@@ -391,15 +392,24 @@ class JobStore:
             self._pending.append(event)
 
     def flush(self) -> None:
-        """Group-commit every staged event; durable once this returns."""
+        """Group-commit every staged event; durable once this returns.
+
+        The batch stays staged until the append returns, so a failed
+        append leaves it for the retry.  A failed auto-snapshot does not
+        raise: the batch is already durable, the failure is counted in
+        ``snapshot_failures``, and the next flush tries again.
+        """
         if self._pending:
-            batch, self._pending = self._pending, []
-            self.applied_seq = self.log.append_many(batch)
-            self._since_snapshot += len(batch)
+            self.applied_seq = self.log.append_many(self._pending)
+            self._since_snapshot += len(self._pending)
+            self._pending = []
         # Auto-snapshots bound recovery replay time, which only matters
         # when the log survives the process; in-memory mode skips them.
         if self.log.durable and self._since_snapshot >= self.snapshot_interval:
-            self._save_snapshot()
+            try:
+                self._save_snapshot()
+            except Exception:  # any backend error: the batch is already durable
+                self.snapshot_failures += 1
 
     def snapshot(self) -> None:
         """Persist the current fold so recovery replays only a suffix."""

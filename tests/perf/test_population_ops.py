@@ -280,6 +280,148 @@ class TestPopulationScoresByteIdentical:
                 )
 
 
+def _queue_matrices(ev, lanes):
+    """``(Qc, len_c, Qg, len_g)`` of ``(cpu jobs, gpu jobs)`` lanes."""
+    index = ev.tensor.index
+    width = max(1, max(len(q) for lane in lanes for q in lane))
+    mats = []
+    for side in (0, 1):
+        Q = np.full((len(lanes), width), -1, dtype=np.int64)
+        for k, lane in enumerate(lanes):
+            Q[k, : len(lane[side])] = [index[j.uid] for j in lane[side]]
+        mats += [Q, np.array([len(lane[side]) for lane in lanes])]
+    return tuple(mats)
+
+
+def _assert_lanes_match_indexed_replay(ev, lanes, result):
+    """Lane k is ``bad`` exactly when ``_indexed_replay`` declines its
+    schedule; every other lane equals it (and the evaluator) bit for bit."""
+    from repro.core.schedule import CoSchedule
+
+    scores, mk, en, fl, bad = result
+    for k, (cpu, gpu) in enumerate(lanes):
+        sched = CoSchedule(cpu_queue=tuple(cpu), gpu_queue=tuple(gpu))
+        expected = ev._indexed_replay(sched)
+        assert bool(bad[k]) == (expected is None), k
+        if expected is None:
+            assert scores[k] == np.inf
+            continue
+        # repro: noqa REP003 -- byte-identical population-lane contract
+        assert (mk[k], en[k], fl[k]) == expected
+        # repro: noqa REP003 -- byte-identical population-lane contract
+        assert scores[k] == ev(sched)
+
+
+class TestInfeasibleLanes:
+    """Lanes that meet an infeasible pair or solo cell come back ``bad``
+    (the NaN power of the replay table); the others are untouched."""
+
+    @pytest.mark.parametrize("cap", [7.25, 8.5])
+    def test_bad_mask_matches_the_indexed_replay(
+        self, predictor, rodinia_jobs, cap
+    ):
+        """At 7.25 W no pair and only some CPU solo levels fit the cap; at
+        8.5 W about a third of the pairs fit.  Lanes of every shape: empty
+        queues, one-sided queues, job subsets."""
+        from repro.core.context import SchedulingContext
+
+        ctx = SchedulingContext(
+            jobs=rodinia_jobs, cap_w=cap, predictor=predictor,
+            backend="tensor",
+        )
+        ev = ctx.evaluator
+        tables = ev.tables
+        assert not tables.pair_valid.all()
+        jobs = list(ctx.jobs)
+        rng = default_rng(17)
+        lanes = [((), ()), (tuple(jobs), ()), ((), tuple(jobs))]
+        for _ in range(120):
+            picked = [jobs[i] for i in rng.permutation(len(jobs))]
+            picked = picked[: int(rng.integers(1, len(jobs) + 1))]
+            # Every third lane is one-sided, where solo cells decide.
+            cut = (
+                int(rng.integers(0, len(picked) + 1))
+                if len(lanes) % 3 else len(picked) * int(rng.integers(0, 2))
+            )
+            lanes.append((tuple(picked[:cut]), tuple(picked[cut:])))
+        result = ev.score_population(*_queue_matrices(ev, lanes))
+        bad = result[4]
+        assert bad.any() and not bad.all()
+        _assert_lanes_match_indexed_replay(ev, lanes, result)
+
+    @pytest.mark.parametrize("cap", [9.0, 15.0])
+    def test_large_shapes_match_the_indexed_replay(
+        self, processor, space, cap
+    ):
+        """n = 48: the populations of a K = 128 GA generation and a full
+        swap neighborhood (K > 512), every lane checked."""
+        from repro.core.context import SchedulingContext
+        from repro.core.genetic import GaConfig
+        from repro.model.predictor import CoRunPredictor
+        from repro.model.profiler import profile_workload
+        from repro.workload.generator import random_workload
+
+        jobs = tuple(random_workload(48, default_rng(1)))
+        predictor = CoRunPredictor(
+            processor, profile_workload(processor, jobs), space
+        )
+        ctx = SchedulingContext(
+            jobs=jobs, cap_w=cap, predictor=predictor, backend="tensor"
+        )
+        ev = ctx.evaluator
+        job_index = np.array(
+            [ev.tensor.index[j.uid] for j in jobs], dtype=np.int64
+        )
+        rng = default_rng(3)
+        populations = []
+
+        def score(placement, priority):
+            populations.append(
+                [
+                    (
+                        tuple(jobs[i] for i in order if placement[k, i]),
+                        tuple(jobs[i] for i in order if not placement[k, i]),
+                    )
+                    for k, order in enumerate(
+                        np.argsort(priority, axis=1, kind="stable")
+                    )
+                ]
+            )
+            Qc, len_c, Qg, len_g = popkit.decode_queues(
+                placement, priority, job_index
+            )
+            result = ev.score_population(Qc, len_c, Qg, len_g)
+            _assert_lanes_match_indexed_replay(ev, populations[-1], result)
+            return result[0]
+
+        popkit.evolve_population(
+            score, len(jobs), GaConfig(population=128, generations=1), rng
+        )
+        assert [len(p) for p in populations] == [128, 128]
+
+        order = rng.permutation(len(jobs))
+        cpu, gpu = order[:20], order[20:]
+        Qc, Qg, _ = popkit.swap_neighborhood(
+            job_index[cpu], job_index[gpu], 0.0, 0.0
+        )
+        K = Qc.shape[0]
+        assert K > 512
+        result = ev.score_population(
+            Qc, np.full(K, len(cpu)), Qg, np.full(K, len(gpu))
+        )
+        # Decode the candidates back to jobs through their tensor rows.
+        by_row = {int(job_index[i]): jobs[i] for i in range(len(jobs))}
+        assert len(by_row) == len(jobs)
+        lanes = [
+            (tuple(by_row[int(r)] for r in Qc[k]),
+             tuple(by_row[int(r)] for r in Qg[k]))
+            for k in range(K)
+        ]
+        if cap == 9.0:
+            assert result[4].any() and not result[4].all()
+        _assert_lanes_match_indexed_replay(ev, lanes, result)
+
+
 class TestEvolveStream:
     def test_fixed_seed_is_deterministic(self):
         """Same seed, same score function -> identical final genome."""

@@ -22,6 +22,7 @@ from repro.model.characterize import characterize_space, characterize_staged_spa
 from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import profile_workload
 from repro.perf.tensor import (
+    LOCKSTEP_MIN_BATCH,
     BatchScheduleEvaluator,
     TensorBackedPredictor,
     _grid_eval,
@@ -273,24 +274,33 @@ class TestScheduleScores:
             sched = sched.with_queues(tuple(cpu), tuple(gpu))
 
     @pytest.mark.parametrize("objective", ["makespan", "energy"])
-    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize(
+        "k", [LOCKSTEP_MIN_BATCH - 1, LOCKSTEP_MIN_BATCH]
+    )
     def test_batch_sizes_around_the_lockstep_threshold(
         self, scalar_predictor, jobs, objective, k
     ):
-        """Batches of 4 (per-schedule replays) and 5 (one lockstep sweep)
-        score byte-identically to per-schedule replays and to scalar."""
+        """A batch one short of ``LOCKSTEP_MIN_BATCH`` (per-schedule
+        replays) and one at it (one lockstep sweep) score byte-identically
+        to per-schedule replays and to scalar."""
         from repro.core.context import SchedulingContext
         from repro.core.schedule import CoSchedule
 
         def schedule(r):
-            order = jobs[r:] + jobs[:r]
-            tail = (
-                ((order[4], DeviceKind.CPU), (order[5], DeviceKind.GPU))
-                if r % 2 == 0 else ()
-            )
+            # Every rotation of the jobs under four queue shapes: 24
+            # distinct schedules, half of them with a solo tail.
+            n = len(jobs)
+            order = jobs[r % n:] + jobs[:r % n]
+            cut, tail = [
+                (2, ((order[4], DeviceKind.CPU), (order[5], DeviceKind.GPU))),
+                (2, ()),
+                (3, ()),
+                (1, ((order[5], DeviceKind.GPU),)),
+            ][r // n]
+            end = n - len(tail)
             return CoSchedule(
-                cpu_queue=tuple(order[:2]),
-                gpu_queue=tuple(order[2:4] if tail else order[2:]),
+                cpu_queue=tuple(order[:cut]),
+                gpu_queue=tuple(order[cut:end]),
                 solo_tail=tail,
             )
 
@@ -303,8 +313,10 @@ class TestScheduleScores:
         ev = ctx.evaluator
         assert isinstance(ev, BatchScheduleEvaluator)
         got = ev.evaluate_batch(scheds)
-        # Up to 4 schedules replay one at a time; 5 take the lockstep sweep.
-        assert ev.batch_stats["full_replays"] == (k if k <= 4 else 0)
+        assert len({ev._key(s) for s in scheds}) == k
+        # Smaller batches replay one at a time; the rest take the sweep.
+        lockstep = k >= LOCKSTEP_MIN_BATCH
+        assert ev.batch_stats["full_replays"] == (0 if lockstep else k)
 
         field = 0 if objective == "makespan" else 1
         per_schedule = [ev._indexed_replay(s)[field] for s in scheds]

@@ -178,6 +178,36 @@ class _CountingLog(MemoryEventLog):
         super().save_snapshot(seq, state)
 
 
+class _FailingAppendLog(MemoryEventLog):
+    """Memory log whose next ``append_many`` raises when armed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.armed = False
+
+    def append_many(self, events):
+        if self.armed:
+            self.armed = False
+            raise OSError("disk full")
+        return super().append_many(events)
+
+
+class _FailingSnapshotLog(MemoryEventLog):
+    """Durable-acting memory log whose ``save_snapshot`` raises while
+    ``failing`` is set."""
+
+    durable = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.failing = True
+
+    def save_snapshot(self, seq, state):
+        if self.failing:
+            raise OSError("disk full")
+        super().save_snapshot(seq, state)
+
+
 class TestFailedAndBoundedWrites:
     def test_failed_snapshot_keeps_the_dirty_set(self):
         log = _FailOnceLog()
@@ -207,6 +237,56 @@ class TestFailedAndBoundedWrites:
         assert seq == 4
         assert payload["jobs"] == good["jobs"]
         log.close()
+
+    def test_failed_append_keeps_the_staged_batch(self):
+        from repro.analysis import verify_store
+
+        log = _FailingAppendLog()
+        store = JobStore(log)
+        events = _lifecycle("a")
+        store.commit(*events)
+        log.armed = True
+        with pytest.raises(OSError):
+            store.flush()
+        assert log.last_seq == 0
+        assert verify_store(store) == []
+        store.flush()  # the retry writes the batch exactly once
+        assert [e for _, e in log.replay()] == events
+        assert store.applied_seq == len(events)
+        store.flush()
+        assert log.last_seq == len(events)
+        assert verify_store(store) == []
+
+    def test_failed_auto_snapshot_does_not_fail_the_flush(self):
+        log = _FailingSnapshotLog()
+        store = JobStore(log, snapshot_interval=2)
+        first = _lifecycle("a")
+        store.commit(*first)
+        store.flush()  # durable; the failed snapshot is only counted
+        assert log.last_seq == len(first)
+        assert store.snapshot_failures == 1
+        assert log.load_snapshot() is None
+        second = _lifecycle("b")
+        store.commit(*second)
+        store.flush()  # retried, and failing again, at the next flush
+        assert log.last_seq == len(first) + len(second)
+        assert store.snapshot_failures == 2
+        log.failing = False
+        store.flush()  # nothing staged; the pending snapshot now lands
+        assert store.snapshot_failures == 2
+        seq, _ = log.load_snapshot()
+        assert seq == len(first) + len(second)
+        assert JobStore(log).state.to_dict() == fold(first + second).to_dict()
+
+    def test_explicit_snapshot_and_close_still_raise(self):
+        log = _FailingSnapshotLog()
+        store = JobStore(log, snapshot_interval=10**9)
+        store.commit(*_lifecycle("a"))
+        with pytest.raises(OSError):
+            store.snapshot()
+        with pytest.raises(OSError):
+            store.close()
+        assert log.last_seq == 4
 
     @pytest.mark.parametrize("n_jobs", [8, 600])
     @pytest.mark.parametrize("k", [1, 3])
