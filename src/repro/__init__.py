@@ -70,7 +70,6 @@ from repro.perf import (
     DiskCache,
     EvalCache,
     ScheduleEvaluator,
-    make_executor,
 )
 
 __version__ = "1.0.0"
@@ -109,6 +108,5 @@ __all__ = [
     "DiskCache",
     "EvalCache",
     "ScheduleEvaluator",
-    "make_executor",
     "__version__",
 ]

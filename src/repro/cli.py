@@ -2,7 +2,7 @@
 
 Runs one or more of the paper's experiments and prints their text
 renderings.  ``all`` runs everything in paper order.  Uniform overrides
-(``--seed``, ``--cap-w``, ``--executor``, ``--cache-dir``) apply to every
+(``--seed``, ``--cap-w``, ``--objective``, ``--cache-dir``) apply to every
 selected experiment whose driver supports them (see
 :class:`repro.experiments.registry.ExperimentConfig`).
 
@@ -116,10 +116,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="bounded submission queue size (backpressure beyond it)",
     )
     parser.add_argument(
-        "--executor", default=None, metavar="SPEC",
-        help="profiling fan-out backend: serial, threads[:N], processes[:N]",
-    )
-    parser.add_argument(
         "--objective", default="makespan", choices=_OBJECTIVES,
         help="what the daemon's scheduler optimizes (default: makespan)",
     )
@@ -175,7 +171,6 @@ def _serve(argv: list[str]) -> int:
         cap_w=args.cap_w,
         objective=args.objective,
         queue_capacity=args.queue_capacity,
-        executor=args.executor,
         seed=args.seed,
         shards=args.shards,
         worker_mode=args.worker_mode,
@@ -216,10 +211,6 @@ def _schedule_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=None,
         help="seed forwarded to stochastic methods",
-    )
-    parser.add_argument(
-        "--executor", default=None, metavar="SPEC",
-        help="evaluation fan-out backend: serial, threads[:N], processes[:N]",
     )
     parser.add_argument(
         "--backend", default="tensor", choices=("tensor", "scalar"),
@@ -290,7 +281,6 @@ def _schedule_fleet(args, jobs, fleet) -> int:
         fleet=fleet,
         objective=args.objective,
         seed=args.seed,
-        executor=args.executor,
         backend=args.backend,
     )
     result = fleet_schedule(ctx, method=args.method, **_portfolio_opts(args))
@@ -328,6 +318,24 @@ def _chosen_programs(spec: str | None):
     return [programs[n] for n in names]
 
 
+def _too_many_for_brute(method: str, jobs) -> bool:
+    """Report (and refuse) a brute-force search over too many jobs.
+
+    Checked before the model is built: enumeration past the limit is
+    refused anyway, and profiling first would only delay the error.
+    """
+    from repro.core.bruteforce import MAX_BRUTE_FORCE_JOBS
+
+    if method != "brute" or len(jobs) <= MAX_BRUTE_FORCE_JOBS:
+        return False
+    print(
+        f"--method brute enumerates at most {MAX_BRUTE_FORCE_JOBS} jobs "
+        f"(got {len(jobs)}); choose fewer with --programs",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _schedule(argv: list[str]) -> int:
     from repro.core.api import schedule
     from repro.workload import make_jobs
@@ -341,6 +349,8 @@ def _schedule(argv: list[str]) -> int:
         fleet = _parse_fleet(args)
     except ValueError as exc:
         print(f"bad fleet spec: {exc}", file=sys.stderr)
+        return 2
+    if fleet is None and _too_many_for_brute(args.method, jobs):
         return 2
     if fleet is not None:
         try:
@@ -356,7 +366,6 @@ def _schedule(argv: list[str]) -> int:
             cap_w=args.cap_w,
             objective=args.objective,
             seed=args.seed,
-            executor=args.executor,
             backend=args.backend,
             **_portfolio_opts(args),
         )
@@ -529,6 +538,12 @@ def _simulate(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"bad fleet spec: {exc}", file=sys.stderr)
         return 2
+    if (
+        fleet is None
+        and args.mode == "fixed"
+        and _too_many_for_brute(args.method, jobs)
+    ):
+        return 2
     if fleet is not None:
         try:
             return _simulate_fleet(args, jobs, fleet)
@@ -660,10 +675,6 @@ def main(argv: list[str] | None = None) -> int:
         help="override the power cap (watts) of cap-aware experiments",
     )
     parser.add_argument(
-        "--executor", default=None, metavar="SPEC",
-        help="evaluation fan-out backend: serial, threads[:N], processes[:N]",
-    )
-    parser.add_argument(
         "--objective", default=None, choices=_OBJECTIVES,
         help="override the scheduling objective of objective-aware "
         "experiments",
@@ -679,7 +690,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ExperimentConfig(
         seed=args.seed,
         cap_w=args.cap_w,
-        executor=args.executor,
         objective=args.objective,
     )
 

@@ -22,7 +22,7 @@ predictor, one objective-aware governor, one :mod:`repro.perf` evaluation
 cache — so cross-method comparisons are apples-to-apples and repeated calls
 on the same instance reuse work.  When ``predictor`` is omitted, the
 workload is profiled and the degradation space characterized on the spot
-(optionally fanned out over ``executor`` and persisted via ``disk_cache``).
+(optionally persisted via ``disk_cache``).
 
 Every caller reaches a scheduler the same way: a context, then
 :func:`dispatch` (registry lookup, adapter, result finalization, sanitizer).
@@ -51,7 +51,6 @@ from repro.core.schedule import CoSchedule
 from repro.model.predictor import CoRunPredictor
 from repro.perf.cache import EvalCache
 from repro.perf.evaluator import CachingPredictor
-from repro.perf.executor import make_executor
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,6 @@ def schedule(
     objective: Objective | str = Objective.MAKESPAN,
     predictor: CoRunPredictor | CachingPredictor | None = None,
     processor=None,
-    executor=None,
     cache: EvalCache | None = None,
     disk_cache=None,
     seed=None,
@@ -202,9 +200,6 @@ def schedule(
     ``processor``
         Hardware model used when building a predictor (default: the
         calibrated Ivy Bridge).  Ignored when ``predictor`` is given.
-    ``executor``
-        ``None``/``"serial"``/``"threads"``/``"processes"`` (or an
-        executor instance) for the parallelizable stages.
     ``cache`` / ``disk_cache``
         Shared :class:`~repro.perf.cache.EvalCache` and optional on-disk
         cache for the model-building stage.
@@ -244,7 +239,6 @@ def schedule(
             objective=objective,
             predictor=predictor,
             processor=processor,
-            executor=executor,
             cache=cache,
             disk_cache=disk_cache,
             seed=seed,
@@ -260,7 +254,6 @@ def schedule(
         objective=objective,
         predictor=predictor,
         processor=processor,
-        executor=executor,
         cache=cache,
         disk_cache=disk_cache,
         seed=seed,
@@ -294,7 +287,6 @@ class Scheduler:
         predictor: CoRunPredictor | CachingPredictor,
         objective: Objective | str = Objective.MAKESPAN,
         cache: EvalCache | None = None,
-        executor=None,
         seed=None,
         backend: str = "tensor",
         node=None,
@@ -314,7 +306,6 @@ class Scheduler:
         self.backend = backend
         self.cache = cache if cache is not None else EvalCache()
         self.predictor = predictor
-        self.executor = make_executor(executor)
         self.seed = seed
         self.opts = opts
         self.cap_w = cap_w
@@ -345,7 +336,6 @@ class Scheduler:
             fleet=fleet,
             predictor=self.predictor,
             objective=self.objective,
-            executor=self.executor,
             cache=self._eval_caches.setdefault(self.cap_w, EvalCache()),
             seed=self.seed,
             governor_factory=self.governor_factory,
@@ -441,9 +431,7 @@ def _default_adapter(ctx: SchedulingContext, **opts) -> ScheduleResult:
 
 @register_scheduler("brute")
 def _brute_adapter(ctx: SchedulingContext, **opts) -> ScheduleResult:
-    sched, score = brute_force_best(
-        ctx.jobs, ctx.evaluator, executor=ctx.executor, **opts
-    )
+    sched, score = brute_force_best(ctx.jobs, ctx.evaluator, **opts)
     return _result(ctx, "brute", sched, score)
 
 

@@ -21,12 +21,12 @@ from collections.abc import Callable, Sequence
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.core.schedule import CoSchedule
-from repro.perf.executor import SerialExecutor, make_executor
+from repro.perf.tensor import BatchScheduleEvaluator
 
 #: Enumerating beyond this many jobs is a bug, not a test.
 MAX_BRUTE_FORCE_JOBS = 7
 
-#: Schedules evaluated per executor task when the search fans out.
+#: Schedules scored per ``evaluate_all`` call on the batch path.
 _CHUNK = 256
 
 
@@ -81,42 +81,28 @@ def brute_force_best(
     evaluate: Callable[[CoSchedule], float],
     *,
     include_solo: bool = True,
-    executor=None,
 ) -> tuple[CoSchedule, float]:
     """Best schedule under ``evaluate`` (lower is better) and its score.
 
-    With an ``executor`` (see :func:`repro.perf.make_executor`) the
-    enumeration is evaluated in fixed-size chunks fanned across workers.
-    Ties always resolve to the earliest schedule in enumeration order, so
-    the winner is independent of the backend.  The ``processes`` backend
-    requires a picklable ``evaluate`` (e.g. a
-    :class:`~repro.perf.evaluator.ScheduleEvaluator`, not a local closure).
+    Ties resolve to the earliest schedule in enumeration order.
     """
     if not jobs:
         raise ValueError("cannot search over an empty job set")
     best_schedule: CoSchedule | None = None
     best_score = math.inf
-    pool = make_executor(executor)
     schedules = enumerate_schedules(jobs, include_solo=include_solo)
-    if isinstance(pool, SerialExecutor):
-        batch = getattr(evaluate, "evaluate_batch", None)
-        if batch is not None:
-            # Tensor-backed evaluators score a whole chunk in one lockstep
-            # sweep; strict ``<`` keeps the earliest-in-order tie winner.
-            for chunk in _chunks(schedules, _CHUNK):
-                for schedule, score in zip(chunk, batch(chunk)):
-                    if score < best_score:
-                        best_schedule, best_score = schedule, score
-        else:
-            for schedule in schedules:
-                score = evaluate(schedule)
+    if isinstance(evaluate, BatchScheduleEvaluator):
+        # A tensor-backed evaluator scores a whole chunk in one lockstep
+        # sweep; strict ``<`` keeps the earliest-in-order tie winner.
+        for chunk in _chunks(schedules, _CHUNK):
+            for schedule, score in zip(chunk, evaluate.evaluate_all(chunk)):
                 if score < best_score:
                     best_schedule, best_score = schedule, score
     else:
-        for chunk in _chunks(schedules, _CHUNK):
-            for schedule, score in zip(chunk, pool.map(evaluate, chunk)):
-                if score < best_score:
-                    best_schedule, best_score = schedule, score
+        for schedule in schedules:
+            score = evaluate(schedule)
+            if score < best_score:
+                best_schedule, best_score = schedule, score
     if best_schedule is None:
         raise ValueError("no schedules enumerated (empty job set?)")
     return best_schedule, best_score

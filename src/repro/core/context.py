@@ -1,11 +1,11 @@
 """The shared scheduling context: one bundle, every scheduler.
 
 Before this module each scheduler entry point re-plumbed its own
-``(predictor, jobs, cap_w, seed, evaluator, executor, ...)`` signature and
+``(predictor, jobs, cap_w, seed, evaluator, ...)`` signature and
 re-built its own governor.  A :class:`SchedulingContext` freezes that whole
 bundle once — jobs, predictor, cap, :class:`~repro.objective.Objective`,
-governor (via a pluggable factory), memoized evaluator, executor, eval
-cache, and seed — and every scheduler in the registry plus ``refine``,
+governor (via a pluggable factory), memoized evaluator, eval cache, and
+seed — and every scheduler in the registry plus ``refine``,
 ``online``, ``bounds``, and ``baselines`` takes it as its first argument::
 
     ctx = SchedulingContext.build(jobs, cap_w=15.0, objective="energy")
@@ -38,7 +38,6 @@ from repro.core.objectives import governor_for
 from repro.objective import Objective
 from repro.perf.cache import EvalCache
 from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
-from repro.perf.executor import Executor, make_executor
 from repro.util.rng import default_rng
 
 
@@ -47,9 +46,9 @@ class SchedulingContext:
     """Frozen bundle of everything a scheduler needs for one problem.
 
     Only ``jobs``, ``cap_w``, and ``predictor`` are required; the governor,
-    evaluator, executor, and cache are resolved consistently on
-    construction (the governor from ``governor_factory`` and the objective,
-    the evaluator bound to that governor with objective-tagged cache keys).
+    evaluator, and cache are resolved consistently on construction (the
+    governor from ``governor_factory`` and the objective, the evaluator
+    bound to that governor with objective-tagged cache keys).
     Stochastic schedulers draw their randomness from :meth:`rng`, so two
     contexts with equal seeds replay identically.
     """
@@ -65,7 +64,6 @@ class SchedulingContext:
     objective: Objective = Objective.MAKESPAN
     governor: object | None = None
     evaluator: ScheduleEvaluator | None = None
-    executor: Executor | object | None = None
     cache: EvalCache | None = None
     seed: int | np.random.Generator | None = None
     governor_factory: Callable[..., object] = governor_for
@@ -95,7 +93,6 @@ class SchedulingContext:
         set_ = object.__setattr__
         set_(self, "jobs", tuple(self.jobs))
         set_(self, "objective", Objective.coerce(self.objective))
-        set_(self, "executor", make_executor(self.executor))
         if self.fleet is None:
             if self.cap_w is None:
                 raise ValueError("a context needs cap_w or a fleet")
@@ -131,7 +128,7 @@ class SchedulingContext:
             # A multi-node context is a placement problem, not a single
             # replay: it resolves no governor/evaluator (the fleet driver
             # derives per-node sub-contexts that do), only the shared
-            # executor/cache plumbing below.
+            # cache below.
             if self.cache is None:
                 set_(self, "cache", EvalCache())
             return
@@ -216,7 +213,6 @@ class SchedulingContext:
         objective: Objective | str = Objective.MAKESPAN,
         predictor=None,
         processor=None,
-        executor=None,
         cache: EvalCache | None = None,
         disk_cache=None,
         seed=None,
@@ -227,19 +223,17 @@ class SchedulingContext:
         """Resolve a full context, building the model on the fly if needed.
 
         When ``predictor`` is omitted, the workload is profiled and the
-        degradation space characterized (optionally fanned out over
-        ``executor`` and persisted via ``disk_cache``) — the same behavior
-        the ``schedule()`` facade always had.
+        degradation space characterized (optionally persisted via
+        ``disk_cache``) — the same behavior the ``schedule()`` facade always
+        had.
         """
         if not jobs:
             raise ValueError("cannot schedule an empty job set")
-        pool = make_executor(executor)
         shared_cache = cache if cache is not None else EvalCache()
         if predictor is None:
             predictor = build_predictor(
                 jobs,
                 processor=processor,
-                executor=pool,
                 cache=shared_cache,
                 disk_cache=disk_cache,
             )
@@ -251,7 +245,6 @@ class SchedulingContext:
             predictor=predictor,
             objective=objective,
             governor=governor,
-            executor=pool,
             cache=shared_cache,
             seed=seed,
             governor_factory=(
@@ -347,7 +340,6 @@ class SchedulingContext:
             jobs=self.jobs,
             predictor=self.base_predictor,
             objective=self.objective,
-            executor=self.executor,
             seed=self.seed,
             governor_factory=self.governor_factory,
             sanitize=self.sanitize,
@@ -462,7 +454,6 @@ def build_predictor(
     *,
     processor=None,
     space=None,
-    executor=None,
     cache: EvalCache,
     disk_cache=None,
 ) -> CachingPredictor:
@@ -472,8 +463,8 @@ def build_predictor(
     :meth:`SchedulingContext.build` and
     :class:`~repro.core.runtime.CoScheduleRuntime`: ``processor``
     defaults to the calibrated Ivy Bridge, an injected ``space`` skips
-    characterization, both stages fan out over ``executor`` and persist
-    via ``disk_cache``, and the predictor answers through ``cache``.
+    characterization, both stages persist via ``disk_cache``, and the
+    predictor answers through ``cache``.
     """
     from repro.model.characterize import characterize_space
     from repro.model.predictor import CoRunPredictor
@@ -485,9 +476,9 @@ def build_predictor(
 
         processor = make_ivy_bridge()
     disk = resolve_disk_cache(disk_cache)
-    table = profile_workload(processor, jobs, executor=executor, disk_cache=disk)
+    table = profile_workload(processor, jobs, disk_cache=disk)
     if space is None:
-        space = characterize_space(processor, executor=executor, disk_cache=disk)
+        space = characterize_space(processor, disk_cache=disk)
     return CachingPredictor(CoRunPredictor(processor, table, space), cache=cache)
 
 

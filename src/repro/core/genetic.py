@@ -93,7 +93,6 @@ class GeneticScheduler:
         # context genuinely evolves low-energy schedules.
         self.evaluator = ctx.evaluator
         self.governor = ctx.governor
-        self.executor = ctx.executor
         self.vectorized = vectorized
 
     # ------------------------------------------------------------------
@@ -109,15 +108,8 @@ class GeneticScheduler:
         return self.evaluator(self._decode(genome))
 
     def _evaluate_population(self, population: list[_Genome]) -> None:
-        """Fill the evaluator's cache for a whole generation at once.
-
-        Uncached genomes fan out over the executor (the GA's evaluation is
-        embarrassingly parallel within a generation); results are identical
-        to serial evaluation because fitness is a pure function.
-        """
-        self.evaluator.evaluate_all(
-            [self._decode(g) for g in population], executor=self.executor
-        )
+        """Fill the evaluator's cache for a whole generation at once."""
+        self.evaluator.evaluate_all([self._decode(g) for g in population])
 
     def _random_genome(self) -> _Genome:
         n = len(self.jobs)

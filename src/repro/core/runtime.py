@@ -19,19 +19,16 @@ The runtime is a thin composition over the same pieces every other caller
 uses: the model comes from :func:`~repro.core.context.build_predictor`
 (wrapped in a shared evaluation cache, ``cache``; profiling and
 characterization optionally persist to disk via ``disk_cache`` /
-``REPRO_CACHE_DIR`` and fan out over ``executor``), every policy runs on a
-fresh :meth:`CoScheduleRuntime.context`, HCS goes through the scheduler
-registry (:func:`~repro.core.api.dispatch`), and every execution goes
-through :meth:`~repro.core.context.SchedulingContext.simulate`, so it is
-labelled and scored with the runtime's objective.  The runtime stores no
-context: ``random_average`` over processes pickles the runtime, and a
-context would drag its tensors along.
+``REPRO_CACHE_DIR``), every policy runs on a fresh
+:meth:`CoScheduleRuntime.context`, HCS goes through the scheduler registry
+(:func:`~repro.core.api.dispatch`), and every execution goes through
+:meth:`~repro.core.context.SchedulingContext.simulate`, so it is labelled
+and scored with the runtime's objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from collections.abc import Sequence
 
 import numpy as np
@@ -50,7 +47,6 @@ from repro.core.freqpolicy import Bias, BiasedGovernor
 from repro.objective import Objective
 from repro.core.schedule import CoSchedule
 from repro.perf.cache import EvalCache
-from repro.perf.executor import make_executor
 from repro.util.rng import default_rng, spawn_rng
 
 
@@ -85,11 +81,6 @@ class RandomAverage:
         return float(np.mean([o.makespan_s for o in self.outcomes]))
 
 
-def _random_outcome_task(seed, runtime: "CoScheduleRuntime", bias: Bias):
-    """One Random-baseline sample (module-level for process-pool pickling)."""
-    return runtime.run_random(seed=seed, bias=bias)
-
-
 class CoScheduleRuntime:
     """End-to-end co-scheduling runtime over one processor and job set."""
 
@@ -101,7 +92,6 @@ class CoScheduleRuntime:
         cap_w: float = DEFAULT_POWER_CAP_W,
         objective: Objective | str = Objective.MAKESPAN,
         space: DegradationSpace | None = None,
-        executor=None,
         cache: EvalCache | None = None,
         disk_cache=None,
         backend: str = "tensor",
@@ -112,13 +102,11 @@ class CoScheduleRuntime:
         self.cap_w = cap_w
         self.objective = Objective.coerce(objective)
         self.backend = backend
-        self.executor = make_executor(executor)
         self.cache = cache if cache is not None else EvalCache()
         self.predictor = build_predictor(
             self.jobs,
             processor=processor,
             space=space,
-            executor=self.executor,
             cache=self.cache,
             disk_cache=disk_cache,
         )
@@ -147,7 +135,6 @@ class CoScheduleRuntime:
             objective=(
                 self.objective if objective is None else Objective.coerce(objective)
             ),
-            executor=self.executor,
             seed=seed,
             backend=self.backend,
         )
@@ -184,21 +171,19 @@ class CoScheduleRuntime:
         )
 
     def random_average(
-        self, *, n: int = 20, seed=None, bias: Bias = Bias.GPU, executor=None
+        self, *, n: int = 20, seed=None, bias: Bias = Bias.GPU
     ) -> RandomAverage:
         """Average of ``n`` Random runs with independent seeds (paper: 20).
 
-        The repetitions are independent and fan out over ``executor``
-        (default: the runtime's executor); results are identical across
-        backends because every repetition is seeded up front.
+        Every repetition's generator is spawned up front from ``seed``.
         """
         rng = default_rng(seed)
-        pool = self.executor if executor is None else make_executor(executor)
-        outcomes = pool.map(
-            partial(_random_outcome_task, runtime=self, bias=bias),
-            spawn_rng(rng, n),
+        return RandomAverage(
+            outcomes=tuple(
+                self.run_random(seed=child, bias=bias)
+                for child in spawn_rng(rng, n)
+            )
         )
-        return RandomAverage(outcomes=tuple(outcomes))
 
     def run_default(
         self,

@@ -56,18 +56,15 @@ class ExperimentResult:
 def default_runtime(
     instances: int = 1,
     cap_w: float = DEFAULT_POWER_CAP_W,
-    executor: str | None = None,
 ) -> CoScheduleRuntime:
     """A cached runtime over the calibrated Rodinia-like workload.
 
     ``instances=2`` reproduces the 16-program study's job set (two
-    differently sized instances per program).  ``executor`` is a *string*
-    spec (``"serial"``/``"threads"``/``"processes[:N]"``) rather than an
-    executor object so the cache key stays hashable.
+    differently sized instances per program).
     """
     if instances == 1:
         jobs = make_jobs(rodinia_programs())
     else:
         scales = INSTANCE_SCALES[:instances]
         jobs = make_jobs(rodinia_programs(), instances=instances, instance_scales=scales)
-    return CoScheduleRuntime(jobs, cap_w=cap_w, executor=executor)
+    return CoScheduleRuntime(jobs, cap_w=cap_w)

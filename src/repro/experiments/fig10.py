@@ -32,11 +32,10 @@ def run(
     n_random: int = 20,
     name: str = "fig10",
     paper_speedups: dict[str, float] | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     if paper_speedups is None:
         paper_speedups = PAPER_SPEEDUPS
-    runtime = default_runtime(instances=instances, cap_w=cap_w, executor=executor)
+    runtime = default_runtime(instances=instances, cap_w=cap_w)
 
     random_mean = runtime.random_average(n=n_random).mean_makespan_s
     outcomes = {

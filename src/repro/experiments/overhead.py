@@ -15,16 +15,12 @@ from repro.experiments.common import ExperimentResult, default_runtime
 from repro.util.tables import format_table
 
 
-def run(
-    cap_w: float = DEFAULT_POWER_CAP_W, *, executor: str | None = None
-) -> ExperimentResult:
+def run(cap_w: float = DEFAULT_POWER_CAP_W) -> ExperimentResult:
     rows = []
     headline = {}
     perf: dict[str, float] = {}
     for instances, label in ((1, "8 jobs"), (2, "16 jobs")):
-        runtime = default_runtime(
-            instances=instances, cap_w=cap_w, executor=executor
-        )
+        runtime = default_runtime(instances=instances, cap_w=cap_w)
         for refine, policy in ((False, "hcs"), (True, "hcs+")):
             outcome = runtime.run_hcs(refine=refine)
             frac = outcome.scheduling_time_s / outcome.makespan_s

@@ -2,7 +2,7 @@
 
 Drivers historically exposed heterogeneous keyword signatures (some take
 ``cap_w``, some ``seed``, some neither).  :func:`run_experiment` now
-accepts one uniform set of overrides — ``seed``, ``cap_w``, ``executor``
+accepts one uniform set of overrides — ``seed``, ``cap_w``, ``objective``
 (or a bundled :class:`ExperimentConfig`) — and routes each override only
 to the drivers whose signature accepts it, so callers never need to know
 which experiment takes what.
@@ -65,14 +65,11 @@ class ExperimentConfig:
     """Uniform experiment overrides.
 
     Every field defaults to "leave the driver's own default alone"; set a
-    field to override it for any driver that supports it.  ``executor`` is
-    a string spec (``"serial"``/``"threads"``/``"processes[:N]"``) so it
-    can flow through cached runtimes.
+    field to override it for any driver that supports it.
     """
 
     seed: int | None = None
     cap_w: float | None = None
-    executor: str | None = None
     #: scheduling objective ("makespan"/"energy"/"edp") for drivers that
     #: construct schedules through the unified entry point
     objective: str | None = None
@@ -84,8 +81,6 @@ class ExperimentConfig:
             out["seed"] = self.seed
         if self.cap_w is not None:
             out["cap_w"] = self.cap_w
-        if self.executor is not None:
-            out["executor"] = self.executor
         if self.objective is not None:
             out["objective"] = self.objective
         return out
@@ -122,13 +117,12 @@ def run_experiment(
     *,
     seed: int | None = None,
     cap_w: float | None = None,
-    executor: str | None = None,
     objective: str | None = None,
     config: ExperimentConfig | None = None,
 ) -> ExperimentResult:
     """Run one experiment by name, with optional uniform overrides.
 
-    ``seed``/``cap_w``/``executor``/``objective`` (or an
+    ``seed``/``cap_w``/``objective`` (or an
     :class:`ExperimentConfig` bundling them — explicit keywords win over
     the bundle) are forwarded only to drivers whose signatures accept
     them; an override a driver does not understand is silently skipped
@@ -138,9 +132,6 @@ def run_experiment(
     merged = ExperimentConfig(
         seed=seed if seed is not None else (config.seed if config else None),
         cap_w=cap_w if cap_w is not None else (config.cap_w if config else None),
-        executor=executor
-        if executor is not None
-        else (config.executor if config else None),
         objective=objective
         if objective is not None
         else (config.objective if config else None),

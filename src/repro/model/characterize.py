@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hardware.device import DeviceKind
 from repro.hardware.frequency import FrequencySetting
 from repro.hardware.processor import IntegratedProcessor
 from repro.workload.microbench import micro_benchmark, micro_grid_levels
+from repro.engine.corun import steady_degradation
 from repro.engine.standalone import standalone_run
 from repro.model.interpolation import BilinearGrid
 from repro.model.space import DegradationSpace, StagedDegradationSpace
 from repro.perf.cache import EvalCache, fingerprint
 from repro.perf.diskcache import resolve_disk_cache
-from repro.perf.parallel import map_pair_degradations
 
 
 def characterize_space(
@@ -27,7 +28,6 @@ def characterize_space(
     *,
     setting: FrequencySetting | None = None,
     n_levels: int = 11,
-    executor=None,
     cache: EvalCache | None = None,
     disk_cache=None,
 ) -> DegradationSpace:
@@ -40,8 +40,7 @@ def characterize_space(
     The sweep is a pure function of its inputs, so it is memoized: in memory
     via ``cache`` (an :class:`~repro.perf.cache.EvalCache`), on disk via
     ``disk_cache`` (a directory, a :class:`~repro.perf.diskcache.DiskCache`,
-    or the ``REPRO_CACHE_DIR`` environment variable).  The 121 co-runs fan
-    out over ``executor`` (see :func:`repro.perf.make_executor`).
+    or the ``REPRO_CACHE_DIR`` environment variable).
     """
     if setting is None:
         setting = processor.max_setting
@@ -50,11 +49,11 @@ def characterize_space(
         return cache.get_or_compute(
             key,
             lambda: _characterize_uncached(
-                processor, setting, n_levels, executor, key[1], disk_cache
+                processor, setting, n_levels, key[1], disk_cache
             ),
         )
     return _characterize_uncached(
-        processor, setting, n_levels, executor, key[1], disk_cache
+        processor, setting, n_levels, key[1], disk_cache
     )
 
 
@@ -62,7 +61,6 @@ def _characterize_uncached(
     processor: IntegratedProcessor,
     setting: FrequencySetting,
     n_levels: int,
-    executor,
     digest: str,
     disk_cache,
 ) -> DegradationSpace:
@@ -71,7 +69,7 @@ def _characterize_uncached(
         hit = disk.load(digest)
         if isinstance(hit, DegradationSpace):
             return hit
-    space = _characterize_sweep(processor, setting, n_levels, executor)
+    space = _characterize_sweep(processor, setting, n_levels)
     if disk is not None:
         disk.store(digest, space)
     return space
@@ -81,7 +79,6 @@ def _characterize_sweep(
     processor: IntegratedProcessor,
     setting: FrequencySetting,
     n_levels: int,
-    executor,
 ) -> DegradationSpace:
     # The sweep tops out at the platform's streaming capability: the paper's
     # 0-11 GB/s range is exactly its device limit.
@@ -109,18 +106,18 @@ def _characterize_sweep(
         ]
     )
 
-    # The 121 co-runs are independent; fan them out over the executor.
-    pairs = [
-        (cpu_micro, gpu_micro) for cpu_micro in micros for gpu_micro in micros
-    ]
-    degradations = map_pair_degradations(executor, processor, setting, pairs)
-
+    # Every (cpu, gpu) micro-benchmark pair is co-run once; both sides'
+    # degradations fill one grid cell each.
     cpu_deg = np.zeros((n_levels, n_levels))
     gpu_deg = np.zeros((n_levels, n_levels))
-    for flat, (d_c, d_g) in enumerate(degradations):
-        i, j = divmod(flat, n_levels)
-        cpu_deg[i, j] = d_c
-        gpu_deg[i, j] = d_g
+    for i, cpu_micro in enumerate(micros):
+        for j, gpu_micro in enumerate(micros):
+            cpu_deg[i, j] = steady_degradation(
+                processor, cpu_micro, DeviceKind.CPU, gpu_micro, setting
+            )
+            gpu_deg[i, j] = steady_degradation(
+                processor, gpu_micro, DeviceKind.GPU, cpu_micro, setting
+            )
 
     return DegradationSpace(
         levels_gbps=levels,
@@ -135,7 +132,6 @@ def characterize_staged_space(
     *,
     anchor_settings: list[FrequencySetting] | None = None,
     n_levels: int = 11,
-    executor=None,
     cache: EvalCache | None = None,
     disk_cache=None,
 ) -> StagedDegradationSpace:
@@ -158,7 +154,6 @@ def characterize_staged_space(
             processor,
             setting=s,
             n_levels=n_levels,
-            executor=executor,
             cache=cache,
             disk_cache=disk_cache,
         )

@@ -13,7 +13,6 @@ exhaustive pair profiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from collections.abc import Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.workload.program import Job
 from repro.engine.standalone import standalone_power_w, standalone_run
 from repro.perf.cache import EvalCache, fingerprint
 from repro.perf.diskcache import resolve_disk_cache
-from repro.perf.executor import make_executor
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,10 @@ class ProfileTable:
         return [j.uid for j in self.jobs]
 
 
-def _job_device_profile(task, processor: IntegratedProcessor):
-    """One job's standalone sweep on one device (a picklable executor task)."""
-    job, kind = task
+def _job_device_profile(
+    job: Job, kind: DeviceKind, processor: IntegratedProcessor
+) -> _JobProfile:
+    """One job's standalone sweep on one device."""
     device = processor.device(kind)
     levels = device.domain.levels
     times = np.empty(len(levels))
@@ -116,7 +115,6 @@ def profile_workload(
     processor: IntegratedProcessor,
     jobs: Sequence[Job],
     *,
-    executor=None,
     cache: EvalCache | None = None,
     disk_cache=None,
 ) -> ProfileTable:
@@ -124,8 +122,7 @@ def profile_workload(
 
     Profiling is a pure function of (processor, jobs): ``cache`` memoizes
     the whole table in memory, ``disk_cache`` persists it across runs (see
-    :mod:`repro.perf.diskcache`), and the N x 2 per-device sweeps fan out
-    over ``executor``.
+    :mod:`repro.perf.diskcache`).
     """
     uids = [j.uid for j in jobs]
     if len(set(uids)) != len(uids):
@@ -135,16 +132,15 @@ def profile_workload(
     if cache is not None:
         return cache.get_or_compute(
             key,
-            lambda: _profile_uncached(processor, jobs, executor, key[1], disk_cache),
+            lambda: _profile_uncached(processor, jobs, key[1], disk_cache),
         )
-    return _profile_uncached(processor, jobs, executor, key[1], disk_cache)
+    return _profile_uncached(processor, jobs, key[1], disk_cache)
 
 
 def extend_table(
     table: ProfileTable,
     jobs: Sequence[Job],
     *,
-    executor=None,
     cache: EvalCache | None = None,
 ) -> ProfileTable:
     """Profile additional jobs and merge them into a new table.
@@ -164,28 +160,19 @@ def extend_table(
     if not new_jobs:
         return table
 
+    processor = table.processor
     tasks = [(job, kind) for job in new_jobs for kind in DeviceKind]
-    worker = partial(_job_device_profile, processor=table.processor)
     if cache is None:
-        results = make_executor(executor).map(worker, tasks)
+        results = [_job_device_profile(job, kind, processor) for job, kind in tasks]
     else:
-        keys = [
-            ("solo-sweep", fingerprint(table.processor, job.profile), kind.name)
-            for job, kind in tasks
-        ]
-        missing: dict[tuple, tuple[Job, DeviceKind]] = {}
-        for task, key in zip(tasks, keys):
-            if key not in cache and key not in missing:
-                missing[key] = task
-        computed = dict(
-            zip(
-                missing,
-                make_executor(executor).map(worker, list(missing.values())),
-            )
-        )
         results = [
-            cache.get_or_compute(key, lambda key=key: computed[key])
-            for key in keys
+            cache.get_or_compute(
+                ("solo-sweep", fingerprint(processor, job.profile), kind.name),
+                lambda job=job, kind=kind: _job_device_profile(
+                    job, kind, processor
+                ),
+            )
+            for job, kind in tasks
         ]
     profiles = dict(table._profiles)
     profiles.update(
@@ -201,7 +188,6 @@ def extend_table(
 def _profile_uncached(
     processor: IntegratedProcessor,
     jobs: tuple[Job, ...],
-    executor,
     digest: str,
     disk_cache,
 ) -> ProfileTable:
@@ -211,9 +197,7 @@ def _profile_uncached(
         if isinstance(hit, ProfileTable):
             return hit
     tasks = [(job, kind) for job in jobs for kind in DeviceKind]
-    results = make_executor(executor).map(
-        partial(_job_device_profile, processor=processor), tasks
-    )
+    results = [_job_device_profile(job, kind, processor) for job, kind in tasks]
     profiles = {
         (job.uid, kind): prof for (job, kind), prof in zip(tasks, results)
     }

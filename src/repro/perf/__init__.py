@@ -6,9 +6,6 @@ predicted makespans — funnels through this package:
 
 * content-hashed memoization (:class:`EvalCache`, :class:`CachingPredictor`,
   :class:`ScheduleEvaluator`) with hit/miss instrumentation;
-* an executor abstraction (``serial`` / ``threads`` / ``processes``) threaded
-  through the characterization sweep, workload profiling, the Random
-  baseline, GA population evaluation, and brute-force enumeration;
 * an optional on-disk cache (:class:`DiskCache`, ``REPRO_CACHE_DIR``) so
   repeated CLI / experiment runs start warm;
 * a vectorized tensor backend (:mod:`repro.perf.tensor`) that precomputes
@@ -27,15 +24,6 @@ scalar reference path.
 from repro.perf.cache import CacheStats, EvalCache, ensure_cache, fingerprint
 from repro.perf.diskcache import CACHE_DIR_ENV, DiskCache, resolve_disk_cache
 from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator, schedule_key
-from repro.perf.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    executor_names,
-    make_executor,
-)
-from repro.perf.parallel import map_makespans, map_pair_degradations
 
 # Imported last: repro.perf.tensor imports from the submodules above.
 from repro.perf.tensor import (
@@ -63,14 +51,6 @@ __all__ = [
     "CachingPredictor",
     "ScheduleEvaluator",
     "schedule_key",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "executor_names",
-    "make_executor",
-    "map_makespans",
-    "map_pair_degradations",
     "BatchScheduleEvaluator",
     "PairTables",
     "TensorBackedPredictor",

@@ -95,8 +95,7 @@ class EvalCache:
     Keys are arbitrary hashable tuples; callers namespace their keys with a
     leading tag (``("deg", ...)``, ``("makespan", ...)``) so one cache can
     safely be shared across the predictor and the schedule evaluator.  The
-    optional ``maxsize`` bounds memory with FIFO eviction.  Plain-dict
-    operations keep it safe under the thread executor.
+    optional ``maxsize`` bounds memory with FIFO eviction.
     """
 
     def __init__(self, maxsize: int | None = None) -> None:
@@ -118,7 +117,7 @@ class EvalCache:
         self.stats = CacheStats()
 
     def prime(self, key: Hashable, value) -> None:
-        """Insert a value computed elsewhere (e.g. by a worker process)."""
+        """Insert a value computed elsewhere (e.g. by a batch replay)."""
         self._data[key] = value
         self._evict()
 

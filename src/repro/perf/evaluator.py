@@ -146,8 +146,6 @@ class ScheduleEvaluator:
     Cache keys are tagged with the objective, so one shared
     :class:`~repro.perf.cache.EvalCache` can serve evaluators with
     different objectives without ever leaking a score across them.
-    ``contains``/``prime`` support batch fan-out (a caller maps uncached
-    schedules across an executor, then primes the results back in).
     """
 
     #: Cache-key tag identifying how scores are computed.  Subclasses with a
@@ -220,34 +218,56 @@ class ScheduleEvaluator:
     def prime(self, schedule, value: float) -> None:
         self.cache.prime(self._key(schedule), value)
 
-    def evaluate_all(self, schedules: Sequence, executor=None) -> list[float]:
-        """Evaluate many schedules, fanning uncached ones over ``executor``."""
-        from repro.perf.parallel import map_makespans, map_predicted_metrics
+    def evaluate_all(self, schedules: Sequence) -> list[float]:
+        """Scores of many schedules, in input order.
 
+        Each distinct uncached schedule is computed once and counts as one
+        cache miss; repeats and cached schedules count as hits.
+        """
+        todo = self._uncached(schedules)
+        if todo:
+            self._score_scalar(todo)
+            self._count_computed(todo)
+        return [self(s) for s in schedules]
+
+    def _uncached(self, schedules: Sequence) -> list:
+        """The distinct schedules not yet cached, in first-seen order."""
         pending: dict[tuple, object] = {}
         for s in schedules:
             key = self._key(s)
             if key not in self.cache and key not in pending:
                 pending[key] = s
-        if pending:
-            todo = list(pending.values())
-            if self.objective is Objective.MAKESPAN:
-                values = map_makespans(
-                    executor, self.predictor, self.governor, todo
-                )
-                for s, v in zip(todo, values):
-                    self.prime(s, v)
-            else:
-                metrics = map_predicted_metrics(
-                    executor, self.predictor, self.governor, todo
-                )
-                for s, m in zip(todo, metrics):
-                    self.cache.prime(self._metrics_key(s), m)
-                    self.prime(s, m.score(self.objective))
-            # fan-out results count as evaluations, not hits
-            self.cache.stats.misses += len(todo)
-            self.cache.stats.hits -= len(todo)
-        return [self(s) for s in schedules]
+        return list(pending.values())
+
+    def _score_scalar(self, todo: Sequence) -> None:
+        """Compute ``todo`` on the scalar path, then prime every score.
+
+        All scores are computed before any is primed, so an infeasible
+        schedule raises with the cache as it was.
+        """
+        from repro.core.schedule import predicted_makespan, predicted_metrics
+
+        if self.objective is Objective.MAKESPAN:
+            values = [
+                predicted_makespan(s, self.predictor, self.governor)
+                for s in todo
+            ]
+            for s, v in zip(todo, values):
+                self.prime(s, v)
+        else:
+            metrics = [
+                predicted_metrics(s, self.predictor, self.governor)
+                for s in todo
+            ]
+            for s, m in zip(todo, metrics):
+                self.cache.prime(self._metrics_key(s), m)
+                self.prime(s, m.score(self.objective))
+
+    def _count_computed(self, todo: Sequence) -> None:
+        # Primed scores are read back through __call__, which counts a hit;
+        # they are evaluations, so move them to the miss column.
+        self.cache.stats.misses += len(todo)
+        self.cache.stats.hits -= len(todo)
 
     def snapshot(self) -> dict[str, float]:
         return self.cache.snapshot()

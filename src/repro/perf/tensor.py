@@ -75,7 +75,7 @@ from repro.units import Hertz, PowerScale, Seconds, SpeedScale, Watts
 from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
 from repro.perf.cache import EvalCache, ensure_cache
-from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator, schedule_key
+from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
 
 #: Refuse to materialize pair tensors larger than this many elements each
 #: (n_jobs^2 x n_settings).  Beyond it the precompute no longer amortizes
@@ -1138,20 +1138,10 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
     # ------------------------------------------------------------------
     # Batched lockstep evaluation
     # ------------------------------------------------------------------
-    def evaluate_batch(self, schedules: Sequence) -> list[float]:
-        """Score a batch in one vectorized sweep (scores also memoized)."""
-        return self.evaluate_all(schedules, executor=None)
-
-    def evaluate_all(self, schedules: Sequence, executor=None) -> list[float]:
-        from repro.perf.parallel import map_makespans, map_predicted_metrics
-
-        pending: dict[tuple, object] = {}
-        for s in schedules:
-            key = self._key(s)
-            if key not in self.cache and key not in pending:
-                pending[key] = s
-        if pending:
-            todo = list(pending.values())
+    def evaluate_all(self, schedules: Sequence) -> list[float]:
+        """Scores of many schedules: table-covered ones in one replay."""
+        todo = self._uncached(schedules)
+        if todo:
             covered = [s for s in todo if self._indexable(s)]
             rest = [s for s in todo if not self._indexable(s)]
             if covered:
@@ -1160,8 +1150,8 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
                     # An infeasible schedule is in the batch: re-run the
                     # whole todo set through the scalar path so the first
                     # infeasible schedule (in todo order) raises exactly as
-                    # a serial evaluation would.
-                    return super().evaluate_all(schedules, executor)
+                    # evaluating each schedule in order would.
+                    return super().evaluate_all(schedules)
                 from repro.core.schedule import PredictedMetrics
 
                 for s, (mk, en, fl) in zip(covered, batch):
@@ -1172,22 +1162,8 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
                         self.cache.prime(self._metrics_key(s), m)
                         self.prime(s, m.score(self.objective))
             if rest:
-                if self.objective is Objective.MAKESPAN:
-                    values = map_makespans(
-                        executor, self.predictor, self.governor, rest
-                    )
-                    for s, v in zip(rest, values):
-                        self.prime(s, v)
-                else:
-                    metrics = map_predicted_metrics(
-                        executor, self.predictor, self.governor, rest
-                    )
-                    for s, m in zip(rest, metrics):
-                        self.cache.prime(self._metrics_key(s), m)
-                        self.prime(s, m.score(self.objective))
-            # Fan-out/batch results count as evaluations, not hits.
-            self.cache.stats.misses += len(todo)
-            self.cache.stats.hits -= len(todo)
+                self._score_scalar(rest)
+            self._count_computed(todo)
         return [self(s) for s in schedules]
 
     def _batch_replay(self, schedules):

@@ -27,7 +27,7 @@ def generate_report(
 
     ``names`` restricts the run (default: the full registry, deduplicated —
     fig5/fig6 share a driver).  ``config`` applies uniform overrides
-    (seed, cap, executor) to every driver that supports them.
+    (seed, cap, objective) to every driver that supports them.
     """
     path = Path(path)
     chosen = names if names is not None else list(EXPERIMENTS)

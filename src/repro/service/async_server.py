@@ -246,7 +246,6 @@ def serve_async(
     cap_w: float = DEFAULT_POWER_CAP_W,
     objective: Objective | str = Objective.MAKESPAN,
     queue_capacity: int = 64,
-    executor: str | None = None,
     seed=None,
     shards: int = 1,
     worker_mode: str = "inline",
@@ -275,7 +274,6 @@ def serve_async(
             cap_w=cap_w,
             objective=Objective.coerce(objective).value,
             queue_capacity=queue_capacity,
-            executor=executor,
             seed=seed,
             durable_dir=durable_dir,
             tenant_quota=tenant_quota,

@@ -72,7 +72,6 @@ class FleetSession:
         processor=None,
         method: str = "hcs",
         objective="makespan",
-        executor=None,
         seed=None,
         sanitize: bool | None = None,
         **scheduler_opts,
@@ -89,7 +88,6 @@ class FleetSession:
                 method=method,
                 cap_w=caps[i],
                 objective=objective,
-                executor=executor,
                 seed=None if seed is None else seed + _SEED_STRIDE * i,
                 sanitize=sanitize,
                 node=node,
@@ -286,7 +284,6 @@ class FleetSession:
             self._shapes = extend_table(
                 self._shapes,
                 [Job(uid=shape, profile=profile)],
-                executor=first.executor,
                 cache=first.cache,
             )
             base = CoRunPredictor(first.processor, self._shapes, first.space)

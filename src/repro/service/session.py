@@ -12,8 +12,8 @@ Bridges three layers that were previously only composable offline:
   ``repro.core`` registry — HCS by default) is consulted whenever a
   processor goes idle, over the *arrived* unstarted jobs;
 * the :mod:`repro.perf` layer supplies the shared
-  :class:`~repro.perf.cache.EvalCache` and the executor used to profile
-  submissions concurrently.
+  :class:`~repro.perf.cache.EvalCache` that submissions are profiled
+  through.
 
 Power-cap events may land mid-run (:meth:`set_cap`): the governor is
 rebuilt, the running pair's frequencies are re-evaluated at the event
@@ -51,7 +51,6 @@ from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import ProfileTable, extend_table
 from repro.perf.cache import EvalCache
 from repro.perf.evaluator import CachingPredictor
-from repro.perf.executor import make_executor
 
 _EPS = 1e-9
 
@@ -137,7 +136,6 @@ class ServiceSession:
         method: str = "hcs",
         cap_w: float = DEFAULT_POWER_CAP_W,
         objective="makespan",
-        executor=None,
         seed=None,
         sanitize: bool | None = None,
         node=None,
@@ -145,7 +143,6 @@ class ServiceSession:
     ) -> None:
         self.processor = processor if processor is not None else make_ivy_bridge()
         self.cache = EvalCache()
-        self.executor = make_executor(executor)
         self.method = method.lower()
         self.objective = Objective.coerce(objective)
         self.cap_w = cap_w
@@ -154,9 +151,7 @@ class ServiceSession:
         #: node's speed/power scaling.  The session clock stays native —
         #: the fleet facade converts to wall time at its boundary.
         self.node = node
-        self.space = characterize_space(
-            self.processor, executor=self.executor, cache=self.cache
-        )
+        self.space = characterize_space(self.processor, cache=self.cache)
         self.table: ProfileTable = ProfileTable(
             processor=self.processor, jobs=(), _profiles={}
         )
@@ -180,7 +175,6 @@ class ServiceSession:
             objective=self.objective,
             predictor=self._caching,
             cache=self.cache,
-            executor=self.executor,
             seed=seed,
             node=node,
             **scheduler_opts,
@@ -242,9 +236,7 @@ class ServiceSession:
         self._unprofiled.clear()
         if not batch:
             return
-        self.table = extend_table(
-            self.table, batch, executor=self.executor, cache=self.cache
-        )
+        self.table = extend_table(self.table, batch, cache=self.cache)
         self._caching.inner = CoRunPredictor(
             self.processor, self.table, self.space
         )

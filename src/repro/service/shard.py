@@ -44,7 +44,6 @@ class ShardConfig:
     cap_w: float = DEFAULT_POWER_CAP_W
     objective: str = "makespan"
     queue_capacity: int = 64
-    executor: str | None = None
     seed: int | None = None
     durable_dir: str | None = None
     tenant_quota: int | None = None
@@ -72,7 +71,6 @@ def build_state(config: ShardConfig):
         fleet,
         method=config.method,
         objective=config.objective,
-        executor=config.executor,
         seed=config.seed,
         sanitize=config.sanitize,
     )

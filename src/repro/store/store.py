@@ -427,8 +427,11 @@ class JobStore:
         self._since_snapshot = 0
 
     def close(self) -> None:
-        self.snapshot()
-        self.log.close()
+        """Take a final snapshot and close the log, even if it fails."""
+        try:
+            self.snapshot()
+        finally:
+            self.log.close()
 
     # ------------------------------------------------------------------
     # Reads

@@ -37,13 +37,13 @@ class TestConfigRouting:
         assert probe_experiment[-1] == {"cap_w": 12.0, "seed": 7}
 
     def test_unsupported_override_skipped(self, probe_experiment):
-        # the probe driver has no ``executor`` parameter; the override must
+        # the probe driver has no ``objective`` parameter; the override must
         # be dropped rather than raising TypeError
-        run_experiment("probe", executor="threads", cap_w=11.0)
+        run_experiment("probe", objective="energy", cap_w=11.0)
         assert probe_experiment[-1] == {"cap_w": 11.0, "seed": None}
 
     def test_config_bundle(self, probe_experiment):
-        cfg = ExperimentConfig(seed=5, cap_w=20.0, executor="serial")
+        cfg = ExperimentConfig(seed=5, cap_w=20.0, objective="energy")
         run_experiment("probe", config=cfg)
         assert probe_experiment[-1] == {"cap_w": 20.0, "seed": 5}
 
@@ -57,7 +57,7 @@ class TestConfigRouting:
         assert ExperimentConfig(seed=1).overrides() == {"seed": 1}
 
     def test_real_driver_accepts_cap(self):
-        result = run_experiment("overhead", cap_w=17.0, executor="serial")
+        result = run_experiment("overhead", cap_w=17.0)
         assert result.name == "overhead"
         assert result.perf  # perf-layer section populated
 
@@ -80,6 +80,18 @@ class TestCliFlags:
             else:
                 os.environ[CACHE_DIR_ENV] = before
 
-    def test_executor_flag_smoke(self, capsys):
-        assert main(["fig2", "--quiet", "--executor", "serial"]) == 0
-        assert "[fig2]" in capsys.readouterr().out
+    def test_executor_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--executor", "serial", "fig2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["schedule", "serve"])
+    def test_subcommand_executor_flag_rejected(self, capsys, subcommand):
+        # Refused while parsing, before any model or server is started.
+        with pytest.raises(SystemExit) as exit_info:
+            main([subcommand, "--executor", "serial"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --executor serial" in captured.err
+        assert captured.out == ""

@@ -1,9 +1,8 @@
-"""Exactness of the perf layer: caching and fan-out never change results.
+"""Exactness of the perf layer: caching never changes results.
 
-Every memoized or parallelized path is a pure function, so cached results
-must be *byte-identical* to uncached ones and every executor backend must
-agree with serial execution.  These are the invariants that make the perf
-layer safe to leave on by default.
+Every memoized path is a pure function, so cached results must be
+*byte-identical* to uncached ones.  That is the invariant that makes the
+perf layer safe to leave on by default.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.core.freqpolicy import ModelGovernor
 from repro.core.genetic import GaConfig, genetic_schedule
 from repro.core.hcs import hcs_schedule
 from repro.core.refine import refine_schedule
-from repro.core.runtime import CoScheduleRuntime
 from repro.core.schedule import predicted_makespan
 from repro.model.characterize import characterize_space
 from repro.model.profiler import profile_workload
@@ -89,9 +87,8 @@ class TestScheduleEvaluatorExact:
         expected = [
             predicted_makespan(s, predictor, governor) for s in schedules
         ]
-        for backend in (None, "threads:2"):
-            evaluate = ScheduleEvaluator(predictor, governor)
-            assert evaluate.evaluate_all(schedules, executor=backend) == expected
+        evaluate = ScheduleEvaluator(predictor, governor)
+        assert evaluate.evaluate_all(schedules) == expected
 
 
 class TestCachedSearchesIdentical:
@@ -159,52 +156,6 @@ class TestCachedSearchesIdentical:
         evaluator = ScheduleEvaluator(predictor, governor, EvalCache())
         cached = brute_force_best(jobs, evaluator)
         assert plain == cached
-
-
-class TestExecutorDeterminism:
-    """serial == threads == processes for every fanned-out stage."""
-
-    @pytest.mark.parametrize("backend", ["threads:2", "processes:2"])
-    def test_characterize_space(self, processor, space, backend):
-        parallel = characterize_space(processor, executor=backend)
-        assert fingerprint(parallel) == fingerprint(space)
-
-    @pytest.mark.parametrize("backend", ["threads:2", "processes:2"])
-    def test_profile_workload(self, processor, rodinia_jobs, table, backend):
-        parallel = profile_workload(processor, rodinia_jobs, executor=backend)
-        assert fingerprint(parallel) == fingerprint(table)
-
-    def test_genetic_across_backends(self, predictor, rodinia_jobs):
-        cfg = GaConfig(population=10, generations=3)
-        runs = {
-            backend: genetic_schedule(
-                _ctx(predictor, rodinia_jobs[:5], seed=9, executor=backend),
-                config=cfg,
-            )
-            for backend in (None, "threads:2")
-        }
-        baseline = runs[None]
-        for got in runs.values():
-            assert got == baseline
-
-    def test_brute_force_across_backends(self, predictor, rodinia_jobs):
-        governor = ModelGovernor(predictor, CAP_W)
-        jobs = rodinia_jobs[:4]
-        evaluator = ScheduleEvaluator(predictor, governor)
-        serial = brute_force_best(jobs, evaluator)
-        threaded = brute_force_best(jobs, evaluator, executor="threads:2")
-        assert serial == threaded
-
-    @pytest.mark.slow
-    def test_runtime_random_average_across_backends(self, rodinia_jobs):
-        runtime = CoScheduleRuntime(rodinia_jobs[:5], cap_w=CAP_W)
-        serial = runtime.random_average(n=3, seed=21)
-        threads = runtime.random_average(n=3, seed=21, executor="threads:2")
-        procs = runtime.random_average(n=3, seed=21, executor="processes:2")
-        # repro: noqa REP003 -- executor-determinism contract, byte-identical
-        assert serial.mean_makespan_s == threads.mean_makespan_s
-        # repro: noqa REP003 -- executor-determinism contract, byte-identical
-        assert serial.mean_makespan_s == procs.mean_makespan_s
 
 
 class TestDiskCacheRoundTrip:

@@ -239,7 +239,7 @@ class TestScheduleScores:
 
         ctx_t, ctx_s = self._contexts(scalar_predictor, jobs, cap)
         scheds = [random_schedule(ctx_s.with_seed(s)) for s in seeds]
-        got = ctx_t.evaluator.evaluate_batch(scheds)
+        got = ctx_t.evaluator.evaluate_all(scheds)
         want = [ctx_s.evaluator(s) for s in scheds]
         # repro: noqa REP003 -- byte-identical backend contract
         assert got == want
@@ -312,7 +312,7 @@ class TestScheduleScores:
         )
         ev = ctx.evaluator
         assert isinstance(ev, BatchScheduleEvaluator)
-        got = ev.evaluate_batch(scheds)
+        got = ev.evaluate_all(scheds)
         assert len({ev._key(s) for s in scheds}) == k
         # Smaller batches replay one at a time; the rest take the sweep.
         lockstep = k >= LOCKSTEP_MIN_BATCH

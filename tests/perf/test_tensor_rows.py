@@ -243,7 +243,7 @@ class TestNoSizeCliff:
         scheds = [random_schedule(ref.with_seed(s)) for s in range(6)]
         # Six schedules take the lockstep sweep; each also replays alone.
         # repro: noqa REP003 -- byte-identical backend contract
-        assert ctx.evaluator.evaluate_batch(scheds) == [ref.evaluator(s) for s in scheds]
+        assert ctx.evaluator.evaluate_all(scheds) == [ref.evaluator(s) for s in scheds]
         for s in scheds:
             # repro: noqa REP003 -- byte-identical backend contract
             assert ctx.metrics(s) == ref.metrics(s)

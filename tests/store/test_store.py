@@ -1,5 +1,7 @@
 """Unit tests for the durable job store: fold, log, recovery, idempotency."""
 
+import sqlite3
+
 import pytest
 
 from repro.store import (
@@ -242,6 +244,22 @@ class TestJobStoreDurability:
         assert [e for _, e in replayed] == events
         assert list(log.replay(3)) == [(4, events[3])]
         log.close()
+
+    def test_close_closes_log_when_final_snapshot_fails(self, tmp_path):
+        class FailingSnapshotLog(SQLiteEventLog):
+            def save_snapshot(self, seq, state):
+                raise OSError("disk full")
+
+        log = FailingSnapshotLog(tmp_path / "log.sqlite")
+        store = JobStore(log)
+        store.commit(JobSubmitted(job_id="a", program="lud"))
+        with pytest.raises(OSError, match="disk full"):
+            store.close()
+        # The submission was flushed before the snapshot failed ...
+        assert store.applied_seq == 1
+        # ... and the connection is closed all the same.
+        with pytest.raises(sqlite3.ProgrammingError):
+            log._conn.execute("select 1")
 
     def test_corrupt_suffix_refuses_to_fold(self, tmp_path):
         log = SQLiteEventLog(tmp_path / "shard-0.sqlite")
