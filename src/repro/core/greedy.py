@@ -78,10 +78,12 @@ class _ScalarSource:
 class _TableSource:
     """The same numbers read from the governor's :class:`PairTables`.
 
-    Only the rows of this call's jobs are gathered, as Python lists: the
-    best-solo times, the minimum-interference matrix, and the governor's
-    per-pair and solo times.  An infeasible combination defers to the
-    governor, which raises the scalar path's exact error.
+    The best-solo times and the minimum-interference matrix are gathered
+    for this call's rows only, as Python lists.  Step times are the replay
+    table's cells, read from the tables' shared value list: a running
+    pair's cell, or a solo cell whose idle side reads ``inf``.  An
+    infeasible cell (NaN power) defers to the governor, which raises the
+    scalar path's exact error.
     """
 
     def __init__(self, tables, tensor, governor, uids) -> None:
@@ -91,15 +93,17 @@ class _TableSource:
         local = {row: k for k, row in enumerate(rows)}
         self.row = {uid: local[index[uid]] for uid in uids}
         self.governor = governor
-        grid = np.ix_(rows, rows)
         value, _ = tables.interference
-        self.value = value[grid].tolist()
-        self.pair_valid = tables.pair_valid[grid].tolist()
-        self.pair_t_c = tables.pair_t_c[grid].tolist()
-        self.pair_t_g = tables.pair_t_g[grid].tolist()
+        self.value = value[np.ix_(rows, rows)].tolist()
         self.best = {k: masks.best_solo_time[k][rows].tolist() for k in DeviceKind}
-        self.solo_valid = {k: tables.solo_valid[k][rows].tolist() for k in DeviceKind}
-        self.solo_t = {k: tables.solo_t[k][rows].tolist() for k in DeviceKind}
+        self.values = tables.replay_values
+        width, idle = tables.width, tables.width - 1
+        # Offsets into the values by uid (cell c·width + g starts at 3x
+        # that); ``None`` (an idle side) is the sentinel.
+        self.cpu_cell = {uid: 3 * width * index[uid] for uid in uids}
+        self.cpu_cell[None] = 3 * width * idle
+        self.gpu_cell = {uid: 3 * index[uid] for uid in uids}
+        self.gpu_cell[None] = 3 * idle
 
     def best_time(self, job: Job, kind: DeviceKind) -> float:
         return self.best[kind][self.row[job.uid]]
@@ -110,27 +114,13 @@ class _TableSource:
     def step_times(
         self, cpu_job: Job | None, gpu_job: Job | None
     ) -> tuple[float, float]:
-        if cpu_job is not None and gpu_job is not None:
-            i, j = self.row[cpu_job.uid], self.row[gpu_job.uid]
-            if not self.pair_valid[i][j]:
-                self.governor(cpu_job, gpu_job)
-            return self.pair_t_c[i][j], self.pair_t_g[i][j]
-        t_c = t_g = math.inf
-        if cpu_job is not None:
-            t_c = self._solo_time(cpu_job, DeviceKind.CPU)
-        if gpu_job is not None:
-            t_g = self._solo_time(gpu_job, DeviceKind.GPU)
-        return t_c, t_g
-
-    def _solo_time(self, job: Job, kind: DeviceKind) -> float:
-        i = self.row[job.uid]
-        if not self.solo_valid[kind][i]:
+        c = self.cpu_cell[None if cpu_job is None else cpu_job.uid]
+        g = self.gpu_cell[None if gpu_job is None else gpu_job.uid]
+        t_c, t_g, power = self.values[c + g : c + g + 3]
+        if math.isnan(power):
             # The governor raises the scalar path's InfeasibleCapError.
-            if kind is DeviceKind.CPU:
-                self.governor(job, None)
-            else:
-                self.governor(None, job)
-        return self.solo_t[kind][i]
+            self.governor(cpu_job, gpu_job)
+        return t_c, t_g
 
 
 def pairing_source(

@@ -221,48 +221,29 @@ def corun_pair(
 
     After the shorter job finishes, the longer one continues alone (no
     contention), exactly like the finite co-runs of the paper's Section III
-    example and Figure 9 power traces.
+    example and Figure 9 power traces.  It is a two-job fixed schedule on
+    the event core (:func:`repro.engine.sim.run`) under a governor that
+    always answers ``setting``.
     """
-    cpu_runner = PhasedRunner(cpu_profile, processor, DeviceKind.CPU, setting.cpu_ghz)
-    gpu_runner = PhasedRunner(gpu_profile, processor, DeviceKind.GPU, setting.gpu_ghz)
+    # Deferred: repro.engine.sim imports this module.
+    from repro.engine.sim import Scenario, run
+    from repro.workload.program import Job
 
-    t = 0.0
-    cpu_finish = gpu_finish = None
-    segments: list[PowerSegment] = []
-    for _ in range(_MAX_EVENTS):
-        if cpu_runner.done and gpu_runner.done:
-            break
-        stalls = _pair_stalls(processor, cpu_runner, gpu_runner)
-        dts = []
-        if not cpu_runner.done:
-            dts.append(cpu_runner.time_to_phase_end(stalls[0]))
-        if not gpu_runner.done:
-            dts.append(gpu_runner.time_to_phase_end(stalls[1]))
-        dt = min(dts)
-        watts = _segment_power(processor, setting, cpu_runner, gpu_runner, stalls)
-        if dt > 0:
-            segments.append(PowerSegment(duration_s=dt, watts=watts))
-        if not cpu_runner.done:
-            cpu_runner.advance(dt, stalls[0])
-            if cpu_runner.done and cpu_finish is None:
-                cpu_finish = t + dt
-        if not gpu_runner.done:
-            gpu_runner.advance(dt, stalls[1])
-            if gpu_runner.done and gpu_finish is None:
-                gpu_finish = t + dt
-        t += dt
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("co-run simulation exceeded the event budget")
-
+    cpu_job, gpu_job = Job("cpu", cpu_profile), Job("gpu", gpu_profile)
+    execution = run(
+        processor,
+        Scenario.from_queues([cpu_job], [gpu_job]),
+        governor=lambda c, g: setting,
+    )
     return CoRunResult(
         cpu_program=cpu_profile.name,
         gpu_program=gpu_profile.name,
         setting=setting,
-        cpu_time_s=cpu_finish if cpu_finish is not None else 0.0,
-        gpu_time_s=gpu_finish if gpu_finish is not None else 0.0,
+        cpu_time_s=execution.finish_of(cpu_job.uid),
+        gpu_time_s=execution.finish_of(gpu_job.uid),
         cpu_standalone_s=standalone_run(cpu_profile, processor.cpu, setting.cpu_ghz).time_s,
         gpu_standalone_s=standalone_run(gpu_profile, processor.gpu, setting.gpu_ghz).time_s,
-        segments=tuple(segments),
+        segments=execution.segments,
     )
 
 

@@ -31,9 +31,10 @@ afterwards with O(1) array lookups:
 
 :class:`PairTables`
     Per-(governor, cap) reduction of the tensors: for every (cpu row, gpu
-    row) pair the governor's chosen setting and the resulting co-run
-    times/power, and for every (row, device) the chosen solo level — the
-    complete set of constants a timeline replay consumes.  Argmin ties
+    row) pair the governor's chosen setting, for every (row, device) the
+    chosen solo level, and the co-run times/power they give in one
+    sentinel-extended replay table — the complete set of constants a
+    timeline replay consumes.  Argmin ties
     resolve to the first feasible setting in enumeration order, exactly as
     the governors' ``min()`` does.  The same tables answer the stock
     governors' cache misses, and a lazily built minimum-interference
@@ -43,8 +44,9 @@ afterwards with O(1) array lookups:
     A :class:`~repro.perf.evaluator.ScheduleEvaluator` with two replays
     over :class:`PairTables`, each the faster one for its input size:
 
-    * **per-schedule replay**: an O(1)-per-event Python loop, from t=0, for
-      single schedules and small batches;
+    * **per-schedule replay**: the lockstep's event step as a Python loop
+      over the same table's rows, from t=0, for single schedules and small
+      batches;
     * **batched lockstep evaluation**: ``evaluate_all`` and
       ``score_population`` score an entire GA population / brute-force
       chunk in one vectorized sweep, advancing all schedules event by
@@ -64,6 +66,7 @@ path.  Exactness is enforced by ``tests/perf/test_tensor_model.py`` /
 from __future__ import annotations
 
 import functools
+import math
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -84,7 +87,7 @@ MAX_TENSOR_ELEMENTS = 2_000_000
 
 #: Smallest ``evaluate_all`` batch replayed in lockstep; smaller batches
 #: replay one schedule at a time (see docs/PERF.md for the measurement).
-LOCKSTEP_MIN_BATCH = 20
+LOCKSTEP_MIN_BATCH = 24
 
 #: Completion tolerance of the mean-field replay (must equal
 #: ``repro.core.schedule._EPS``; asserted by the equivalence tests).
@@ -740,37 +743,80 @@ class TensorBackedPredictor:
 class PairTables:
     """Governor-resolved replay constants for one (tensor, governor, cap).
 
-    For every (cpu row, gpu row) pair: the governor's chosen setting index
-    and the resulting co-run times and pair power; for every (row, device):
-    the chosen solo level's index, time and chip power.  These are exactly
-    the quantities the mean-field replay consumes, so a replay over the
-    tables is bitwise identical to one over (governor, predictor) — with
-    the single exception of infeasible combinations, which are flagged
-    invalid here and re-raised through the scalar path for identical
-    errors.
+    For every (cpu row, gpu row) pair the governor's chosen setting index,
+    for every (row, device) the chosen solo level's index, and the values
+    those choices give in one place, :attr:`replay_table`: a flat
+    ``((n+1)², 3)`` array of ``[t_c, t_g, power]`` cells, cell
+    ``c·(n+1) + g`` for cpu row ``c`` and gpu row ``g``.  Row and column
+    ``n`` are the idle sentinel: cell ``(c, n)`` holds cpu row ``c``'s solo
+    level and ``(n, g)`` gpu row ``g``'s, with the idle side's time
+    ``+inf`` so ``min(frac_c·t_c, frac_g·t_g)`` is the solo time bit for
+    bit (``min(x, inf) == x``).  Infeasible pair and solo cells hold unit
+    times and NaN power, so a replay that meets one still finishes, with
+    NaN energy, and re-raises through the scalar path for identical
+    errors.  Cell ``(n, n)`` (both sides idle) marks a finished replay.
+    Every feasible cell is exactly the (governor, predictor) value, so a
+    replay over the table is bitwise identical to the scalar one.
 
     The same choices answer the governor itself (:meth:`serving`), and
     :attr:`interference` adds the greedy pairing's ranking matrix.
     """
 
-    def __init__(self, cap_w, pair_valid, pair_sidx, pair_t_c, pair_t_g,
-                 pair_power, solo_valid, solo_idx, solo_t, solo_power,
-                 settings, levels, rank):
+    def __init__(self, cap_w, pair_valid, pair_sidx, solo_valid, solo_idx,
+                 replay_table, settings, levels, rank):
         self.cap_w = cap_w
         self.pair_valid = pair_valid
         self.pair_sidx = pair_sidx        # (n, n) int: chosen setting index
-        self.pair_t_c = pair_t_c
-        self.pair_t_g = pair_t_g
-        self.pair_power = pair_power
         self.solo_valid = solo_valid      # kind -> (n,) bool
         self.solo_idx = solo_idx          # kind -> (n,) int: chosen level index
-        self.solo_t = solo_t              # kind -> (n,) float
-        self.solo_power = solo_power      # kind -> (n,) float
+        self.replay_table = replay_table  # ((n+1)², 3) [t_c, t_g, power]
+        self.width = pair_valid.shape[0] + 1
         self.settings = settings          # setting index -> FrequencySetting
         self.levels = levels              # kind -> level index -> GHz
         self._rank = rank
         self._interference = None
-        self._replay_table = None
+        self._replay_values = None
+
+    @property
+    def replay_values(self) -> list[float]:
+        """:attr:`replay_table` flattened into one list of Python floats.
+
+        Cell ``k``'s ``t_c``, ``t_g`` and power sit at ``3k``, ``3k + 1``
+        and ``3k + 2``.  What the Python-loop readers index (no numpy
+        scalar per lookup); built on first use and shared by every reader.
+        One list of floats, not a list per cell: tables are rebuilt often,
+        and per-cell containers cost several times more to build and are
+        scanned by every full garbage collection while the tables live.
+        """
+        if self._replay_values is None:
+            self._replay_values = self.replay_table.ravel().tolist()
+        return self._replay_values
+
+    def solo_cell(self, row: int, kind: DeviceKind) -> tuple[float, float]:
+        """``(time, power)`` of ``row``'s solo cell on ``kind``: the chosen
+        level's, or ``(1.0, nan)`` when no level fits the cap."""
+        values = self.replay_values
+        idle = self.width - 1
+        if kind is DeviceKind.CPU:
+            k = 3 * (row * self.width + idle)
+            return values[k], values[k + 2]
+        k = 3 * (idle * self.width + row)
+        return values[k + 1], values[k + 2]
+
+    def add_solo_tail(self, tail, t, energy, flow):
+        """Replay totals plus a ``(row, kind)`` solo tail.
+
+        The scalar tail's op order — ``t += solo; flow += t; energy +=
+        solo · power`` — on floats or per-lane arrays alike.  A tail job
+        with no feasible solo level reads its cell's NaN power, so the
+        energy comes back NaN, as after an infeasible replay cell.
+        """
+        for row, kind in tail:
+            solo_s, power = self.solo_cell(row, kind)
+            t = t + solo_s
+            flow = flow + t
+            energy = energy + solo_s * power
+        return t, energy, flow
 
     @property
     def interference(self) -> tuple[np.ndarray, np.ndarray]:
@@ -815,40 +861,6 @@ class PairTables:
         if governor.cap_w != cap_w:
             return None
         return (kind_of, getattr(governor, "objective", None), cap_w)
-
-    @property
-    def replay_table(self) -> np.ndarray:
-        """The sentinel-extended table the lockstep replay gathers from.
-
-        A flat ``((n+1)², 3)`` array of ``[t_c, t_g, power]`` rows, cell
-        ``c·(n+1) + g`` for cpu row ``c`` and gpu row ``g``.  Row and
-        column ``n`` are the idle sentinel: cell ``(c, n)`` holds cpu row
-        ``c``'s solo level and ``(n, g)`` gpu row ``g``'s, with the idle
-        side's time ``+inf`` so ``min(frac_c·t_c, frac_g·t_g)`` is the
-        solo time bit for bit (``min(x, inf) == x``).  Infeasible pair and
-        solo cells hold unit times and NaN power, so a lane that meets one
-        still finishes, with NaN energy.  Cell ``(n, n)`` (both sides
-        idle) marks a finished lane.  Built on first use; every feasible
-        value is an exact copy of the tables'.
-        """
-        if self._replay_table is None:
-            n = self.pair_t_c.shape[0]
-            cells = np.empty((n + 1, n + 1, 3))
-            ok = self.pair_valid
-            cells[:n, :n, 0] = np.where(ok, self.pair_t_c, 1.0)
-            cells[:n, :n, 1] = np.where(ok, self.pair_t_g, 1.0)
-            cells[:n, :n, 2] = np.where(ok, self.pair_power, np.nan)
-            for kind, solo in (
-                (DeviceKind.CPU, cells[:n, n]), (DeviceKind.GPU, cells[n, :n])
-            ):
-                ok = self.solo_valid[kind]
-                busy, idle = (0, 1) if kind is DeviceKind.CPU else (1, 0)
-                solo[:, busy] = np.where(ok, self.solo_t[kind], 1.0)
-                solo[:, idle] = np.inf
-                solo[:, 2] = np.where(ok, self.solo_power[kind], np.nan)
-            cells[n, n] = (np.inf, np.inf, 0.0)
-            self._replay_table = cells.reshape(-1, 3)
-        return self._replay_table
 
     @classmethod
     def build(cls, tensor: TensorModel, governor, cap_w: float):
@@ -896,9 +908,12 @@ class PairTables:
         sidx = np.argmin(masked, axis=2)
         pair_valid = masks.pair_ok.any(axis=2)
         take = np.take_along_axis
-        pair_t_c = take(tensor.t_corun_c, sidx[..., None], axis=2)[..., 0]
-        pair_t_g = take(tensor.t_corun_g, sidx[..., None], axis=2)[..., 0]
-        pair_power = take(tensor.pair_power, sidx[..., None], axis=2)[..., 0]
+        n = tensor.n_rows
+        cells = np.empty((n + 1, n + 1, 3))
+        pair_values = (tensor.t_corun_c, tensor.t_corun_g, tensor.pair_power)
+        for col, values in enumerate(pair_values):
+            cells[:n, :n, col] = take(values, sidx[..., None], axis=2)[..., 0]
+        cells[:n, :n][~pair_valid] = (1.0, 1.0, np.nan)
 
         if solo_cost is None:
             rank = _degradation_rank(tensor, masks)
@@ -908,8 +923,8 @@ class PairTables:
             def rank():
                 return take(masked, sidx[..., None], axis=2)[..., 0], sidx
 
-        solo_valid, solo_idx, solo_t, solo_power = {}, {}, {}, {}
-        rows = np.arange(tensor.n_rows)
+        solo_valid, solo_idx = {}, {}
+        rows = np.arange(n)
         for kind in DeviceKind:
             if solo_cost is None:
                 idx = masks.best_solo_idx[kind]
@@ -917,13 +932,21 @@ class PairTables:
                 with np.errstate(invalid="ignore"):
                     c = np.where(masks.solo_ok[kind], solo_cost[kind], np.inf)
                 idx = np.argmin(c, axis=1)
-            solo_valid[kind] = masks.best_solo_valid[kind]
+            solo_valid[kind] = ok = masks.best_solo_valid[kind]
             solo_idx[kind] = idx
-            solo_t[kind] = tensor.solo_time[kind][rows, idx]
-            solo_power[kind] = tensor.solo_chip_power[kind][rows, idx]
+            if kind is DeviceKind.CPU:
+                solo, busy, idle = cells[:n, n], 0, 1
+            else:
+                solo, busy, idle = cells[n, :n], 1, 0
+            solo[:, busy] = tensor.solo_time[kind][rows, idx]
+            solo[:, idle] = np.inf
+            solo[:, 2] = tensor.solo_chip_power[kind][rows, idx]
+            solo[~ok, busy] = 1.0
+            solo[~ok, 2] = np.nan
+        cells[n, n] = (np.inf, np.inf, 0.0)
         tables = cls(
-            cap_w, pair_valid, sidx, pair_t_c, pair_t_g, pair_power,
-            solo_valid, solo_idx, solo_t, solo_power,
+            cap_w, pair_valid, sidx, solo_valid, solo_idx,
+            cells.reshape(-1, 3),
             tensor.settings,
             {DeviceKind.CPU: tensor.cpu_levels, DeviceKind.GPU: tensor.gpu_levels},
             rank,
@@ -975,6 +998,17 @@ def _sentinel_queues(Q, lengths, idle: int, scale: int):
     padded = np.full((K, w + 1), idle, dtype=np.int64)
     padded[:, :w] = np.where(np.arange(w) < lengths[:, None], Q, idle)
     return (padded * scale).ravel(), np.arange(K) * (w + 1)
+
+
+def _flat_queues(queues, idle: int, scale: int):
+    """The list form of :func:`_sentinel_queues`: each row-index list
+    closed by one ``idle`` sentinel, laid end to end and multiplied by
+    ``scale``, with the lane start cursors."""
+    flat, starts = [], []
+    for q in queues:
+        starts.append(len(flat))
+        flat += q + [idle]
+    return np.array(flat, dtype=np.int64) * scale, np.array(starts, dtype=np.int64)
 
 
 class BatchScheduleEvaluator(ScheduleEvaluator):
@@ -1032,81 +1066,63 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
             self.batch_stats["scalar_fallbacks"] += 1
         return result
 
+    def _tensor_rows(self, jobs) -> list[int]:
+        index = self.tensor.index
+        return [index[job.uid] for job in jobs]
+
     def _indexed_replay(self, schedule):
         """(makespan, energy, flow) of one schedule replayed from t=0, or
-        ``None`` if it hits an infeasible pair or solo combination."""
+        ``None`` if it meets an infeasible pair or solo cell.
+
+        The lockstep replay's event step for one lane, in plain Python
+        over :attr:`PairTables.replay_values`: the same sentinel cells and
+        the same op order, so the two replays agree bit for bit.
+        """
         self.batch_stats["full_replays"] += 1
-        tb = self.tables
-        index = self.tensor.index
-        cpu = [index[j.uid] for j in schedule.cpu_queue]
-        gpu = [index[j.uid] for j in schedule.gpu_queue]
+        values = self.tables.replay_values
+        width = self.tables.width
+        idle = width - 1
+        # Cell k = cpu row * width + gpu row, its values from 3k on; each
+        # queue ends on the idle sentinel, whose time is inf, so it never
+        # completes.
+        cpu = [3 * width * row for row in self._tensor_rows(schedule.cpu_queue)]
+        cpu.append(3 * width * idle)
+        gpu = [3 * row for row in self._tensor_rows(schedule.gpu_queue)]
+        gpu.append(3 * idle)
+        finished = cpu[-1] + gpu[-1]
 
         cp = gp = 0
-        cur_c = cur_g = -1
-        frac_c = frac_g = t = energy = flow = 0.0
-        kinds = DeviceKind
+        frac_c = frac_g = 1.0
+        t = energy = flow = 0.0
         while True:
-            if cur_c < 0 and cp < len(cpu):
-                cur_c, frac_c = cpu[cp], 1.0
-                cp += 1
-            if cur_g < 0 and gp < len(gpu):
-                cur_g, frac_g = gpu[gp], 1.0
-                gp += 1
-            if cur_c < 0 and cur_g < 0:
+            k = cpu[cp] + gpu[gp]
+            if k == finished:
                 break
-
-            if cur_c >= 0 and cur_g >= 0:
-                if not tb.pair_valid[cur_c, cur_g]:
-                    return None
-                t_c = float(tb.pair_t_c[cur_c, cur_g])
-                t_g = float(tb.pair_t_g[cur_c, cur_g])
-                power = float(tb.pair_power[cur_c, cur_g])
-                dt = min(frac_c * t_c, frac_g * t_g)
-            elif cur_c >= 0:
-                if not tb.solo_valid[kinds.CPU][cur_c]:
-                    return None
-                t_c = float(tb.solo_t[kinds.CPU][cur_c])
-                power = float(tb.solo_power[kinds.CPU][cur_c])
-                dt = frac_c * t_c
-            else:
-                if not tb.solo_valid[kinds.GPU][cur_g]:
-                    return None
-                t_g = float(tb.solo_t[kinds.GPU][cur_g])
-                power = float(tb.solo_power[kinds.GPU][cur_g])
-                dt = frac_g * t_g
-            energy += dt * power
-
-            done = 0
-            if cur_c >= 0:
-                rem = frac_c - dt / t_c
-                if rem <= _EPS:
-                    cur_c, frac_c, done = -1, 0.0, done + 1
-                else:
-                    frac_c = rem
-            if cur_g >= 0:
-                rem = frac_g - dt / t_g
-                if rem <= _EPS:
-                    cur_g, frac_g, done = -1, 0.0, done + 1
-                else:
-                    frac_g = rem
+            t_c = values[k]
+            t_g = values[k + 1]
+            dt = min(frac_c * t_c, frac_g * t_g)
+            energy += dt * values[k + 2]
             t += dt
+            done = 0
+            rem = frac_c - dt / t_c
+            if rem <= _EPS:
+                cp, frac_c, done = cp + 1, 1.0, 1
+            else:
+                frac_c = rem
+            rem = frac_g - dt / t_g
+            if rem <= _EPS:
+                gp, frac_g, done = gp + 1, 1.0, done + 1
+            else:
+                frac_g = rem
             flow += done * t
-        return self._add_solo_tail(schedule.solo_tail, t, energy, flow)
+        return self._with_tail(schedule, t, energy, flow)
 
-    def _add_solo_tail(self, solo_tail, t, energy, flow):
-        """Replay totals plus ``solo_tail``, in the scalar tail's op order;
-        ``None`` if a tail job has no feasible solo level."""
-        tb = self.tables
+    def _with_tail(self, schedule, t, energy, flow):
+        """Totals plus ``schedule``'s solo tail; ``None`` on NaN energy."""
         index = self.tensor.index
-        for job, kind in solo_tail:
-            i = index[job.uid]
-            if not tb.solo_valid[kind][i]:
-                return None
-            solo_s = float(tb.solo_t[kind][i])
-            t += solo_s
-            flow += t
-            energy += solo_s * float(tb.solo_power[kind][i])
-        return t, energy, flow
+        tail = [(index[job.uid], kind) for job, kind in schedule.solo_tail]
+        t, energy, flow = self.tables.add_solo_tail(tail, t, energy, flow)
+        return None if math.isnan(energy) else (t, energy, flow)
 
     # ------------------------------------------------------------------
     # ScheduleEvaluator overrides
@@ -1184,44 +1200,35 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
                 out.append(result)
             return out
 
-        index = self.tensor.index
-        K = len(schedules)
-        cpu_lists = [[index[j.uid] for j in s.cpu_queue] for s in schedules]
-        gpu_lists = [[index[j.uid] for j in s.gpu_queue] for s in schedules]
-        len_c = np.array([len(q) for q in cpu_lists])
-        len_g = np.array([len(q) for q in gpu_lists])
-        wc = max(1, int(len_c.max()) if K else 1)
-        wg = max(1, int(len_g.max()) if K else 1)
-        Qc = np.full((K, wc), -1, dtype=np.int64)
-        Qg = np.full((K, wg), -1, dtype=np.int64)
-        for k, q in enumerate(cpu_lists):
-            Qc[k, : len(q)] = q
-        for k, q in enumerate(gpu_lists):
-            Qg[k, : len(q)] = q
-
-        t, energy, flow, bad = self._replay_matrices(Qc, len_c, Qg, len_g)
-        if bad.any():
-            return None
+        width = self.tables.width
+        flat_c, pos_c = _flat_queues(
+            [self._tensor_rows(s.cpu_queue) for s in schedules], width - 1, width
+        )
+        flat_g, pos_g = _flat_queues(
+            [self._tensor_rows(s.gpu_queue) for s in schedules], width - 1, 1
+        )
+        t, energy, flow = self._lockstep(flat_c, pos_c, flat_g, pos_g)
         out = []
         for k, s in enumerate(schedules):
-            result = self._add_solo_tail(
-                s.solo_tail, float(t[k]), float(energy[k]), float(flow[k])
+            result = self._with_tail(
+                s, float(t[k]), float(energy[k]), float(flow[k])
             )
             if result is None:
                 return None
             out.append(result)
         return out
 
-    def _replay_matrices(self, Qc, len_c, Qg, len_g):
-        """Lockstep replay over padded queue-index matrices.
+    def _lockstep(self, flat_c, pos_c, flat_g, pos_g):
+        """Lockstep replay over flat, sentinel-closed queues.
 
-        ``Qc``/``Qg`` are ``(K, w)`` int matrices of tensor row indices
-        (padding value irrelevant past each lane's length); ``len_c`` /
-        ``len_g`` the per-lane queue lengths.  Returns per-lane
-        ``(t, energy, flow, bad)`` arrays, where ``bad`` flags lanes that
-        hit an infeasible pair or solo combination (their other outputs
-        are meaningless).  Lane arithmetic is bitwise identical to
-        :meth:`_indexed_replay` of the same queues.
+        ``flat_c``/``flat_g`` are the lanes' tensor row indices laid end
+        to end, each lane closed by the idle sentinel (the cpu side
+        pre-multiplied by the table width), and ``pos_c``/``pos_g`` the
+        lanes' start cursors — see :func:`_flat_queues` and
+        :func:`_sentinel_queues`.  Returns per-lane ``(t, energy, flow)``
+        arrays; a lane that met an infeasible pair or solo cell has NaN
+        energy (its other outputs are meaningless).  Lane arithmetic is
+        bitwise identical to :meth:`_indexed_replay` of the same queues.
         """
         # The loop is dominated by numpy dispatch on small per-event
         # arrays, so each event is one gather per queue side and one
@@ -1229,19 +1236,14 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         # events into pair events with an infinitely long idle side, and
         # NaN power marks infeasible cells instead of a validity check.
         table = self.tables.replay_table
-        width = self.tables.pair_t_c.shape[0] + 1
-        idle = width - 1
-        # Cell index = cpu row * width + gpu row, so the cpu queue is
-        # pre-scaled; each cursor is a flat position into its queue.
-        flat_c, pos_c = _sentinel_queues(Qc, len_c, idle, width)
-        flat_g, pos_g = _sentinel_queues(Qg, len_g, idle, 1)
-        K = Qc.shape[0]
+        idle = self.tables.width - 1
+        finished = idle * self.tables.width + idle
+        K = len(pos_c)
         frac_c = np.ones(K)
         frac_g = np.ones(K)
         t = np.zeros(K)
         energy = np.zeros(K)
         flow = np.zeros(K)
-        finished = idle * width + idle
 
         # Finished lanes read ``inf/inf``; their updates are masked out.
         with np.errstate(invalid="ignore"):
@@ -1270,7 +1272,7 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
                 # with done counting completions this event (0, 1 or 2).
                 flow += np.add(done_c, done_g, dtype=np.int64) * t
 
-        return t, energy, flow, np.isnan(energy)
+        return t, energy, flow
 
     # ------------------------------------------------------------------
     # Population scoring (index matrices in, objective scores out)
@@ -1303,18 +1305,13 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         self.batch_stats["batch_schedules"] += K
         self.batch_stats["population_calls"] += 1
         self.batch_stats["population_schedules"] += K
-        t, energy, flow, bad = self._replay_matrices(Qc, len_c, Qg, len_g)
-        tb = self.tables
-        for i, kind in solo_tail:
-            if not tb.solo_valid[kind][i]:
-                bad = np.ones_like(bad)
-                break
-            # Same op order as the scalar tail: t += solo; flow += t;
-            # energy += solo * power — applied to every lane at once.
-            solo_s = float(tb.solo_t[kind][i])
-            t = t + solo_s
-            flow = flow + t
-            energy = energy + solo_s * float(tb.solo_power[kind][i])
+        width = self.tables.width
+        flat_c, pos_c = _sentinel_queues(Qc, len_c, width - 1, width)
+        flat_g, pos_g = _sentinel_queues(Qg, len_g, width - 1, 1)
+        t, energy, flow = self.tables.add_solo_tail(
+            solo_tail, *self._lockstep(flat_c, pos_c, flat_g, pos_g)
+        )
+        bad = np.isnan(energy)
         scores = np.where(bad, np.inf, self.objective.score(t, energy, flow))
         return scores, t, energy, flow, bad
 

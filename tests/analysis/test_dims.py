@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import textwrap
 
-import pytest
-
 from repro.analysis.dims import check_module
 from repro.analysis.lint.rules import ALL_RULES, DIMS_RULES
 from repro.analysis.lint.engine import run_rules

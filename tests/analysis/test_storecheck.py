@@ -10,7 +10,6 @@ from repro.analysis import (
     verify_store_log,
 )
 from repro.analysis.storecheck import (
-    INVARIANT_STORE_ACCOUNTING,
     INVARIANT_STORE_COMPLETION,
     INVARIANT_STORE_IDEMPOTENCY,
     INVARIANT_STORE_REPLAY,

@@ -186,8 +186,8 @@ def test_governor_costs_match_pair_tables(runtime, objective):
             if not tables.solo_valid[kind][i]:
                 continue
             f = tables.levels[kind][tables.solo_idx[kind][i]]
-            t = float(tables.solo_t[kind][i])
-            energy = float(tables.solo_power[kind][i]) * t
+            t, power = tables.solo_cell(i, kind)
+            energy = power * t
             # repro: noqa REP003 -- bit-identity contract with Objective.score
             assert gov._solo_cost(uid, kind, f) == objective.score(t, energy)
 

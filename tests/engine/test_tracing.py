@@ -64,9 +64,22 @@ class TestPairTimelineConsistency:
         pair = corun_pair(
             processor, rodinia["dwt2d"], rodinia["streamcluster"], setting
         )
-        assert execution.finish_of("a") == pytest.approx(pair.cpu_time_s)
-        assert execution.finish_of("b") == pytest.approx(pair.gpu_time_s)
-        assert execution.makespan_s == pytest.approx(pair.makespan_s)
-        assert execution.mean_power_w == pytest.approx(
-            pair.mean_power_w, rel=1e-6
-        )
+        assert execution.finish_of("a") == pair.cpu_time_s
+        assert execution.finish_of("b") == pair.gpu_time_s
+        # repro: noqa REP003 -- one event core, so the bits must match
+        assert execution.makespan_s == pair.makespan_s
+        assert execution.segments == pair.segments
+
+    def test_corun_pair_matches_the_golden_record(self):
+        """Every Rodinia pair at seven settings reproduces the finish times
+        and power segments recorded by ``make_golden_corun.py``, bit for
+        bit."""
+        import json
+
+        from tests.engine.make_golden_corun import FIXTURE, drive
+
+        golden = json.loads(FIXTURE.read_text())
+        record = drive()
+        assert record.keys() == golden.keys()
+        for key, entry in golden.items():
+            assert record[key] == entry, key

@@ -5,8 +5,6 @@ import queue
 import socket
 import threading
 
-import pytest
-
 from repro.service import protocol
 from repro.service.async_server import serve_async
 from repro.service.client import ServiceClient
