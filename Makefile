@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-all experiments report calibration examples clean
+.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-all experiments report calibration examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -56,6 +56,14 @@ bench-fleet:
 bench-solvers:
 	pytest benchmarks/test_population_solvers.py -q
 	python tools/check_bench.py --solvers-only
+
+# Per-layer numbers for a search change: one traced search-large run,
+# showing its GA-operator and population-replay layers.  Exits 1, with the
+# whole report, when the run fails its correctness checks.
+bench-search:
+	@out=$$(python -m bench run --workload search-large --seed 1 --trace) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^(==|  perf\.(replay\.)?population\.)'
 
 bench-all:
 	pytest benchmarks/ --benchmark-only

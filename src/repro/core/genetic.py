@@ -257,7 +257,21 @@ class GeneticScheduler:
         return min((population[int(i)] for i in picks), key=self._fitness)
 
     def _encode(self, schedule: CoSchedule) -> _Genome:
+        """The genome of ``schedule``, which must hold every GA job once.
+
+        Its priority row is then a permutation, the invariant the
+        population kernels rely on; a partial or foreign seed raises
+        ``ValueError`` naming the offending uids.
+        """
         uid_to_idx = {j.uid: i for i, j in enumerate(self.jobs)}
+        seeded = set(schedule.all_uids())
+        missing = sorted(uid_to_idx.keys() - seeded)
+        foreign = sorted(seeded - uid_to_idx.keys())
+        if missing or foreign:
+            raise ValueError(
+                "seed_schedule must hold every GA job exactly once; "
+                f"missing {missing}, foreign {foreign}"
+            )
         n = len(self.jobs)
         placement = np.zeros(n, dtype=bool)
         priority = np.zeros(n, dtype=np.int64)

@@ -16,20 +16,31 @@ is decoded with :func:`decode_queues` and scored by a single
 ``BatchScheduleEvaluator.score_population`` lockstep replay — one call per
 generation, not P.
 
+No operator sorts a row.  Priority rows are permutations, so every rank
+the operators need is an inverse permutation (one scatter) or, for the
+crossover's composite key, a presence scatter and a cumulative sum; the
+tournament's first k random keys come from k rounds of ``argmin``.  Each
+equals the stable argsort it replaces, ties included, so the only sort
+left in a generation is the 1-D fitness sort.  The kernels therefore
+rely on the permutation invariant: every producer here keeps it, and
+``GeneticScheduler`` rejects a seed schedule that would break it.
+
 Layering: :mod:`repro.perf` must not import :mod:`repro.core`, so the
 kernels speak arrays and a scoring callback only.  ``core/genetic.py`` and
 ``core/refine.py`` own the dispatch — they translate jobs to tensor
 indices and back, and keep the scalar operators as the equivalence
 referee.  Given the same random draws, every operator here produces
 exactly the genome its scalar counterpart produces (property-tested in
-``tests/perf/test_population_ops.py``); the batched loop then merely
-consumes its draws from one vectorized stream instead of genome-by-genome.
+``tests/perf/test_population_ops.py``, which also keeps the stable-argsort
+kernels as referees); the batched loop then merely consumes its draws
+from one vectorized stream instead of genome-by-genome.
 
 Memory bound: the loop holds O(P x n) int64/bool matrices (population,
-children, decoded queues) — for the defaults (P=64, n=16) a few hundred
-kilobytes, and still only ~8 MB at P=1024, n=512.  The decoded queue
-matrices passed to ``score_population`` dominate and are released after
-each generation.
+children, decoded queues) plus the tournament's ``(2P, P)`` float64 keys
+— for the defaults (P=64, n=16) a few hundred kilobytes, and at P=1024,
+n=512 about 8 MB of matrices and 16 MB of keys.  The decoded queue
+matrices passed to ``score_population`` are released after each
+generation.
 """
 
 from __future__ import annotations
@@ -78,22 +89,19 @@ def order_crossover(
     keeps them so).  Given the same mask, each child row is *identical* to
     the scalar ``_crossover``: the scalar keeps a's relative order for the
     indices holding a's ``n // 2`` smallest priorities, then fills the rest
-    in b's order — which is exactly the rank of the composite sort key
+    in b's order — which is exactly the rank of the composite key
     ``a_priority`` (picked, all < n//2) vs ``n + b_priority`` (unpicked,
-    all >= n), ranked per row by a stable double argsort.
+    all >= n) within its row.  The key's values are distinct and lie in
+    ``[0, 2n)``, so the rank is a cumulative count over a ``(P, 2n)``
+    presence matrix; no row is sorted.
     """
-    n = a_priority.shape[1]
+    size, n = a_priority.shape
     placement = np.where(mask, a_placement, b_placement)
     key = np.where(a_priority < n // 2, a_priority, n + b_priority)
-    order = np.argsort(key, axis=1, kind="stable")
-    priority = np.empty_like(a_priority)
-    np.put_along_axis(
-        priority,
-        order,
-        np.broadcast_to(np.arange(n, dtype=np.int64), order.shape),
-        axis=1,
-    )
-    return placement, priority
+    present = np.zeros((size, 2 * n), dtype=bool)
+    present[np.arange(size)[:, None], key] = True
+    rank = np.cumsum(present, axis=1, dtype=a_priority.dtype) - 1
+    return placement, np.take_along_axis(rank, key, axis=1)
 
 
 def mutation_draws(
@@ -153,12 +161,22 @@ def tournament_picks(
 ) -> np.ndarray:
     """``size`` tournament entry lists: ``(size, k)`` indices, no repeats.
 
-    Drawn as the first ``k`` columns of per-row random-key argsorts — a
-    uniformly random ordered k-subset per row, the same law as the scalar
-    ``rng.choice(population, size=k, replace=False)``.
+    Row r holds the columns of the k smallest of ``population`` uniform
+    random keys, in increasing key order — a uniformly random ordered
+    k-subset per row, the same law as the scalar
+    ``rng.choice(population, size=k, replace=False)``.  Taken by k rounds
+    of ``argmin``, each masking its pick with ``inf`` (keys lie in
+    ``[0, 1)``, so the mask never ties a real key); ``argmin`` returns the
+    first minimum, so the picks equal the first k columns of a stable
+    argsort of the keys, ties included.
     """
     keys = rng.random((size, population))
-    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    rows = np.arange(size)
+    picks = np.empty((size, k), dtype=np.intp)
+    for col in range(k):
+        picks[:, col] = np.argmin(keys, axis=1)
+        keys[rows, picks[:, col]] = np.inf
+    return picks
 
 
 def tournament_winners(fitness: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -181,28 +199,25 @@ def decode_queues(
     """Decode a population into padded queue matrices of tensor indices.
 
     Mirrors the scalar ``_decode`` row for row: jobs sorted by priority
-    (stable), split by placement into the CPU and GPU queues.
-    ``job_index`` maps genome gene position -> tensor job index.  Returns
-    ``(Qc, len_c, Qg, len_g)`` with both queue matrices ``(P, n)`` wide
-    and ``-1``-padded past each lane's length.
+    (stable), split by placement into the CPU and GPU queues.  Priority
+    rows are permutations, so that sort is the inverse permutation, built
+    with one scatter.  ``job_index`` maps genome gene position -> tensor
+    job index.  Returns ``(Qc, len_c, Qg, len_g)`` with both queue
+    matrices ``(P, n)`` wide and ``-1``-padded past each lane's length.
     """
     size, n = priority.shape
-    order = np.argsort(priority, axis=1, kind="stable")
+    rows = np.arange(size)[:, None]
+    order = np.empty((size, n), dtype=np.intp)
+    order[rows, priority] = np.arange(n)
     placed = np.take_along_axis(placement, order, axis=1)
-    jobs = job_index[order]
     len_c = placed.sum(axis=1, dtype=np.int64)
-    len_g = n - len_c
-    # Scatter each job to its position within its queue: the cumulative
-    # count of same-queue jobs up to and including it, minus one.
+    # Each job's slot in one (P, 2n) matrix, CPU queue first: the count of
+    # same-queue jobs before it, offset by n for the GPU queue.
     pos_c = np.cumsum(placed, axis=1) - 1
-    pos_g = np.cumsum(~placed, axis=1) - 1
-    Qc = np.full((size, n), -1, dtype=np.int64)
-    Qg = np.full((size, n), -1, dtype=np.int64)
-    rows, cols = np.nonzero(placed)
-    Qc[rows, pos_c[rows, cols]] = jobs[rows, cols]
-    rows, cols = np.nonzero(~placed)
-    Qg[rows, pos_g[rows, cols]] = jobs[rows, cols]
-    return Qc, len_c, Qg, len_g
+    slot = np.where(placed, pos_c, np.arange(n, 2 * n) - pos_c - 1)
+    Q = np.full((size, 2 * n), -1, dtype=np.int64)
+    Q[rows, slot] = job_index[order]
+    return Q[:, :n], len_c, Q[:, n:], n - len_c
 
 
 # ----------------------------------------------------------------------

@@ -87,7 +87,7 @@ MAX_TENSOR_ELEMENTS = 2_000_000
 
 #: Smallest ``evaluate_all`` batch replayed in lockstep; smaller batches
 #: replay one schedule at a time (see docs/PERF.md for the measurement).
-LOCKSTEP_MIN_BATCH = 24
+LOCKSTEP_MIN_BATCH = 48
 
 #: Completion tolerance of the mean-field replay (must equal
 #: ``repro.core.schedule._EPS``; asserted by the equivalence tests).

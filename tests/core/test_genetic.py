@@ -6,7 +6,8 @@ from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.genetic import GaConfig, GeneticScheduler, genetic_schedule
 from repro.core.hcs import hcs_schedule
-from repro.core.schedule import predicted_makespan
+from repro.core.schedule import CoSchedule, predicted_makespan
+from repro.workload.generator import random_workload
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,33 @@ class TestGeneticScheduler:
         assert [j.uid for j in decoded.cpu_queue] == [
             j.uid for j in hcs.schedule.cpu_queue
         ]
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_partial_seed_rejected(self, env, vectorized):
+        """A seed missing GA jobs would give the genome duplicate
+        priorities, which the population kernels cannot rank."""
+        predictor, jobs, ctx = env
+        seed = CoSchedule(cpu_queue=tuple(jobs[:3]), gpu_queue=tuple(jobs[3:5]))
+        missing = sorted(j.uid for j in jobs[5:])
+        with pytest.raises(ValueError, match="missing") as err:
+            GeneticScheduler(ctx.with_seed(0), vectorized=vectorized).evolve(
+                seed_schedule=seed
+            )
+        assert all(uid in str(err.value) for uid in missing)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_foreign_seed_rejected(self, env, vectorized):
+        predictor, jobs, ctx = env
+        (stranger,) = random_workload(1, seed=0)
+        assert stranger.uid not in {j.uid for j in jobs}
+        seed = CoSchedule(
+            cpu_queue=tuple(jobs[:4]), gpu_queue=(*jobs[4:], stranger)
+        )
+        with pytest.raises(ValueError, match="foreign") as err:
+            GeneticScheduler(ctx.with_seed(0), vectorized=vectorized).evolve(
+                seed_schedule=seed
+            )
+        assert stranger.uid in str(err.value)
 
     def test_empty_jobs_rejected(self, env):
         predictor, _, _ = env

@@ -8,13 +8,18 @@ claim per operator (crossover key construction, mutation moves, tournament
 first-min selection, decode), verify the draw laws the vectorized stream
 relies on, and check that population-batch scores are byte-identical to
 per-schedule tensor evaluation of the same decoded schedules.
+
+The kernels rank rows without sorting them; the ``stable_*`` referees
+below are their stable-argsort formulations, and the kernels must equal
+them exactly, ties included, up to the shapes the search workloads run
+(n = 64 genes, populations of 256).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import population as popkit
@@ -23,7 +28,21 @@ from repro.util.rng import default_rng
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-_sizes = st.integers(2, 10)
+_sizes = st.integers(2, 64)
+
+
+@st.composite
+def populations(draw):
+    """Two random parent populations, a crossover mask and a job index:
+    widths up to 256 rows, genomes of 1 to 64 genes."""
+    size = draw(st.integers(1, 256))
+    n = draw(st.integers(1, 64))
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_place, a_prio = popkit.random_population(rng, size, n)
+    b_place, b_prio = popkit.random_population(rng, size, n)
+    mask = rng.random((size, n)) < 0.5
+    job_index = rng.permutation(n).astype(np.int64) + 7
+    return a_place, a_prio, b_place, b_prio, mask, job_index
 
 
 @st.composite
@@ -56,6 +75,149 @@ def scalar_order_crossover(a_priority, b_priority):
     return child
 
 
+# ----------------------------------------------------------------------
+# Referees: the kernels as per-row stable argsorts
+# ----------------------------------------------------------------------
+def stable_tournament_picks(rng, size, population, k):
+    keys = rng.random((size, population))
+    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+
+
+def stable_order_crossover(a_placement, a_priority, b_placement, b_priority,
+                           mask):
+    n = a_priority.shape[1]
+    placement = np.where(mask, a_placement, b_placement)
+    key = np.where(a_priority < n // 2, a_priority, n + b_priority)
+    order = np.argsort(key, axis=1, kind="stable")
+    priority = np.empty_like(a_priority)
+    np.put_along_axis(
+        priority,
+        order,
+        np.broadcast_to(np.arange(n, dtype=np.int64), order.shape),
+        axis=1,
+    )
+    return placement, priority
+
+
+def stable_decode_queues(placement, priority, job_index):
+    size, n = priority.shape
+    order = np.argsort(priority, axis=1, kind="stable")
+    placed = np.take_along_axis(placement, order, axis=1)
+    jobs = job_index[order]
+    len_c = placed.sum(axis=1, dtype=np.int64)
+    len_g = n - len_c
+    pos_c = np.cumsum(placed, axis=1) - 1
+    pos_g = np.cumsum(~placed, axis=1) - 1
+    Qc = np.full((size, n), -1, dtype=np.int64)
+    Qg = np.full((size, n), -1, dtype=np.int64)
+    rows, cols = np.nonzero(placed)
+    Qc[rows, pos_c[rows, cols]] = jobs[rows, cols]
+    rows, cols = np.nonzero(~placed)
+    Qg[rows, pos_g[rows, cols]] = jobs[rows, cols]
+    return Qc, len_c, Qg, len_g
+
+
+class _PlantedKeys:
+    """A generator stub whose ``random`` returns fixed keys (copies, since
+    the kernel may write into them)."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys.copy()
+
+
+def _assert_arrays_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+class TestKernelsEqualStableArgsortReferees:
+    @settings(deadline=None)
+    @given(populations())
+    def test_order_crossover(self, pops):
+        a_place, a_prio, b_place, b_prio, mask, _ = pops
+        args = (a_place, a_prio, b_place, b_prio, mask)
+        _assert_arrays_identical(
+            popkit.order_crossover(*args), stable_order_crossover(*args)
+        )
+
+    @settings(deadline=None)
+    @given(populations())
+    def test_decode_queues(self, pops):
+        place, prio, *_, job_index = pops
+        _assert_arrays_identical(
+            popkit.decode_queues(place, prio, job_index),
+            stable_decode_queues(place, prio, job_index),
+        )
+
+    @pytest.mark.parametrize("size, n", [
+        (1, 1), (1, 2), (1, 64), (256, 1), (256, 2), (256, 64), (124, 56),
+    ])
+    def test_crossover_and_decode_at_edge_shapes(self, size, n):
+        rng = default_rng(size * 100 + n)
+        a_place, a_prio = popkit.random_population(rng, size, n)
+        b_place, b_prio = popkit.random_population(rng, size, n)
+        mask = rng.random((size, n)) < 0.5
+        args = (a_place, a_prio, b_place, b_prio, mask)
+        _assert_arrays_identical(
+            popkit.order_crossover(*args), stable_order_crossover(*args)
+        )
+        job_index = np.arange(n, dtype=np.int64)[::-1].copy()
+        _assert_arrays_identical(
+            popkit.decode_queues(a_place, a_prio, job_index),
+            stable_decode_queues(a_place, a_prio, job_index),
+        )
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 512), st.integers(1, 256)
+    )
+    def test_tournament_picks_on_random_keys(self, seed, size, population):
+        k = min(3, population)
+        got = popkit.tournament_picks(default_rng(seed), size, population, k)
+        want = stable_tournament_picks(default_rng(seed), size, population, k)
+        _assert_arrays_identical((got,), (want,))
+
+    @pytest.mark.parametrize("row, picks", [
+        # ties inside the first k
+        ([0.5, 0.1, 0.1, 0.3, 0.9], [1, 2, 3]),
+        ([0.2, 0.2, 0.2, 0.7], [0, 1, 2]),
+        # ties across the k-th boundary: the earliest columns win
+        ([0.6, 0.1, 0.4, 0.4, 0.4], [1, 2, 3]),
+        ([0.4, 0.9, 0.0, 0.4, 0.4, 0.0], [2, 5, 0]),
+        # every key equal
+        ([0.25] * 6, [0, 1, 2]),
+    ])
+    def test_tournament_picks_on_planted_ties(self, row, picks):
+        keys = np.array([row, row[::-1]])
+        got = popkit.tournament_picks(_PlantedKeys(keys), *keys.shape, 3)
+        want = stable_tournament_picks(_PlantedKeys(keys), *keys.shape, 3)
+        _assert_arrays_identical((got,), (want,))
+        assert got[0].tolist() == picks
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 256),
+        st.integers(1, 4),
+    )
+    def test_tournament_picks_on_dense_ties(self, seed, size, population,
+                                            levels):
+        """Keys from a handful of levels tie everywhere, at every k."""
+        rng = default_rng(seed)
+        keys = rng.integers(levels, size=(size, population)) / levels
+        k = min(3, population)
+        got = popkit.tournament_picks(_PlantedKeys(keys), size, population, k)
+        want = stable_tournament_picks(
+            _PlantedKeys(keys), size, population, k
+        )
+        _assert_arrays_identical((got,), (want,))
+
+
 class TestCrossover:
     @given(genome_pairs())
     def test_matches_scalar_rule(self, parents):
@@ -80,8 +242,8 @@ class TestCrossover:
 class TestMutation:
     @given(
         genome_pairs(),
-        st.booleans(), st.integers(0, 9),
-        st.booleans(), st.integers(0, 9), st.integers(0, 8),
+        st.booleans(), st.integers(0, 63),
+        st.booleans(), st.integers(0, 63), st.integers(0, 62),
     )
     def test_matches_scalar_moves(self, parents, flip, fc, swap, si, off):
         """Given the same decisions, mutation equals the scalar ``_mutate``:
@@ -155,7 +317,7 @@ class TestTournament:
             first = next(int(i) for i in row if fitness[i] == best)
             assert winner == first
 
-    @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 256))
     def test_picks_are_distinct_subsets(self, seed, population):
         rng = default_rng(seed)
         k = min(3, population)
@@ -445,6 +607,28 @@ class TestEvolveStream:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
+
+    def test_generation_sorts_only_the_fitness_vector(self, monkeypatch):
+        """The operators rank rows without sorting them: a generation's
+        one argsort is the 1-D fitness sort."""
+        shapes = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+
+        class Cfg:
+            population, generations, elite = 32, 5, 2
+            crossover_rate, mutation_rate = 0.8, 0.15
+
+        popkit.evolve_population(
+            lambda placement, priority: placement.sum(axis=1) * 1.0,
+            12, Cfg, default_rng(0),
+        )
+        assert shapes == [(32,)] * 5
 
     def test_more_generations_never_worse(self):
         """Per-generation draw shapes depend only on (P, n, elite), so a

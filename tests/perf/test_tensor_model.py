@@ -10,6 +10,8 @@ is ``==`` on floats by design.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -286,18 +288,19 @@ class TestScheduleScores:
         from repro.core.context import SchedulingContext
         from repro.core.schedule import CoSchedule
 
+        orders = list(itertools.permutations(jobs))
+
         def schedule(r):
-            # Every rotation of the jobs under four queue shapes: 24
-            # distinct schedules, half of them with a solo tail.
-            n = len(jobs)
-            order = jobs[r % n:] + jobs[:r % n]
+            # A distinct job order per schedule (720 of them) under four
+            # queue shapes, half of them with a solo tail.
+            order = orders[r]
             cut, tail = [
                 (2, ((order[4], DeviceKind.CPU), (order[5], DeviceKind.GPU))),
                 (2, ()),
                 (3, ()),
                 (1, ((order[5], DeviceKind.GPU),)),
-            ][r // n]
-            end = n - len(tail)
+            ][r % 4]
+            end = len(order) - len(tail)
             return CoSchedule(
                 cpu_queue=tuple(order[:cut]),
                 gpu_queue=tuple(order[cut:end]),
