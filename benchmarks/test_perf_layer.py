@@ -8,12 +8,17 @@ riding along (cached and uncached runs must produce identical results):
   scratch;
 * memoized search — repeated GA / HCS+ runs against a shared evaluation
   cache must beat cold runs while returning identical schedules.
+
+It also times the population replay (``score_population``) at the two
+shapes the search runs at n = 48 — a K = 128 GA generation and a full swap
+neighbourhood — with every lane checked against the per-schedule replay.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.hardware.calibration import make_ivy_bridge
@@ -26,6 +31,13 @@ from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import profile_workload
 from repro.perf.cache import EvalCache, fingerprint
 from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
+from repro.perf.population import (
+    decode_queues,
+    random_population,
+    swap_neighborhood,
+)
+from repro.util.rng import default_rng
+from repro.workload.generator import random_workload
 from repro.workload.program import make_jobs
 from repro.workload.rodinia import rodinia_programs
 
@@ -144,3 +156,56 @@ def test_bench_hcs_plus_cached_repeat(benchmark, env):
           f"speedup={cold_s / warm_s:.1f}x "
           f"hit_rate={shared.stats.hit_rate:.2f}")
     assert warm_s < cold_s
+
+
+@pytest.fixture(scope="module")
+def population_env(env):
+    """A 48-job tensor evaluator and its jobs' tensor rows."""
+    processor, _, _, space, _ = env
+    jobs = tuple(random_workload(48, default_rng(1)))
+    predictor = CoRunPredictor(processor, profile_workload(processor, jobs), space)
+    ev = _ctx(predictor, jobs, backend="tensor").evaluator
+    rows = np.array([ev.tensor.index[j.uid] for j in jobs], dtype=np.int64)
+    return ev, jobs, rows
+
+
+def _population_queues(shape, rows):
+    """``(Qc, len_c, Qg, len_g)`` of one search population over ``rows``."""
+    if shape == "ga-generation":
+        placement, priority = random_population(default_rng(2), 128, len(rows))
+        return decode_queues(placement, priority, rows)
+    order = default_rng(3).permutation(len(rows))
+    cpu, gpu = rows[order[:20]], rows[order[20:]]
+    Qc, Qg, _ = swap_neighborhood(cpu, gpu, 0.0, 0.0)
+    K = Qc.shape[0]
+    return Qc, np.full(K, len(cpu)), Qg, np.full(K, len(gpu))
+
+
+@pytest.mark.parametrize("shape", ["ga-generation", "swap-neighbourhood"])
+def test_bench_score_population(benchmark, bench_record, population_env, shape):
+    """One lockstep population replay at n = 48; every lane equals the
+    per-schedule replay of its queues."""
+    from repro.core.schedule import CoSchedule
+
+    ev, jobs, rows = population_env
+    queues = _population_queues(shape, rows)
+    scores, mk, en, fl, bad = benchmark(ev.score_population, *queues)
+
+    Qc, len_c, Qg, len_g = queues
+    by_row = dict(zip(rows.tolist(), jobs))
+    for k in range(len(scores)):
+        sched = CoSchedule(
+            cpu_queue=tuple(by_row[r] for r in Qc[k, : len_c[k]].tolist()),
+            gpu_queue=tuple(by_row[r] for r in Qg[k, : len_g[k]].tolist()),
+        )
+        expected = ev._indexed_replay(sched)
+        assert bool(bad[k]) == (expected is None)
+        if expected is not None:
+            # repro: noqa REP003 -- byte-identical population-lane contract
+            assert (mk[k], en[k], fl[k]) == expected
+
+    lanes = len(scores)
+    us_per_lane = benchmark.stats.stats.min / lanes * 1e6
+    bench_record(lanes=lanes, us_per_lane=us_per_lane)
+    print(f"\n[perf] score_population {shape} n=48 K={lanes} "
+          f"{us_per_lane:.2f} us/lane")

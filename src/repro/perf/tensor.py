@@ -45,12 +45,14 @@ afterwards with O(1) array lookups:
     over :class:`PairTables`, each the faster one for its input size:
 
     * **per-schedule replay**: the lockstep's event step as a Python loop
-      over the same table's rows, from t=0, for single schedules and small
-      batches;
+      over the same table's cells, from t=0, for single schedules and
+      small batches;
     * **batched lockstep evaluation**: ``evaluate_all`` and
       ``score_population`` score an entire GA population / brute-force
       chunk in one vectorized sweep, advancing all schedules event by
-      event with one gather from :attr:`PairTables.replay_table` each.
+      event — both queue sides in one step, one column gather from
+      :attr:`PairTables.replay_table` each — and retiring each schedule
+      once both its queues run out.
 
     Scores are bitwise identical to the scalar evaluator's; cache keys are
     tagged with the backend so mixed backends can never serve each other's
@@ -87,7 +89,7 @@ MAX_TENSOR_ELEMENTS = 2_000_000
 
 #: Smallest ``evaluate_all`` batch replayed in lockstep; smaller batches
 #: replay one schedule at a time (see docs/PERF.md for the measurement).
-LOCKSTEP_MIN_BATCH = 48
+LOCKSTEP_MIN_BATCH = 40
 
 #: Completion tolerance of the mean-field replay (must equal
 #: ``repro.core.schedule._EPS``; asserted by the equivalence tests).
@@ -745,16 +747,18 @@ class PairTables:
 
     For every (cpu row, gpu row) pair the governor's chosen setting index,
     for every (row, device) the chosen solo level's index, and the values
-    those choices give in one place, :attr:`replay_table`: a flat
-    ``((n+1)², 3)`` array of ``[t_c, t_g, power]`` cells, cell
-    ``c·(n+1) + g`` for cpu row ``c`` and gpu row ``g``.  Row and column
-    ``n`` are the idle sentinel: cell ``(c, n)`` holds cpu row ``c``'s solo
-    level and ``(n, g)`` gpu row ``g``'s, with the idle side's time
-    ``+inf`` so ``min(frac_c·t_c, frac_g·t_g)`` is the solo time bit for
-    bit (``min(x, inf) == x``).  Infeasible pair and solo cells hold unit
-    times and NaN power, so a replay that meets one still finishes, with
-    NaN energy, and re-raises through the scalar path for identical
-    errors.  Cell ``(n, n)`` (both sides idle) marks a finished replay.
+    those choices give in one place, :attr:`replay_table`: a
+    column-major ``(3, (n+1)²)`` array whose rows are every cell's
+    ``t_c``, ``t_g`` and power, cell ``c·(n+1) + g`` for cpu row ``c`` and
+    gpu row ``g`` — so one ``take(cells, axis=1)`` gathers three
+    contiguous rows.  Row and column ``n`` are the idle sentinel: cell
+    ``(c, n)`` holds cpu row ``c``'s solo level and ``(n, g)`` gpu row
+    ``g``'s, with the idle side's time ``+inf`` so ``min(frac_c·t_c,
+    frac_g·t_g)`` is the solo time bit for bit (``min(x, inf) == x``).
+    Infeasible pair and solo cells hold unit times and NaN power, so a
+    replay that meets one still finishes, with NaN energy, and re-raises
+    through the scalar path for identical errors.  Cell ``(n, n)`` (both
+    sides idle), the last one, marks a finished replay.
     Every feasible cell is exactly the (governor, predictor) value, so a
     replay over the table is bitwise identical to the scalar one.
 
@@ -769,7 +773,7 @@ class PairTables:
         self.pair_sidx = pair_sidx        # (n, n) int: chosen setting index
         self.solo_valid = solo_valid      # kind -> (n,) bool
         self.solo_idx = solo_idx          # kind -> (n,) int: chosen level index
-        self.replay_table = replay_table  # ((n+1)², 3) [t_c, t_g, power]
+        self.replay_table = replay_table  # (3, (n+1)²): t_c, t_g, power rows
         self.width = pair_valid.shape[0] + 1
         self.settings = settings          # setting index -> FrequencySetting
         self.levels = levels              # kind -> level index -> GHz
@@ -779,7 +783,8 @@ class PairTables:
 
     @property
     def replay_values(self) -> list[float]:
-        """:attr:`replay_table` flattened into one list of Python floats.
+        """:attr:`replay_table` flattened cell by cell into one list of
+        Python floats.
 
         Cell ``k``'s ``t_c``, ``t_g`` and power sit at ``3k``, ``3k + 1``
         and ``3k + 2``.  What the Python-loop readers index (no numpy
@@ -789,7 +794,7 @@ class PairTables:
         scanned by every full garbage collection while the tables live.
         """
         if self._replay_values is None:
-            self._replay_values = self.replay_table.ravel().tolist()
+            self._replay_values = self.replay_table.T.ravel().tolist()
         return self._replay_values
 
     def solo_cell(self, row: int, kind: DeviceKind) -> tuple[float, float]:
@@ -909,11 +914,13 @@ class PairTables:
         pair_valid = masks.pair_ok.any(axis=2)
         take = np.take_along_axis
         n = tensor.n_rows
-        cells = np.empty((n + 1, n + 1, 3))
+        # Column-major: row 0 holds every cell's t_c, row 1 its t_g and
+        # row 2 its power, so a gather of cells reads three contiguous rows.
+        cells = np.empty((3, n + 1, n + 1))
         pair_values = (tensor.t_corun_c, tensor.t_corun_g, tensor.pair_power)
         for col, values in enumerate(pair_values):
-            cells[:n, :n, col] = take(values, sidx[..., None], axis=2)[..., 0]
-        cells[:n, :n][~pair_valid] = (1.0, 1.0, np.nan)
+            cells[col, :n, :n] = take(values, sidx[..., None], axis=2)[..., 0]
+        cells[:, :n, :n][:, ~pair_valid] = ((1.0,), (1.0,), (np.nan,))
 
         if solo_cost is None:
             rank = _degradation_rank(tensor, masks)
@@ -935,18 +942,18 @@ class PairTables:
             solo_valid[kind] = ok = masks.best_solo_valid[kind]
             solo_idx[kind] = idx
             if kind is DeviceKind.CPU:
-                solo, busy, idle = cells[:n, n], 0, 1
+                solo, busy, idle = cells[:, :n, n], 0, 1
             else:
-                solo, busy, idle = cells[n, :n], 1, 0
-            solo[:, busy] = tensor.solo_time[kind][rows, idx]
-            solo[:, idle] = np.inf
-            solo[:, 2] = tensor.solo_chip_power[kind][rows, idx]
-            solo[~ok, busy] = 1.0
-            solo[~ok, 2] = np.nan
-        cells[n, n] = (np.inf, np.inf, 0.0)
+                solo, busy, idle = cells[:, n, :n], 1, 0
+            solo[busy] = tensor.solo_time[kind][rows, idx]
+            solo[idle] = np.inf
+            solo[2] = tensor.solo_chip_power[kind][rows, idx]
+            solo[busy, ~ok] = 1.0
+            solo[2, ~ok] = np.nan
+        cells[:, n, n] = (np.inf, np.inf, 0.0)
         tables = cls(
             cap_w, pair_valid, sidx, solo_valid, solo_idx,
-            cells.reshape(-1, 3),
+            cells.reshape(3, -1),
             tensor.settings,
             {DeviceKind.CPU: tensor.cpu_levels, DeviceKind.GPU: tensor.gpu_levels},
             rank,
@@ -987,28 +994,51 @@ def _degradation_rank(tensor: TensorModel, masks: _CapMasks):
     return rank
 
 
-def _sentinel_queues(Q, lengths, idle: int, scale: int):
-    """``Q`` flattened for the lockstep replay, with lane start cursors.
+def _sentinel_queues(Qc, len_c, Qg, len_g, width: int):
+    """Both sides' ``(K, w)`` queue matrices as one flat lockstep queue
+    array, with the ``(2, K)`` lane start cursors and the fewest events
+    any lane can take (:meth:`BatchScheduleEvaluator._lockstep`).
 
-    Every slot past a lane's length, plus one extra column, holds the
-    ``idle`` sentinel, so a cursor that runs off its queue stays on it;
-    values are multiplied by ``scale``.
+    Lane k's stretch holds its cpu queue pre-multiplied by ``width``, then
+    its gpu queue; cursor row 0 starts on the first and row 1 on the
+    second, so the sum of what a lane's two cursors point at is its table
+    cell.  Every slot past a queue's length, plus one extra slot, holds
+    the idle sentinel (row ``width - 1``), so a cursor that runs off its
+    queue stays on it.
     """
-    K, w = Q.shape
-    padded = np.full((K, w + 1), idle, dtype=np.int64)
-    padded[:, :w] = np.where(np.arange(w) < lengths[:, None], Q, idle)
-    return (padded * scale).ravel(), np.arange(K) * (w + 1)
+    idle = width - 1
+    K, wc = Qc.shape
+    wg = Qg.shape[1]
+    lanes = np.empty((K, wc + wg + 2), dtype=np.int64)
+    lanes[:, :wc] = np.where(np.arange(wc) < len_c[:, None], Qc * width, idle * width)
+    lanes[:, wc] = idle * width
+    lanes[:, wc + 1 : -1] = np.where(np.arange(wg) < len_g[:, None], Qg, idle)
+    lanes[:, -1] = idle
+    starts = np.arange(0, lanes.size, lanes.shape[1])
+    longest = np.maximum(np.minimum(len_c, wc), np.minimum(len_g, wg))
+    min_events = int(longest.min()) if K else 0
+    return lanes.ravel(), np.stack((starts, starts + wc + 1)), min_events
 
 
-def _flat_queues(queues, idle: int, scale: int):
-    """The list form of :func:`_sentinel_queues`: each row-index list
-    closed by one ``idle`` sentinel, laid end to end and multiplied by
-    ``scale``, with the lane start cursors."""
-    flat, starts = [], []
-    for q in queues:
-        starts.append(len(flat))
-        flat += q + [idle]
-    return np.array(flat, dtype=np.int64) * scale, np.array(starts, dtype=np.int64)
+def _flat_queues(cpu_queues, gpu_queues, width: int):
+    """:func:`_sentinel_queues` for row-index lists: each list closed by
+    one idle sentinel and laid end to end, all cpu lanes (times ``width``)
+    before all gpu lanes, with the ``(2, K)`` start cursors and the fewest
+    events any lane can take."""
+    idle = width - 1
+    flat, starts, offset = [], [], 0
+    for queues, scale in ((cpu_queues, width), (gpu_queues, 1)):
+        side, side_starts = [], []
+        for q in queues:
+            side_starts.append(offset + len(side))
+            side += q + [idle]
+        flat.append(np.array(side, dtype=np.int64) * scale)
+        starts.append(side_starts)
+        offset += len(side)
+    min_events = min(
+        (max(len(c), len(g)) for c, g in zip(cpu_queues, gpu_queues)), default=0
+    )
+    return np.concatenate(flat), np.array(starts, dtype=np.int64), min_events
 
 
 class BatchScheduleEvaluator(ScheduleEvaluator):
@@ -1022,7 +1052,7 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
       table lookups per event;
     * larger ``evaluate_all`` batches and ``score_population`` advance a
       whole population in one lockstep sweep over the sentinel-extended
-      :attr:`PairTables.replay_table`.
+      :attr:`PairTables.replay_table`, dropping lanes as they finish.
 
     Schedules the tables cannot replay (uncovered uids, infeasible
     pair/solo combinations, no tables for the governor) fall back to the
@@ -1158,8 +1188,9 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         """Scores of many schedules: table-covered ones in one replay."""
         todo = self._uncached(schedules)
         if todo:
-            covered = [s for s in todo if self._indexable(s)]
-            rest = [s for s in todo if not self._indexable(s)]
+            covered, rest = [], []
+            for s in todo:
+                (covered if self._indexable(s) else rest).append(s)
             if covered:
                 batch = self._batch_replay(covered)
                 if batch is None:
@@ -1200,14 +1231,11 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
                 out.append(result)
             return out
 
-        width = self.tables.width
-        flat_c, pos_c = _flat_queues(
-            [self._tensor_rows(s.cpu_queue) for s in schedules], width - 1, width
-        )
-        flat_g, pos_g = _flat_queues(
-            [self._tensor_rows(s.gpu_queue) for s in schedules], width - 1, 1
-        )
-        t, energy, flow = self._lockstep(flat_c, pos_c, flat_g, pos_g)
+        t, energy, flow = self._lockstep(*_flat_queues(
+            [self._tensor_rows(s.cpu_queue) for s in schedules],
+            [self._tensor_rows(s.gpu_queue) for s in schedules],
+            self.tables.width,
+        ))
         out = []
         for k, s in enumerate(schedules):
             result = self._with_tail(
@@ -1218,61 +1246,77 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
             out.append(result)
         return out
 
-    def _lockstep(self, flat_c, pos_c, flat_g, pos_g):
-        """Lockstep replay over flat, sentinel-closed queues.
+    def _lockstep(self, flat, pos, min_events):
+        """Lockstep replay over one flat array of sentinel-closed queues.
 
-        ``flat_c``/``flat_g`` are the lanes' tensor row indices laid end
-        to end, each lane closed by the idle sentinel (the cpu side
-        pre-multiplied by the table width), and ``pos_c``/``pos_g`` the
-        lanes' start cursors — see :func:`_flat_queues` and
-        :func:`_sentinel_queues`.  Returns per-lane ``(t, energy, flow)``
-        arrays; a lane that met an infeasible pair or solo cell has NaN
-        energy (its other outputs are meaningless).  Lane arithmetic is
-        bitwise identical to :meth:`_indexed_replay` of the same queues.
+        ``flat`` holds every lane's cpu queue (tensor rows pre-multiplied
+        by the table width) and gpu queue, each closed by the idle
+        sentinel; ``pos`` is the ``(2, K)`` array of the lanes' start
+        cursors, row 0 on the cpu side and row 1 on the gpu side, and no
+        lane finishes in fewer than ``min_events`` events — see
+        :func:`_sentinel_queues` and :func:`_flat_queues`.  Returns
+        per-lane ``(t, energy, flow)`` rows; a lane that met an infeasible
+        pair or solo cell has NaN energy (its other outputs are
+        meaningless).  Lane arithmetic is bitwise identical to
+        :meth:`_indexed_replay` of the same queues.
         """
         # The loop is dominated by numpy dispatch on small per-event
-        # arrays, so each event is one gather per queue side and one
-        # table gather: the sentinel cells of ``replay_table`` turn solo
-        # events into pair events with an infinitely long idle side, and
-        # NaN power marks infeasible cells instead of a validity check.
+        # arrays, not by lane work, so each op below serves both queue
+        # sides at once: ``frac`` and ``pos`` are (2, K), row 0 the cpu
+        # side and row 1 the gpu side.  One cursor gather gives both
+        # sides' cell parts and one column gather of the table their
+        # times and power.  The sentinel cells turn solo events into pair
+        # events with an infinitely long idle side, and NaN power marks
+        # infeasible cells instead of a validity check.
         table = self.tables.replay_table
-        idle = self.tables.width - 1
-        finished = idle * self.tables.width + idle
-        K = len(pos_c)
-        frac_c = np.ones(K)
-        frac_g = np.ones(K)
-        t = np.zeros(K)
-        energy = np.zeros(K)
-        flow = np.zeros(K)
-
-        # Finished lanes read ``inf/inf``; their updates are masked out.
-        with np.errstate(invalid="ignore"):
-            while True:
-                cell = flat_c[pos_c] + flat_g[pos_g]
-                live = cell != finished
-                if not live.any():
+        finished = table.shape[1] - 1          # cell (n, n): both sides idle
+        K = pos.shape[1]
+        out = np.empty((3, K))                 # per lane: t, energy, flow
+        if not K:
+            return out
+        lanes = np.arange(K)
+        frac = np.ones((2, K))
+        acc = np.zeros((3, K))                 # the live lanes' t, energy, flow
+        t, energy, flow = acc
+        events = 0
+        while True:
+            sides = flat[pos]
+            cell = sides[0] + sides[1]
+            # Each event moves a cursor by at most one job, so no lane
+            # can be on the finished cell before ``min_events`` events.
+            if events >= min_events and cell.max() == finished:
+                # Retire the lanes whose queues both ran out: record their
+                # totals and drop them from the state, so the updates
+                # below need no mask.
+                gone = cell == finished
+                out[:, lanes[gone]] = acc[:, gone]
+                keep = np.flatnonzero(~gone)
+                if not keep.size:
                     break
-                row = np.take(table, cell, axis=0)
-                t_c = row[:, 0]
-                t_g = row[:, 1]
-                dt = np.minimum(frac_c * t_c, frac_g * t_g)
-                np.add(energy, dt * row[:, 2], out=energy, where=live)
-                np.add(t, dt, out=t, where=live)
-                # A completed side moves its cursor to the next job (or
-                # the sentinel) and starts it whole.
-                rem_c = frac_c - dt / t_c
-                done_c = rem_c <= _EPS
-                frac_c = np.where(done_c, 1.0, rem_c)
-                pos_c += done_c
-                rem_g = frac_g - dt / t_g
-                done_g = rem_g <= _EPS
-                frac_g = np.where(done_g, 1.0, rem_g)
-                pos_g += done_g
-                # Same op order as the scalar replay: flow += done * t,
-                # with done counting completions this event (0, 1 or 2).
-                flow += np.add(done_c, done_g, dtype=np.int64) * t
-
-        return t, energy, flow
+                lanes, cell = lanes.take(keep), cell.take(keep)
+                frac, pos, acc = (
+                    a.take(keep, axis=1) for a in (frac, pos, acc)
+                )
+                t, energy, flow = acc
+            events += 1
+            x = table.take(cell, axis=1)       # rows t_c, t_g, power
+            times = x[:2]
+            span = frac * times
+            dt = np.minimum(span[0], span[1])
+            energy += dt * x[2]
+            t += dt
+            # A completed side moves its cursor to the next job (or the
+            # sentinel) and starts it whole: max(rem, True) is 1.0 since
+            # rem <= _EPS < 1, and max(rem, False) is rem since rem > 0.
+            rem = frac - dt / times
+            done = rem <= _EPS
+            frac = np.maximum(rem, done)
+            pos += done
+            # Same op order as the scalar replay: flow += done * t, with
+            # done counting completions this event (0, 1 or 2; exact as
+            # a float).
+            flow += np.add(done[0], done[1], dtype=np.float64) * t
+        return out
 
     # ------------------------------------------------------------------
     # Population scoring (index matrices in, objective scores out)
@@ -1305,11 +1349,11 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         self.batch_stats["batch_schedules"] += K
         self.batch_stats["population_calls"] += 1
         self.batch_stats["population_schedules"] += K
-        width = self.tables.width
-        flat_c, pos_c = _sentinel_queues(Qc, len_c, width - 1, width)
-        flat_g, pos_g = _sentinel_queues(Qg, len_g, width - 1, 1)
         t, energy, flow = self.tables.add_solo_tail(
-            solo_tail, *self._lockstep(flat_c, pos_c, flat_g, pos_g)
+            solo_tail,
+            *self._lockstep(
+                *_sentinel_queues(Qc, len_c, Qg, len_g, self.tables.width)
+            ),
         )
         bad = np.isnan(energy)
         scores = np.where(bad, np.inf, self.objective.score(t, energy, flow))

@@ -584,6 +584,87 @@ class TestInfeasibleLanes:
         _assert_lanes_match_indexed_replay(ev, lanes, result)
 
 
+class TestLockstepEdgeShapes:
+    """Lanes leave the lockstep when both their queues run out; every
+    population shape must still equal per-lane replays, ``bad`` mask
+    included."""
+
+    @pytest.fixture(scope="class")
+    def ev(self, predictor, rodinia_jobs):
+        from repro.core.context import SchedulingContext
+
+        return SchedulingContext(
+            jobs=rodinia_jobs, cap_w=15.0, predictor=predictor,
+            backend="tensor",
+        ).evaluator
+
+    def test_empty_population(self, ev):
+        empty = np.zeros((0, 3), dtype=np.int64)
+        lengths = np.zeros(0, dtype=np.int64)
+        result = ev.score_population(empty, lengths, empty, lengths)
+        for array in result:
+            assert array.shape == (0,)
+
+    def test_single_lane(self, ev, rodinia_jobs):
+        jobs = list(rodinia_jobs)
+        lanes = [(tuple(jobs[:3]), tuple(jobs[3:]))]
+        result = ev.score_population(*_queue_matrices(ev, lanes))
+        _assert_lanes_match_indexed_replay(ev, lanes, result)
+
+    def test_every_lane_empty(self, ev):
+        lanes = [((), ())] * 5
+        result = ev.score_population(*_queue_matrices(ev, lanes))
+        _assert_lanes_match_indexed_replay(ev, lanes, result)
+        assert not result[4].any()
+        assert not result[1].any() and not result[3].any()
+
+    def test_lengths_zero_one_and_n_mixed(self, ev, rodinia_jobs):
+        """Lanes that finish on the first, second and last events of one
+        call, on either side, in one population."""
+        jobs = list(rodinia_jobs)
+        n = len(jobs)
+        lanes = [
+            ((), ()),
+            ((jobs[0],), ()),
+            ((), (jobs[1],)),
+            ((jobs[2],), (jobs[3],)),
+            (tuple(jobs), ()),
+            ((), tuple(jobs)),
+            ((jobs[4],), tuple(jobs[:4] + jobs[5:])),
+            (tuple(jobs[1:]), (jobs[0],)),
+            (tuple(jobs[: n // 2]), tuple(jobs[n // 2:])),
+        ]
+        result = ev.score_population(*_queue_matrices(ev, lanes))
+        _assert_lanes_match_indexed_replay(ev, lanes, result)
+        assert not result[4].any()
+
+    def test_infeasible_lanes_finish_at_different_steps(
+        self, predictor, rodinia_jobs
+    ):
+        """At 8.5 W about a third of the pairs fit: bad lanes of lengths
+        1 to n, finishing between the first and the last event, beside
+        feasible ones."""
+        from repro.core.context import SchedulingContext
+
+        ev = SchedulingContext(
+            jobs=rodinia_jobs, cap_w=8.5, predictor=predictor,
+            backend="tensor",
+        ).evaluator
+        jobs = list(rodinia_jobs)
+        rng = default_rng(23)
+        lanes = []
+        for length in range(1, len(jobs) + 1):
+            for _ in range(4):
+                picked = [jobs[i] for i in rng.permutation(len(jobs))[:length]]
+                cut = int(rng.integers(0, length + 1))
+                lanes.append((tuple(picked[:cut]), tuple(picked[cut:])))
+        result = ev.score_population(*_queue_matrices(ev, lanes))
+        bad = result[4]
+        assert bad.any() and not bad.all()
+        assert len({len(c) + len(g) for (c, g), b in zip(lanes, bad) if b}) > 1
+        _assert_lanes_match_indexed_replay(ev, lanes, result)
+
+
 class TestEvolveStream:
     def test_fixed_seed_is_deterministic(self):
         """Same seed, same score function -> identical final genome."""
