@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-all experiments report calibration examples clean
+.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-engine bench-all experiments report calibration examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -64,6 +64,14 @@ bench-search:
 	@out=$$(python -m bench run --workload search-large --seed 1 --trace) \
 		|| { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E '^(==|  perf\.(replay\.)?population\.)'
+
+# Per-layer numbers for an event-core change: one traced sim-trace run,
+# showing its engine layers and event rate.  Exits 1, with the whole
+# report, when the run fails its correctness checks.
+bench-engine:
+	@out=$$(python -m bench run --workload sim-trace --seed 1 --trace) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^(==|  engine\.)'
 
 bench-all:
 	pytest benchmarks/ --benchmark-only

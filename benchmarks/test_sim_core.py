@@ -3,17 +3,20 @@
 Drives a trace of several hundred many-phase jobs through ``engine.run()``
 with periodic policy-driven preemptions and migrations — the workload
 shape the event core was built for — and records the sustained event rate
-in ``BENCH_results.json`` (entry ``sim_core_trace``).  CI gates on it via
-``tools/check_bench.py --require-sim`` (the ``make bench-sim`` target):
-the trace must process >= 100k events and sustain the minimum event rate,
-and the execution invariant verifier must come back clean on the
-preempted/migrated timeline.
+in ``BENCH_results.json`` (entry ``sim_core_trace``), together with the
+microseconds per event and the number of phase-timing builds the run made
+(``SimCore`` times each profile once per device and frequency per run).
+CI gates on it via ``tools/check_bench.py --require-sim`` (the
+``make bench-sim`` target): the trace must process >= 100k events and
+sustain the minimum event rate, and the execution invariant verifier must
+come back clean on the preempted/migrated timeline.
 """
 
 from __future__ import annotations
 
 import time
 
+import repro.engine.sim as sim_module
 from repro.analysis.invariants import verify_execution
 from repro.engine.sim import EventKind, PenaltyModel, Scenario, run
 from repro.hardware.calibration import make_ivy_bridge
@@ -80,7 +83,7 @@ class _PreemptingFifo:
             self.preempts += 1
 
 
-def test_trace_event_rate(bench_record):
+def test_trace_event_rate(bench_record, monkeypatch):
     processor = make_ivy_bridge()
     setting = FrequencySetting(
         cpu_ghz=processor.cpu.domain.fmax, gpu_ghz=processor.gpu.domain.fmax
@@ -100,6 +103,14 @@ def test_trace_event_rate(bench_record):
             warmup_factor=1.2,
         ),
     )
+    builds = []
+    real_phase_timings = sim_module.phase_timings
+
+    def counting(profile, device, f_ghz):
+        builds.append(profile.name)
+        return real_phase_timings(profile, device, f_ghz)
+
+    monkeypatch.setattr(sim_module, "phase_timings", counting)
     t0 = time.perf_counter()
     result = run(processor, scenario, policy=policy, governor=governor)
     wall_s = time.perf_counter() - t0
@@ -116,12 +127,15 @@ def test_trace_event_rate(bench_record):
         events=result.events_processed,
         wall_s=wall_s,
         events_per_s=rate,
+        us_per_event=1e6 / rate,
+        timing_builds=len(builds),
         jobs=N_JOBS,
         preemptions=policy.preempts,
         migrations=policy.migrations,
     )
     print(
         f"\n[{ENTRY}] events={result.events_processed}  wall_s={wall_s:.3f}  "
-        f"events_per_s={rate:,.0f}  preemptions={policy.preempts}  "
+        f"events_per_s={rate:,.0f}  us_per_event={1e6 / rate:.2f}  "
+        f"timing_builds={len(builds)}  preemptions={policy.preempts}  "
         f"migrations={policy.migrations}"
     )

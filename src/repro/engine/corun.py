@@ -36,6 +36,12 @@ class PhasedRunner:
     phase.  Frequencies may change between segments: progress is stored as
     work fractions, so re-deriving the phase timings at a new frequency
     preserves position.
+
+    ``f_ghz=None`` builds the runner untimed: it keeps its progress but has
+    no phase timings until the first :meth:`retime` (or
+    :meth:`set_frequency`), so a caller that learns the frequency later
+    times it once instead of twice.  ``done`` is a plain attribute, kept
+    current at every phase step.
     """
 
     def __init__(
@@ -43,7 +49,7 @@ class PhasedRunner:
         profile: ProgramProfile,
         processor: IntegratedProcessor,
         kind: DeviceKind,
-        f_ghz: float,
+        f_ghz: float | None,
         *,
         loop: bool = False,
     ) -> None:
@@ -56,16 +62,25 @@ class PhasedRunner:
         self.laps = 0
         self.f_ghz = 0.0
         self.phases: tuple[PhaseTiming, ...] = ()
-        self.set_frequency(f_ghz)
+        self._n_phases = len(profile.phases)
+        self.done = False
+        if f_ghz is not None:
+            self.set_frequency(f_ghz)
 
     def set_frequency(self, f_ghz: float) -> None:
         """Re-time the phase list at a new frequency (progress preserved)."""
         if f_ghz == self.f_ghz:
             return
-        self.f_ghz = f_ghz
-        self.phases = phase_timings(
-            self.profile, self.processor.device(self.kind), f_ghz
+        self.retime(
+            f_ghz,
+            phase_timings(self.profile, self.processor.device(self.kind), f_ghz),
         )
+
+    def retime(self, f_ghz: float, phases: tuple[PhaseTiming, ...]) -> None:
+        """Adopt ``phases`` — this program's timings at ``f_ghz`` — keeping
+        progress (the caller built or memoized them)."""
+        self.f_ghz = f_ghz
+        self.phases = phases
         self._skip_empty_phases()
 
     def seek(self, phase_idx: int, phase_frac: float) -> None:
@@ -79,22 +94,24 @@ class PhasedRunner:
             raise ValueError("seek target must be non-negative")
         self.phase_idx = phase_idx
         self.phase_frac = phase_frac
-        self._skip_empty_phases()
+        self.done = not self.loop and phase_idx >= self._n_phases
+        if self.phases:
+            self._skip_empty_phases()
 
     def _skip_empty_phases(self) -> None:
-        while not self.done and self.phases[self.phase_idx].duration_s <= 0.0:
+        phases = self.phases
+        while not self.done and phases[self.phase_idx].duration_s <= 0.0:
             self._next_phase()
 
     def _next_phase(self) -> None:
         self.phase_idx += 1
         self.phase_frac = 0.0
-        if self.phase_idx >= len(self.phases) and self.loop:
-            self.phase_idx = 0
-            self.laps += 1
-
-    @property
-    def done(self) -> bool:
-        return not self.loop and self.phase_idx >= len(self.phases)
+        if self.phase_idx >= self._n_phases:
+            if self.loop:
+                self.phase_idx = 0
+                self.laps += 1
+            else:
+                self.done = True
 
     @property
     def sensitivity(self) -> float:

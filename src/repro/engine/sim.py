@@ -42,6 +42,7 @@ from repro.units import Joules, Seconds, Watts
 from repro.workload.program import Job
 from repro.engine.corun import PhasedRunner, _pair_stalls, _segment_power
 from repro.engine.events import EventKind, SimEvent
+from repro.engine.standalone import PhaseTiming, phase_timings
 from repro.engine.tracing import (
     JobCompletion,
     PowerSegment,
@@ -70,6 +71,15 @@ _EPS = 1e-12
 _DEADLINE_EPS = 1e-9
 
 _STUCK_DEFAULT = "policy declined to issue a job with both processors idle"
+
+#: Bounds of a :class:`SimCore`'s per-run memos.  A service session keeps
+#: one core for the daemon's whole life, so each memo clears when full:
+#: the segment physics at this many entries, ...
+_PHYSICS_MEMO_MAX = 8192
+#: ... and the phase timings at this many (profile, device, frequency)
+#: entries or this many interned phase values, whichever fills first.
+_TIMING_MEMO_MAX = 1024
+_PHASE_TOKENS_MAX = 65536
 
 
 # ----------------------------------------------------------------------
@@ -566,10 +576,29 @@ class SimCore:
         self._record_events = record_events
         self._events: list[SimEvent] = []
         self._hook = None
-        # Memo for the segment physics: stalls, watts and contended phase
-        # durations are a pure function of (setting, phase pair), and long
-        # traces revisit the same pairs constantly.
-        self._phys_cache: dict[object, tuple] = {}
+        # Per-run memos; nothing is shared between instances, and each is
+        # bounded (see _PHYSICS_MEMO_MAX).  ``_timings`` holds, per
+        # (profile identity, device, frequency), the profile (which keeps
+        # its id unique), its phase timings and one integer token per
+        # phase.  Phase tokens are interned by the timing's value plus the
+        # program's sensitivity, settings by their value once validated;
+        # the segment physics is keyed by (setting, CPU phase, GPU phase)
+        # tokens, 0 standing for an idle side.  Tokens are never reused,
+        # so a cleared intern table cannot make two values collide.
+        self._timings: dict[
+            tuple[int, DeviceKind, float],
+            tuple[object, tuple[PhaseTiming, ...], tuple[int, ...]],
+        ] = {}
+        self._phase_tokens: dict[tuple[float, ...], int] = {}
+        self._next_token = 1
+        self._setting_tokens: dict[FrequencySetting, int] = {}
+        self._tokened_setting: FrequencySetting | None = None
+        self._setting_tok = 0
+        self._cpu_toks: tuple[int, ...] = ()
+        self._gpu_toks: tuple[int, ...] = ()
+        self._phys_cache: dict[
+            tuple[int, int, int], tuple[float, float | None, float | None]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -863,11 +892,9 @@ class SimCore:
         """Move pending ``job`` onto device ``kind`` (fresh start or
         post-preemption)."""
         self._pending.remove(job)
-        if kind is DeviceKind.CPU:
-            fmax = self.processor.cpu.domain.fmax
-        else:
-            fmax = self.processor.gpu.domain.fmax
-        runner = PhasedRunner(job.profile, self.processor, kind, fmax)
+        # Untimed: the governor consult that must follow a placement times
+        # it once, at the setting it will actually run at.
+        runner = PhasedRunner(job.profile, self.processor, kind, None)
         sus = self._suspended.pop(job.uid, None)
         pen = warm = 0.0
         if sus is not None:
@@ -914,58 +941,108 @@ class SimCore:
         return started
 
     def _physics(
-        self, cpu_eff: PhasedRunner | None, gpu_eff: PhasedRunner | None
-    ) -> tuple[tuple[float, float], float, float | None, float | None]:
-        """Stall pair, segment watts and contended durations, memoized.
+        self,
+        key: tuple[int, int, int],
+        cpu_eff: PhasedRunner | None,
+        gpu_eff: PhasedRunner | None,
+    ) -> tuple[float, float | None, float | None]:
+        """Segment watts and contended durations for a physics-memo miss.
 
-        All four are pure functions of the current frequency setting and
-        the two active phase timings (``PhaseTiming`` is a frozen value
-        type), so repeated visits to the same phase pair — the common case
-        on long traces — skip the memory-contention and power models
-        entirely.  Results are bit-identical to the direct computation.
+        All three are pure functions of the frequency setting and the two
+        active phase timings (with their sensitivities), which is exactly
+        what ``key``'s tokens stand for, so memoized results are
+        bit-identical to the direct computation.
         """
-        key = (
-            self._setting,
-            None
-            if cpu_eff is None
-            else (cpu_eff.current_phase(), cpu_eff.sensitivity),
-            None
-            if gpu_eff is None
-            else (gpu_eff.current_phase(), gpu_eff.sensitivity),
+        if len(self._phys_cache) >= _PHYSICS_MEMO_MAX:
+            self._phys_cache.clear()
+        stalls = _pair_stalls(self.processor, cpu_eff, gpu_eff)
+        watts = _segment_power(
+            self.processor, self._setting, cpu_eff, gpu_eff, stalls
         )
-        hit = self._phys_cache.get(key)
-        if hit is None:
-            if len(self._phys_cache) >= 8192:
-                self._phys_cache.clear()
-            stalls = _pair_stalls(self.processor, cpu_eff, gpu_eff)
-            watts = _segment_power(
-                self.processor, self._setting, cpu_eff, gpu_eff, stalls
-            )
-            cpu_dur = (
-                cpu_eff.contended_duration(stalls[0])
-                if cpu_eff is not None
-                else None
-            )
-            gpu_dur = (
-                gpu_eff.contended_duration(stalls[1])
-                if gpu_eff is not None
-                else None
-            )
-            hit = (stalls, watts, cpu_dur, gpu_dur)
-            self._phys_cache[key] = hit
+        cpu_dur = (
+            cpu_eff.contended_duration(stalls[0]) if cpu_eff is not None else None
+        )
+        gpu_dur = (
+            gpu_eff.contended_duration(stalls[1]) if gpu_eff is not None else None
+        )
+        hit = (watts, cpu_dur, gpu_dur)
+        self._phys_cache[key] = hit
         return hit
 
+    def _retime(self, runner: PhasedRunner, f_ghz: float) -> tuple[int, ...]:
+        """Time ``runner`` at ``f_ghz`` from the per-run timing memo and
+        return the tokens of its phases."""
+        profile, kind = runner.profile, runner.kind
+        key = (id(profile), kind, f_ghz)
+        entry = self._timings.get(key)
+        if entry is None:
+            tokens = self._phase_tokens
+            if (
+                len(self._timings) >= _TIMING_MEMO_MAX
+                or len(tokens) >= _PHASE_TOKENS_MAX
+            ):
+                self._timings.clear()
+                tokens.clear()
+            phases = phase_timings(profile, self.processor.device(kind), f_ghz)
+            sensitivity = profile.sensitivity[kind]
+            toks = []
+            for pt in phases:
+                # The dataclass's own field tuple: equal exactly when the
+                # PhaseTiming values are, but hashed in C.
+                value = (
+                    pt.compute_s, pt.mem_s, pt.bytes_gb, pt.duration_s,
+                    pt.overlap, sensitivity,
+                )
+                tok = tokens.setdefault(value, self._next_token)
+                if tok == self._next_token:
+                    self._next_token += 1
+                toks.append(tok)
+            entry = (profile, phases, tuple(toks))
+            self._timings[key] = entry
+        runner.retime(f_ghz, entry[1])
+        if runner.done:
+            # Every phase is empty on this device; it has no step to take.
+            raise RuntimeError(f"{profile.name} has no work on {kind}")
+        return entry[2]
+
     def _consult_governor(self) -> None:
-        self._setting = self.governor(
+        setting = self.governor(
             self._cpu_job if self._cpu_run else None,
             self._gpu_job if self._gpu_run else None,
         )
-        self.processor.validate_setting(self._setting)
-        if self._cpu_run is not None:
-            self._cpu_run.set_frequency(self._setting.cpu_ghz)
-        if self._gpu_run is not None:
-            self._gpu_run.set_frequency(self._setting.gpu_ghz)
+        self._setting = setting
+        if setting is not self._tokened_setting:
+            tok = self._setting_tokens.get(setting)
+            if tok is None:
+                # Raises on an off-level setting, which is never cached.
+                self.processor.validate_setting(setting)
+                tok = len(self._setting_tokens) + 1
+                self._setting_tokens[setting] = tok
+            self._tokened_setting, self._setting_tok = setting, tok
+        cpu_run, gpu_run = self._cpu_run, self._gpu_run
+        if cpu_run is not None and cpu_run.f_ghz != setting.cpu_ghz:
+            self._cpu_toks = self._retime(cpu_run, setting.cpu_ghz)
+        if gpu_run is not None and gpu_run.f_ghz != setting.gpu_ghz:
+            self._gpu_toks = self._retime(gpu_run, setting.gpu_ghz)
         self._pair_changed = False
+
+    def _complete(self, kind: DeviceKind, new: list[JobCompletion]) -> None:
+        """Retire the finished job on ``kind`` and emit its completion."""
+        job = self._cpu_job if kind is DeviceKind.CPU else self._gpu_job
+        assert job is not None
+        uid = job.uid
+        device = str(kind)
+        done = JobCompletion(uid, device, self.now, self._starts[uid].start_s)
+        self._completions.append(done)
+        new.append(done)
+        self._finish[uid] = self.now
+        self._close_interval(kind, self.now)
+        if kind is DeviceKind.CPU:
+            self._cpu_run, self._cpu_job = None, None
+        else:
+            self._gpu_run, self._gpu_job = None, None
+        self._pair_changed = True
+        self._emit(EventKind.COMPLETION, job=uid, device=device)
 
     def advance(
         self, policy: PolicyFn, until_s: float = math.inf
@@ -981,21 +1058,28 @@ class SimCore:
         self._hook = getattr(policy, "on_event", None)
         stuck = getattr(policy, "stuck_message", _STUCK_DEFAULT)
         wf = self._penalties.warmup_factor
+        future, timed, pending = self._future, self._timed, self._pending
+        phys = self._phys_cache
         new: list[JobCompletion] = []
         try:
             for _ in range(_MAX_EVENTS):
-                self._admit()
-                self._fire_timed()
-                started = self._try_start(policy)
+                if future and future[0][0] <= self.now + _EPS:
+                    self._admit()
+                if timed and timed[0][0] <= self.now + _EPS:
+                    self._fire_timed()
+                if pending and (self._cpu_run is None or self._gpu_run is None):
+                    started = self._try_start(policy)
+                else:
+                    started = []
 
                 if self._cpu_run is None and self._gpu_run is None:
-                    if not self._pending and not self._future:
+                    if not pending and not future:
                         if math.isfinite(until_s) and self.now < until_s:
                             self.now = until_s
                         break
-                    if not self._pending:
+                    if not pending:
                         # Idle gap: jump to the next arrival (or boundary).
-                        t_next = self._future[0][0]
+                        t_next = future[0][0]
                         if t_next > until_s:
                             self.now = until_s
                             break
@@ -1019,110 +1103,98 @@ class SimCore:
                         partner=partner.uid if partner is not None else None,
                     )
 
-                remaining = until_s - self.now
+                now = self.now
+                remaining = until_s - now
                 if remaining <= _EPS:
                     break
 
                 # A device serving a resume penalty is busy but presents no
                 # memory demand and no compute activity — model it as idle
                 # for stall and power purposes.
-                cpu_eff = self._cpu_run if self._cpu_pen <= 0.0 else None
-                gpu_eff = self._gpu_run if self._gpu_pen <= 0.0 else None
-                stalls, watts, cpu_dur, gpu_dur = self._physics(
-                    cpu_eff, gpu_eff
+                cpu_run, gpu_run = self._cpu_run, self._gpu_run
+                cpu_pen, gpu_pen = self._cpu_pen, self._gpu_pen
+                cpu_eff = cpu_run if cpu_pen <= 0.0 else None
+                gpu_eff = gpu_run if gpu_pen <= 0.0 else None
+                key = (
+                    self._setting_tok,
+                    0 if cpu_eff is None else self._cpu_toks[cpu_eff.phase_idx],
+                    0 if gpu_eff is None else self._gpu_toks[gpu_eff.phase_idx],
                 )
-                dts = []
-                if self._cpu_run is not None:
-                    if self._cpu_pen > 0.0:
-                        dts.append(self._cpu_pen)
+                hit = phys.get(key)
+                if hit is None:
+                    hit = self._physics(key, cpu_eff, gpu_eff)
+                watts, cpu_dur, gpu_dur = hit
+                # dt is the min of the candidates in this order (CPU, GPU,
+                # next arrival, next timed event, bound), first-wins on
+                # ties like min().
+                if cpu_run is not None:
+                    if cpu_pen > 0.0:
+                        dt = cpu_pen
                     else:
-                        tte = (1.0 - self._cpu_run.phase_frac) * cpu_dur
+                        dt = (1.0 - cpu_run.phase_frac) * cpu_dur
                         if self._cpu_warm > 0.0:
-                            dts.append(min(self._cpu_warm, tte * wf))
-                        else:
-                            dts.append(tte)
-                if self._gpu_run is not None:
-                    if self._gpu_pen > 0.0:
-                        dts.append(self._gpu_pen)
+                            dt = min(self._cpu_warm, dt * wf)
+                if gpu_run is not None:
+                    if gpu_pen > 0.0:
+                        dt_gpu = gpu_pen
                     else:
-                        tte = (1.0 - self._gpu_run.phase_frac) * gpu_dur
+                        dt_gpu = (1.0 - gpu_run.phase_frac) * gpu_dur
                         if self._gpu_warm > 0.0:
-                            dts.append(min(self._gpu_warm, tte * wf))
-                        else:
-                            dts.append(tte)
-                if self._future:
-                    dts.append(max(self._future[0][0] - self.now, _EPS))
-                if self._timed:
-                    dts.append(max(self._timed[0][0] - self.now, _EPS))
-                if math.isfinite(remaining):
-                    dts.append(remaining)
-                dt = min(dts)
+                            dt_gpu = min(self._gpu_warm, dt_gpu * wf)
+                    if cpu_run is None or dt_gpu < dt:
+                        dt = dt_gpu
+                if future:
+                    dt_next = max(future[0][0] - now, _EPS)
+                    if dt_next < dt:
+                        dt = dt_next
+                if timed:
+                    dt_next = max(timed[0][0] - now, _EPS)
+                    if dt_next < dt:
+                        dt = dt_next
+                if math.isfinite(remaining) and remaining < dt:
+                    dt = remaining
                 if dt > 0:
-                    self._segments.append(PowerSegment(duration_s=dt, watts=watts))
-                    if self._cpu_run is not None:
+                    self._segments.append(PowerSegment(dt, watts))
+                    if cpu_run is not None:
                         self._cpu_busy += dt
-                    if self._gpu_run is not None:
+                    if gpu_run is not None:
                         self._gpu_busy += dt
                 # Advance the clock before completion handling so an
                 # ``on_event`` hook that preempts at a completion sees the
                 # post-step ``now`` (interval bookkeeping stays consistent).
-                self.now += dt
-                if self._cpu_run is not None:
-                    if self._cpu_pen > 0.0:
-                        self._cpu_pen -= dt
-                        if self._cpu_pen <= _EPS:
-                            self._cpu_pen = 0.0
+                self.now = now = now + dt
+                if cpu_run is not None:
+                    if cpu_pen > 0.0:
+                        cpu_pen -= dt
+                        self._cpu_pen = 0.0 if cpu_pen <= _EPS else cpu_pen
                     else:
                         if self._cpu_warm > 0.0:
-                            self._cpu_run.advance_in(dt / wf, cpu_dur)
+                            cpu_run.advance_in(dt / wf, cpu_dur)
                             self._cpu_warm -= dt
                             if self._cpu_warm <= _EPS:
                                 self._cpu_warm = 0.0
                         else:
-                            self._cpu_run.advance_in(dt, cpu_dur)
-                        if self._cpu_run.done:
-                            uid = self._cpu_job.uid
-                            done = JobCompletion(
-                                uid, "cpu", self.now,
-                                self._starts[uid].start_s,
-                            )
-                            self._completions.append(done)
-                            new.append(done)
-                            self._finish[uid] = self.now
-                            self._close_interval(DeviceKind.CPU, self.now)
-                            self._cpu_run, self._cpu_job = None, None
-                            self._pair_changed = True
-                            self._emit(
-                                EventKind.COMPLETION, job=uid, device="cpu",
-                            )
-                if self._gpu_run is not None:
-                    if self._gpu_pen > 0.0:
-                        self._gpu_pen -= dt
-                        if self._gpu_pen <= _EPS:
-                            self._gpu_pen = 0.0
+                            cpu_run.advance_in(dt, cpu_dur)
+                        if cpu_run.done:
+                            self._complete(DeviceKind.CPU, new)
+                            # The completion hook may have preempted or
+                            # migrated the GPU job.
+                            gpu_run = self._gpu_run
+                            gpu_pen = self._gpu_pen
+                if gpu_run is not None:
+                    if gpu_pen > 0.0:
+                        gpu_pen -= dt
+                        self._gpu_pen = 0.0 if gpu_pen <= _EPS else gpu_pen
                     else:
                         if self._gpu_warm > 0.0:
-                            self._gpu_run.advance_in(dt / wf, gpu_dur)
+                            gpu_run.advance_in(dt / wf, gpu_dur)
                             self._gpu_warm -= dt
                             if self._gpu_warm <= _EPS:
                                 self._gpu_warm = 0.0
                         else:
-                            self._gpu_run.advance_in(dt, gpu_dur)
-                        if self._gpu_run.done:
-                            uid = self._gpu_job.uid
-                            done = JobCompletion(
-                                uid, "gpu", self.now,
-                                self._starts[uid].start_s,
-                            )
-                            self._completions.append(done)
-                            new.append(done)
-                            self._finish[uid] = self.now
-                            self._close_interval(DeviceKind.GPU, self.now)
-                            self._gpu_run, self._gpu_job = None, None
-                            self._pair_changed = True
-                            self._emit(
-                                EventKind.COMPLETION, job=uid, device="gpu",
-                            )
+                            gpu_run.advance_in(dt, gpu_dur)
+                        if gpu_run.done:
+                            self._complete(DeviceKind.GPU, new)
                 self.events_processed += 1
             else:  # pragma: no cover - defensive
                 raise RuntimeError("simulation exceeded the event budget")

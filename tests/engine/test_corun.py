@@ -55,6 +55,19 @@ class TestPhasedRunner:
         assert not runner.done
         assert runner.laps >= 1
 
+    def test_untimed_runner_keeps_progress_until_its_first_retime(self, processor):
+        prof = _profile(phases=(Phase(0.5, 1.0), Phase(0.3, 1.0), Phase(0.2, 1.0)))
+        timed = PhasedRunner(prof, processor, DeviceKind.GPU, 1.25)
+        timed.seek(1, 0.25)
+        runner = PhasedRunner(prof, processor, DeviceKind.GPU, None)
+        assert runner.phases == () and not runner.done
+        runner.seek(1, 0.25)
+        runner.set_frequency(1.25)
+        assert (runner.phase_idx, runner.phase_frac) == (1, 0.25)
+        assert runner.phases == timed.phases
+        runner.seek(3, 0.0)
+        assert runner.done
+
     def test_advancing_done_runner_rejected(self, processor):
         runner = PhasedRunner(_profile(), processor, DeviceKind.CPU, 3.6)
         while not runner.done:
