@@ -31,7 +31,7 @@ bench:
 
 # The CI speedup gate: backend benchmark -> BENCH_results.json -> check.
 bench-backend:
-	pytest benchmarks/test_tensor_backend.py -q
+	python -m pytest benchmarks/test_tensor_backend.py -q
 	python tools/check_bench.py --min-speedup 2.0
 
 # The event-core gate: >=100k-event preemptive trace at the minimum rate.
@@ -74,7 +74,7 @@ bench-engine:
 	echo "$$out" | grep -E '^(==|  engine\.)'
 
 bench-all:
-	pytest benchmarks/ --benchmark-only
+	python -m pytest benchmarks/ --benchmark-only
 
 experiments:
 	python -m repro all --quiet

@@ -60,8 +60,7 @@ class _Plan:
 def _single_search(predictor, jobs):
     """GA + refinement on one APU; returns the refined makespan."""
     ctx = SchedulingContext(
-        jobs=jobs, cap_w=NODE_CAP_W, predictor=predictor, seed=SEED,
-        backend="tensor",
+        jobs=jobs, cap_w=NODE_CAP_W, predictor=predictor, seed=SEED
     )
     best, _ = genetic_schedule(ctx, config=GA)
     refined = refine_schedule(best, ctx)
@@ -98,8 +97,7 @@ def test_fleet_ga_refine_speedup(benchmark, bench_record):
 
     fleet = Fleet.uniform(N_NODES, budget_w=N_NODES * NODE_CAP_W)
     ctx = SchedulingContext(
-        jobs=jobs, fleet=fleet, predictor=predictor, seed=SEED,
-        backend="tensor",
+        jobs=jobs, fleet=fleet, predictor=predictor, seed=SEED
     )
     t0 = time.perf_counter()
     ga_plan, refined_plan, fleet_makespan = benchmark.pedantic(

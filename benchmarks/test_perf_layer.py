@@ -164,7 +164,7 @@ def population_env(env):
     processor, _, _, space, _ = env
     jobs = tuple(random_workload(48, default_rng(1)))
     predictor = CoRunPredictor(processor, profile_workload(processor, jobs), space)
-    ev = _ctx(predictor, jobs, backend="tensor").evaluator
+    ev = _ctx(predictor, jobs).evaluator
     rows = np.array([ev.tensor.index[j.uid] for j in jobs], dtype=np.int64)
     return ev, jobs, rows
 

@@ -213,11 +213,6 @@ def _schedule_parser() -> argparse.ArgumentParser:
         help="seed forwarded to stochastic methods",
     )
     parser.add_argument(
-        "--backend", default="tensor", choices=("tensor", "scalar"),
-        help="evaluation backend: precomputed tensors (default) or the "
-        "scalar reference path; both give byte-identical results",
-    )
-    parser.add_argument(
         "--portfolio-members", default=None, metavar="NAMES",
         dest="portfolio_members",
         help="comma-separated member methods raced by --method portfolio "
@@ -281,7 +276,6 @@ def _schedule_fleet(args, jobs, fleet) -> int:
         fleet=fleet,
         objective=args.objective,
         seed=args.seed,
-        backend=args.backend,
     )
     result = fleet_schedule(ctx, method=args.method, **_portfolio_opts(args))
     print(f"method    : {result.method}")
@@ -366,7 +360,6 @@ def _schedule(argv: list[str]) -> int:
             cap_w=args.cap_w,
             objective=args.objective,
             seed=args.seed,
-            backend=args.backend,
             **_portfolio_opts(args),
         )
     except InfeasibleCapError as exc:
@@ -448,10 +441,6 @@ def _simulate_parser() -> argparse.ArgumentParser:
         help="seed forwarded to stochastic methods",
     )
     parser.add_argument(
-        "--backend", default="tensor", choices=("tensor", "scalar"),
-        help="evaluation backend for the scheduling stage",
-    )
-    parser.add_argument(
         "--arrive-every", type=float, default=10.0, dest="arrive_every",
         metavar="S", help="inter-arrival gap in arrivals mode (default: 10)",
     )
@@ -491,7 +480,6 @@ def _simulate_fleet(args, jobs, fleet) -> int:
         fleet=fleet,
         objective=args.objective,
         seed=args.seed,
-        backend=args.backend,
     )
     execution = run_fleet(ctx, method=args.method)
     if args.json:
@@ -557,7 +545,6 @@ def _simulate(argv: list[str]) -> int:
             cap_w=args.cap_w,
             objective=args.objective,
             seed=args.seed,
-            backend=args.backend,
         )
         if args.mode == "fixed":
             planned = schedule(
@@ -567,7 +554,6 @@ def _simulate(argv: list[str]) -> int:
                 objective=args.objective,
                 predictor=ctx.predictor,
                 seed=args.seed,
-                backend=args.backend,
             )
             specs = tuple(
                 JobSpec(job=j, arrival_s=0.0, deadline_s=args.deadline)

@@ -180,7 +180,6 @@ def schedule(
     disk_cache=None,
     seed=None,
     governor=None,
-    backend: str = "tensor",
     **opts,
 ) -> ScheduleResult:
     """Compute a co-schedule for ``jobs`` under ``cap_w`` with ``method``.
@@ -211,12 +210,9 @@ def schedule(
         :func:`~repro.core.objectives.governor_for`).  Under
         ``REPRO_SANITIZE=1`` the result is still verified against the cap,
         so a governor that ignores it is caught, not trusted.
-    ``backend``
-        Evaluation backend: ``"tensor"`` (default — precomputed NumPy
-        tensors with per-schedule/lockstep replay, see :mod:`repro.perf.tensor`)
-        or ``"scalar"`` (the per-query reference path).  Both produce
-        byte-identical schedules and scores; models the tensors cannot
-        represent exactly fall back to scalar automatically.
+        A caller's governor is honored through the scalar evaluator; the
+        stock model is otherwise scored on precomputed tensors (see
+        :mod:`repro.perf.tensor`).
 
     Remaining keyword options are method-specific and forwarded verbatim
     (e.g. ``threshold=`` for hcs, ``node_budget=`` for astar,
@@ -243,7 +239,6 @@ def schedule(
             disk_cache=disk_cache,
             seed=seed,
             governor=governor,
-            backend=backend,
         )
         return fleet_schedule(ctx, method=method, **opts)
 
@@ -258,7 +253,6 @@ def schedule(
         disk_cache=disk_cache,
         seed=seed,
         governor=governor,
-        backend=backend,
     )
     return dispatch(ctx, method, **opts)
 
@@ -288,22 +282,16 @@ class Scheduler:
         objective: Objective | str = Objective.MAKESPAN,
         cache: EvalCache | None = None,
         seed=None,
-        backend: str = "tensor",
         node=None,
         **opts,
     ) -> None:
         _adapter(method)  # unknown methods fail on construction
-        if backend not in ("tensor", "scalar"):
-            raise ValueError(
-                f"unknown backend {backend!r}; known: tensor, scalar"
-            )
         #: Optional fleet :class:`~repro.core.fleet.Node` this scheduler
         #: plans for: its speed/power scaling is applied to every context
         #: (``cap_w`` stays authoritative — the node's own cap is ignored).
         self.node = node
         self.method = method.lower()
         self.objective = Objective.coerce(objective)
-        self.backend = backend
         self.cache = cache if cache is not None else EvalCache()
         self.predictor = predictor
         self.seed = seed
@@ -339,7 +327,6 @@ class Scheduler:
             cache=self._eval_caches.setdefault(self.cap_w, EvalCache()),
             seed=self.seed,
             governor_factory=self.governor_factory,
-            backend=self.backend,
         )
 
     def __call__(self, jobs: Sequence[Job], **opts) -> ScheduleResult:

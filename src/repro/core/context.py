@@ -68,7 +68,6 @@ class SchedulingContext:
     seed: int | np.random.Generator | None = None
     governor_factory: Callable[..., object] = governor_for
     sanitize: bool = False
-    backend: str = "tensor"
     #: The machines this context schedules onto.  ``None`` coerces to
     #: ``Fleet.single(cap_w)`` — the classic one-APU world, byte-identical
     #: to the pre-fleet scalar path.  Multi-node contexts carry no single
@@ -81,10 +80,6 @@ class SchedulingContext:
 
         if not self.jobs:
             raise ValueError("cannot schedule an empty job set")
-        if self.backend not in ("tensor", "scalar"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; known: tensor, scalar"
-            )
         if self.predictor is None:
             raise ValueError(
                 "a context needs a predictor (use SchedulingContext.build "
@@ -138,21 +133,13 @@ class SchedulingContext:
                 "cache",
                 self.evaluator.cache if self.evaluator is not None else EvalCache(),
             )
-        if self.backend == "scalar":
-            # A predictor carried over from a tensor context keeps serving
-            # tensor answers unless unwrapped; scalar means scalar.
-            set_(
-                self,
-                "predictor",
-                _unwrap(self.predictor, (TensorBackedPredictor,)),
-            )
-        elif self.governor is None and self.evaluator is None:
+        if self.governor is None and self.evaluator is None:
             # Tensor pipeline: precompute (memoized by profile content),
             # rebuild the governor over the tensor-served predictor, and
             # reduce the governor's choices into replay tables for the
-            # batch evaluator.
-            # Any piece that cannot be tensorized exactly degrades to the
-            # scalar path below.
+            # batch evaluator.  A governor or evaluator the caller passed
+            # in, and any piece that cannot be tensorized exactly, run the
+            # scalar stack below instead.
             from repro.perf.tensor import BatchScheduleEvaluator, PairTables, tensorize
 
             wrapped = tensorize(self.predictor, [j.uid for j in self.jobs])
@@ -218,7 +205,6 @@ class SchedulingContext:
         seed=None,
         governor=None,
         governor_factory: Callable[..., object] | None = None,
-        backend: str = "tensor",
     ) -> "SchedulingContext":
         """Resolve a full context, building the model on the fly if needed.
 
@@ -250,7 +236,6 @@ class SchedulingContext:
             governor_factory=(
                 governor_factory if governor_factory is not None else governor_for
             ),
-            backend=backend,
             fleet=fleet,
         )
 
@@ -272,17 +257,6 @@ class SchedulingContext:
         apart — so model queries stay warm across objectives.
         """
         return self._rebuilt(objective=objective, cache=self.cache)
-
-    def with_backend(self, backend: str) -> "SchedulingContext":
-        """Same problem on a different evaluation backend.
-
-        Governor and evaluator are rebuilt from scratch (the tensor
-        pipeline runs for ``"tensor"``, the plain scalar stack for
-        ``"scalar"``); the eval cache is shared — backend-tagged schedule
-        keys keep the scores apart, and the model-query keys are
-        value-identical across backends by construction.
-        """
-        return self._rebuilt(backend=backend, cache=self.cache)
 
     def with_sanitizer(self, enabled: bool = True) -> "SchedulingContext":
         """Same context with the invariant sanitizer armed (or disarmed).
@@ -343,7 +317,6 @@ class SchedulingContext:
             seed=self.seed,
             governor_factory=self.governor_factory,
             sanitize=self.sanitize,
-            backend=self.backend,
             fleet=self.fleet,
         )
         fields.update(changes)

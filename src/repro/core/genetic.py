@@ -66,11 +66,9 @@ class GeneticScheduler:
     On a tensor-backed context the whole evolution runs vectorized: the
     population lives as ``(P, n)`` index matrices, operators are batched
     array ops (:mod:`repro.perf.population`), and each generation is
-    scored by one ``score_population`` lockstep replay.  ``vectorized``
-    forces the choice: ``True`` requires the population kernels (raising
-    if the context cannot support them), ``False`` pins the scalar
-    per-genome loop (the equivalence referee), ``None`` picks
-    automatically.
+    scored by one ``score_population`` lockstep replay, whenever the
+    context's pair tables cover every job.  ``vectorized=False`` pins the
+    scalar per-genome loop (the equivalence referee).
     """
 
     def __init__(
@@ -78,7 +76,7 @@ class GeneticScheduler:
         ctx: SchedulingContext,
         *,
         config: GaConfig | None = None,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
     ) -> None:
         self.jobs = list(ctx.jobs)
         if len({j.uid for j in self.jobs}) != len(self.jobs):
@@ -151,9 +149,9 @@ class GeneticScheduler:
         """The context's batch evaluator, when it can score this job set.
 
         Vectorized evolution needs the tensor backend's pair tables with
-        every job covered; anything else (scalar backend, custom governor
-        or evaluator, uncovered uids) returns ``None`` and the scalar
-        loop runs.
+        every job covered; anything else (a scalar-path context, custom
+        governor or evaluator, uncovered uids) returns ``None`` and the
+        scalar loop runs.
         """
         from repro.perf.tensor import BatchScheduleEvaluator
 
@@ -218,16 +216,9 @@ class GeneticScheduler:
         population — memetic seeding, which in practice lets the GA act as
         a *refiner* of the heuristic.
         """
-        if self.vectorized is not False:
-            ev = self._population_evaluator()
-            if ev is not None:
-                return self._evolve_vectorized(ev, seed_schedule)
-            if self.vectorized is True:
-                raise ValueError(
-                    "vectorized evolution requires a tensor-backed context "
-                    "(BatchScheduleEvaluator with pair tables covering "
-                    "every job)"
-                )
+        ev = self._population_evaluator() if self.vectorized else None
+        if ev is not None:
+            return self._evolve_vectorized(ev, seed_schedule)
         cfg = self.config
         population = [self._random_genome() for _ in range(cfg.population)]
         if seed_schedule is not None:
@@ -294,7 +285,7 @@ def genetic_schedule(
     *,
     config: GaConfig | None = None,
     seed_schedule: CoSchedule | None = None,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> tuple[CoSchedule, float]:
     """Convenience wrapper around :class:`GeneticScheduler`.
 

@@ -72,7 +72,7 @@ def hcs_schedule(
     *,
     refine: bool = False,
     threshold: float = DEFAULT_THRESHOLD,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> HcsResult:
     """Compute an HCS (or, with ``refine=True``, HCS+) co-schedule.
 

@@ -118,8 +118,8 @@ def _refine_vectorized(
     """Full-neighborhood steepest descent over the tensor tables.
 
     Returns the refined schedule, or ``None`` when this evaluator cannot
-    batch-score the schedule (scalar backend, missing tables, uncovered
-    uids) and the scalar sampling passes should run instead.  The
+    batch-score the schedule (scalar-path context, missing tables,
+    uncovered uids) and the scalar sampling passes should run instead.  The
     vectorized neighborhood is a superset of what the scalar passes
     sample — every adjacent, intra-queue, and cross-queue swap — scored
     in one lockstep replay per round; infeasible candidates come back as
@@ -170,7 +170,7 @@ def refine_schedule(
     ctx: SchedulingContext,
     *,
     n_samples: int | None = None,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> CoSchedule:
     """Apply the three refinement passes; returns the improved schedule.
 
@@ -184,26 +184,16 @@ def refine_schedule(
     :mod:`repro.perf.population`): deterministic, samples nothing, and
     never accepts a smaller gain than the scalar passes would.
     ``vectorized=False`` pins the scalar sampling passes (the equivalence
-    referee); ``True`` requires the vectorized path.
+    referee).
     """
     evaluate = ctx.evaluator
     if n_samples is None:
         n_samples = max(1, SAMPLES_PER_JOB * schedule.n_jobs)
     best = evaluate(schedule)
-    refined = (
-        _refine_vectorized(schedule, evaluate, best)
-        if vectorized is not False
-        else None
-    )
+    refined = _refine_vectorized(schedule, evaluate, best) if vectorized else None
     if refined is not None:
         schedule = refined
     else:
-        if vectorized is True:
-            raise ValueError(
-                "vectorized refinement requires a tensor-backed context "
-                "(BatchScheduleEvaluator with pair tables covering every "
-                "job)"
-            )
         rng = ctx.rng()
         schedule, best = _adjacent_pass(schedule, evaluate, best)
         schedule, best = _random_intra_pass(

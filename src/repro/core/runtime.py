@@ -94,14 +94,12 @@ class CoScheduleRuntime:
         space: DegradationSpace | None = None,
         cache: EvalCache | None = None,
         disk_cache=None,
-        backend: str = "tensor",
     ) -> None:
         if not jobs:
             raise ValueError("need at least one job")
         self.jobs = tuple(jobs)
         self.cap_w = cap_w
         self.objective = Objective.coerce(objective)
-        self.backend = backend
         self.cache = cache if cache is not None else EvalCache()
         self.predictor = build_predictor(
             self.jobs,
@@ -125,8 +123,7 @@ class CoScheduleRuntime:
 
         ``objective`` defaults to the runtime's objective; pass one to
         derive a one-off context (e.g. compute an energy-optimal schedule
-        from a runtime otherwise used for makespan studies).  The context
-        inherits the runtime's evaluation ``backend``.
+        from a runtime otherwise used for makespan studies).
         """
         return SchedulingContext(
             jobs=self.jobs,
@@ -136,7 +133,6 @@ class CoScheduleRuntime:
                 self.objective if objective is None else Objective.coerce(objective)
             ),
             seed=seed,
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------------

@@ -113,10 +113,14 @@ class ProgramProfile:
         check_nonnegative("bytes_gb", self.bytes_gb)
         check_in_range("overlap", self.overlap, 0.0, 1.0)
         object.__setattr__(self, "phases", normalize_phases(self.phases))
-        if self.bytes_gb == 0.0 and all(
-            self.compute_base_s[k] == 0.0 for k in DeviceKind
-        ):
-            raise ValueError(f"{self.name}: program has no work at all")
+        for kind in DeviceKind:
+            # Such a device would run an empty program: the model has no
+            # latency to predict and the engine no step to take.
+            if self.bytes_gb == 0.0 and self.compute_base_s[kind] == 0.0:
+                raise ValueError(
+                    f"{self.name}: program has no work on {kind} "
+                    "(zero compute and zero memory traffic)"
+                )
 
     def scaled(self, factor: float, name: str | None = None) -> "ProgramProfile":
         """A copy with all work (compute and bytes) scaled by ``factor``.

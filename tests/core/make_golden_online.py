@@ -3,7 +3,8 @@
 Drives :class:`~repro.core.online.HcsOnlinePolicy` over the eight
 calibrated Rodinia programs arriving in program order every 0, 5, 10 and
 25 s, at caps of 12, 15 and 20 W, under all five objectives and on both
-evaluation backends (120 runs).  Each run executes through its context,
+evaluation paths (120 runs; the scalar one is the context moved there by
+:func:`tests.scalar.scalar_context`).  Each run executes through its context,
 so the execution governor follows the objective while the policy ranks
 co-runners by predicted interference.  The record pins the makespan, the
 energy, the total flow and every completion's (job, device, start,
@@ -17,7 +18,7 @@ batch heuristic's Step 2 and Step 3, and must reproduce every bit.
 
 Run from the repo root to rewrite the fixture next to this file::
 
-    PYTHONPATH=src python tests/core/make_golden_online.py
+    PYTHONPATH=src python -m tests.core.make_golden_online
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.objective import Objective
 from repro.perf.cache import EvalCache
 from repro.workload.program import make_jobs
 from repro.workload.rodinia import rodinia_programs
+from tests.scalar import scalar_context
 
 FIXTURE = Path(__file__).with_name("golden_online.json")
 
@@ -60,12 +62,10 @@ def drive() -> dict:
         for objective in Objective:
             for backend in BACKENDS:
                 ctx = SchedulingContext.build(
-                    jobs,
-                    cap_w=cap_w,
-                    objective=objective,
-                    predictor=predictor,
-                    backend=backend,
+                    jobs, cap_w=cap_w, objective=objective, predictor=predictor
                 )
+                if backend == "scalar":
+                    ctx = scalar_context(ctx)
                 for gap in GAPS_S:
                     scenario = Scenario.from_arrivals(
                         [(job, i * gap) for i, job in enumerate(jobs)]

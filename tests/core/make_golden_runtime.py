@@ -2,7 +2,9 @@
 
 Drives :class:`~repro.core.runtime.CoScheduleRuntime` over the first six
 calibrated Rodinia programs at 15 W, for the makespan and energy
-objectives on both evaluation backends, and records what every policy
+objectives on both evaluation paths (the runtime's own contexts, and the
+same contexts moved to the scalar stack by
+:func:`tests.scalar.scalar_context`), and records what every policy
 produces: the HCS and HCS+ schedules with their executed makespan and
 energy, Default_G and Default_C, the mean of three seeded Random runs,
 the Section IV-B lower bound, and ``execute`` of the HCS schedule under
@@ -17,7 +19,7 @@ runtime's objective (``tests/core/test_runtime.py`` checks it).
 
 Run from the repo root to rewrite the fixture next to this file::
 
-    PYTHONPATH=src python tests/core/make_golden_runtime.py
+    PYTHONPATH=src python -m tests.core.make_golden_runtime
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.core.freqpolicy import Bias
 from repro.core.runtime import CoScheduleRuntime
 from repro.workload.program import make_jobs
 from repro.workload.rodinia import rodinia_programs
+from tests.scalar import scalar_context
 
 FIXTURE = Path(__file__).with_name("golden_runtime.json")
 
@@ -57,13 +60,15 @@ def drive() -> dict:
     for objective in OBJECTIVES:
         for backend in BACKENDS:
             runtime = CoScheduleRuntime(
-                jobs,
-                cap_w=CAP_W,
-                objective=objective,
-                backend=backend,
-                space=space,
+                jobs, cap_w=CAP_W, objective=objective, space=space
             )
             space = runtime.space
+            if backend == "scalar":
+                # Every policy builds its context through this method.
+                build = runtime.context
+                runtime.context = lambda build=build, **kw: scalar_context(
+                    build(**kw)
+                )
             entry = {}
             for refine in (False, True):
                 outcome = runtime.run_hcs(refine=refine)

@@ -10,9 +10,10 @@ from repro.core.fleet import Fleet, Node, NodePredictor
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.hcs import hcs_schedule
 from repro.core.objectives import EnergyAwareGovernor, Objective
+from repro.model.predictor import CoRunPredictor
 from repro.perf.cache import EvalCache
 from repro.perf.evaluator import ScheduleEvaluator
-from repro.perf.tensor import TensorBackedPredictor
+from repro.perf.tensor import BatchScheduleEvaluator, PairTables, TensorBackedPredictor
 
 
 @pytest.fixture(scope="module")
@@ -48,17 +49,9 @@ class TestConstruction:
 
     def test_tensor_backend_wraps_the_predictor(self, predictor, rodinia_jobs):
         c = SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
-        # The default tensor backend wraps the predictor; the original is
+        # The stock model is served from tensors; the original predictor is
         # still the one underneath answering anything off-tensor.
-        assert c.backend == "tensor"
         assert c.predictor.inner is predictor
-        assert c.objective is Objective.MAKESPAN
-
-    def test_scalar_backend_unwraps_the_predictor(self, predictor, rodinia_jobs):
-        c = SchedulingContext(
-            jobs=rodinia_jobs, cap_w=15.0, predictor=predictor
-        ).with_backend("scalar")
-        assert c.predictor is predictor
         assert c.objective is Objective.MAKESPAN
 
     def test_mismatched_evaluator_rejected(self, predictor, rodinia_jobs):
@@ -107,6 +100,75 @@ class TestDerivation:
         assert sub.evaluator is ctx.evaluator
 
 
+class _OwnModel(CoRunPredictor):
+    """A non-stock model: the tensors cannot vouch for a subclass."""
+
+
+class _OwnGovernor(ModelGovernor):
+    """A non-stock governor: the pair tables reduce only the stock ones."""
+
+
+def _stock(predictor, jobs):
+    return SchedulingContext(jobs=jobs, cap_w=15.0, predictor=predictor)
+
+
+def _own_model(predictor, jobs):
+    model = _OwnModel(predictor.processor, predictor.table, predictor.space)
+    return SchedulingContext(jobs=jobs, cap_w=15.0, predictor=model)
+
+
+def _caller_governor(predictor, jobs):
+    return SchedulingContext(
+        jobs=jobs,
+        cap_w=15.0,
+        predictor=predictor,
+        governor=ModelGovernor(predictor, 15.0),
+    )
+
+
+def _own_factory(predictor, jobs):
+    return SchedulingContext(
+        jobs=jobs,
+        cap_w=15.0,
+        predictor=predictor,
+        governor_factory=lambda p, cap_w, objective: _OwnGovernor(p, cap_w),
+    )
+
+
+class TestPathSelection:
+    """The context picks the evaluation path itself; no caller chooses it."""
+
+    @pytest.mark.parametrize(
+        "build, tensor_served",
+        [
+            (_stock, True),
+            (_own_model, False),
+            (_caller_governor, False),
+            # The predictor is still the exact tensor view; only the
+            # governor's choices cannot be reduced to tables.
+            (_own_factory, True),
+        ],
+        ids=["stock", "predictor-subclass", "caller-governor", "governor-factory"],
+    )
+    def test_context_picks_its_evaluation_path(
+        self, predictor, rodinia_jobs, build, tensor_served
+    ):
+        ctx = build(predictor, rodinia_jobs)
+        assert isinstance(ctx.predictor, TensorBackedPredictor) is tensor_served
+        if build is _stock:
+            assert type(ctx.evaluator) is BatchScheduleEvaluator
+            assert PairTables.serving(ctx.governor) is not None
+        else:
+            assert type(ctx.evaluator) is ScheduleEvaluator
+            assert PairTables.serving(ctx.governor) is None
+        # Either path schedules the same model to the same bits.
+        ref = hcs_schedule(_stock(predictor, rodinia_jobs))
+        got = hcs_schedule(ctx)
+        assert got.schedule == ref.schedule
+        # repro: noqa REP003 -- both paths replay one model bit for bit
+        assert got.predicted_makespan_s == ref.predicted_makespan_s
+
+
 NODE = Node("n", speed_scale=2.0, power_scale=1.3, cap_w=12.0)
 OTHER = Node("m", speed_scale=1.5, power_scale=0.9, cap_w=14.0)
 
@@ -145,7 +207,6 @@ class TestNodeScaledDerivations:
     @pytest.mark.parametrize(
         "derive, direct",
         [
-            (lambda c: c.with_backend("scalar"), {"backend": "scalar"}),
             (lambda c: c.with_objective("energy"), {"objective": "energy"}),
             (lambda c: c.with_seed(5), {"seed": 5}),
             (
@@ -155,7 +216,7 @@ class TestNodeScaledDerivations:
             (lambda c: c.with_fleet(Fleet(nodes=(OTHER,))), {"node": OTHER}),
             (lambda c: c.node_context(0), {}),
         ],
-        ids=["backend", "objective", "seed", "cap", "fleet", "node_context"],
+        ids=["objective", "seed", "cap", "fleet", "node_context"],
     )
     def test_derivation_matches_the_direct_build(
         self, scaled, predictor, jobs, derive, direct

@@ -14,10 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.invariants import SANITIZE_ENV
-from repro.core.api import schedule, scheduler_names
+from repro.core.api import dispatch, schedule, scheduler_names
 from repro.core.context import SchedulingContext
 from repro.core.fleet import Fleet, NodePredictor
 from repro.core.objectives import Objective
+from tests.scalar import scalar_context
 
 CAP_W = 15.0
 
@@ -50,21 +51,17 @@ class TestSingleFleetEquivalence:
         chosen = (
             rodinia_jobs[:5] if method in SMALL_METHODS else rodinia_jobs
         )
-        scalar = schedule(
-            chosen,
-            method=method,
-            cap_w=CAP_W,
-            predictor=predictor,
-            seed=7,
-            backend=backend,
-        )
-        fleet = schedule(
-            chosen,
-            method=method,
-            fleet=Fleet.single(CAP_W),
-            predictor=predictor,
-            seed=7,
-            backend=backend,
+        to_path = scalar_context if backend == "scalar" else (lambda ctx: ctx)
+        scalar, fleet = (
+            dispatch(
+                to_path(
+                    SchedulingContext.build(
+                        chosen, predictor=predictor, seed=7, **where
+                    )
+                ),
+                method,
+            )
+            for where in ({"cap_w": CAP_W}, {"fleet": Fleet.single(CAP_W)})
         )
         # repro: noqa REP003 -- byte-identical backend contract
         assert _result_tuple(scalar) == _result_tuple(fleet)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.invariants import SANITIZE_ENV
-from repro.core.api import schedule, scheduler_names
+from repro.core.api import dispatch, scheduler_names
 from repro.core.baselines import RandomOnlinePolicy
 from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
@@ -27,6 +27,7 @@ from tests.engine._reference import (
     reference_execute_schedule,
     reference_execute_with_arrivals,
 )
+from tests.scalar import scalar_context
 
 CAP_W = 15.0
 
@@ -67,7 +68,7 @@ def assert_identical(execution, ref) -> None:
 
 
 class TestRegistryByteIdentity:
-    """All seven registry methods x both backends, sanitized."""
+    """All registry methods x both evaluation paths, sanitized."""
 
     @pytest.mark.parametrize("backend", ["tensor", "scalar"])
     @pytest.mark.parametrize("method", scheduler_names())
@@ -75,14 +76,12 @@ class TestRegistryByteIdentity:
         self, monkeypatch, processor, predictor, rodinia_jobs, method, backend
     ):
         monkeypatch.setenv(SANITIZE_ENV, "1")
-        result = schedule(
-            rodinia_jobs[:4],
-            method,
-            cap_w=CAP_W,
-            predictor=predictor,
-            seed=7,
-            backend=backend,
+        ctx = SchedulingContext.build(
+            rodinia_jobs[:4], cap_w=CAP_W, predictor=predictor, seed=7
         )
+        if backend == "scalar":
+            ctx = scalar_context(ctx)
+        result = dispatch(ctx, method)
         execution = run(
             processor,
             Scenario.from_schedule(result.schedule),

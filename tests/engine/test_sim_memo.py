@@ -224,18 +224,3 @@ class TestInvalidSettings:
         # The same object again: still refused, never cached.
         with pytest.raises(ValueError, match="not a CPU level"):
             sim.advance(fifo)
-
-
-def test_job_with_no_work_on_its_device_raises(processor):
-    """Every phase is empty on the GPU: the first timing says so at once."""
-    idle_on_gpu = ProgramProfile(
-        name="cpu-only",
-        compute_base_s={DeviceKind.CPU: 1.0, DeviceKind.GPU: 0.0},
-        bytes_gb=0.0,
-        mem_eff={DeviceKind.CPU: 0.6, DeviceKind.GPU: 0.8},
-        overlap=0.5,
-        sensitivity={DeviceKind.CPU: 1.0, DeviceKind.GPU: 0.9},
-    )
-    scenario = Scenario.from_queues([], [Job("a", idle_on_gpu)])
-    with pytest.raises(RuntimeError, match="no work on gpu"):
-        run(processor, scenario, governor=_top(processor))

@@ -18,6 +18,7 @@ from repro.core.schedule import CoSchedule
 from repro.errors import InfeasibleCapError
 from repro.perf.evaluator import schedule_key
 from repro.perf.tensor import LOCKSTEP_MIN_BATCH, BatchScheduleEvaluator
+from tests.scalar import scalar_context
 
 CAP_W = 15.0
 
@@ -35,8 +36,9 @@ def _evaluator(base: SchedulingContext, backend, objective, cap_w=CAP_W):
         cap_w=cap_w,
         predictor=base.base_predictor,
         objective=objective,
-        backend=backend,
     )
+    if backend == "scalar":
+        ctx = scalar_context(ctx)
     assert isinstance(ctx.evaluator, BatchScheduleEvaluator) == (
         backend == "tensor"
     )
@@ -56,16 +58,16 @@ def _distinct(schedules) -> int:
 @pytest.fixture(scope="module")
 def six(predictor, rodinia_jobs):
     """A scalar context over the first six jobs (the evaluators' base)."""
-    return SchedulingContext(
-        jobs=rodinia_jobs[:6], cap_w=CAP_W, predictor=predictor, backend="scalar"
+    return scalar_context(
+        SchedulingContext(jobs=rodinia_jobs[:6], cap_w=CAP_W, predictor=predictor)
     )
 
 
 @pytest.fixture(scope="module")
 def eight(predictor, rodinia_jobs):
     """A scalar context over all eight jobs."""
-    return SchedulingContext(
-        jobs=rodinia_jobs, cap_w=CAP_W, predictor=predictor, backend="scalar"
+    return scalar_context(
+        SchedulingContext(jobs=rodinia_jobs, cap_w=CAP_W, predictor=predictor)
     )
 
 

@@ -29,6 +29,7 @@ from repro.perf.evaluator import CachingPredictor
 from repro.perf.tensor import PairTables, TensorBackedPredictor, tensorize
 from repro.workload.program import Job
 from repro.workload.rodinia import rodinia_programs
+from tests.scalar import scalar_context
 
 #: 9 W leaves some pairs and solos infeasible; 20 W admits nearly all.
 CAPS = (9.0, 12.0, 15.0, 20.0)
@@ -144,7 +145,7 @@ def test_greedy_reads_the_tables_only_when_they_answer(scalar_predictor, jobs):
     ctx = SchedulingContext.build(jobs, cap_w=15.0, predictor=scalar_predictor)
     cat = categorize_jobs(ctx.predictor, jobs, 15.0)
     assert isinstance(pairing_source(ctx.predictor, cat, 15.0, ctx.governor), _TableSource)
-    scalar = ctx.with_backend("scalar")
+    scalar = scalar_context(ctx)
     assert isinstance(
         pairing_source(scalar.predictor, cat, 15.0, scalar.governor), _ScalarSource
     )

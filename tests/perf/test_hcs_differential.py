@@ -3,10 +3,10 @@
 On a tensor context the heuristic's three steps read the model's tables:
 the theorem partition reduces the ``(rows, rows, settings)`` tensors, and
 greedy pairing reads the minimum-interference matrix and the governor's
-per-pair choices.  The scalar backend stays the referee: ``hcs`` and
+per-pair choices.  The scalar stack stays the referee: ``hcs`` and
 ``hcs+`` (scalar refinement passes) must give the byte-identical
-partition, categorization, schedule and predicted makespan under
-``backend="tensor"`` and ``backend="scalar"``.
+partition, categorization, schedule and predicted makespan on a tensor
+context and on its :func:`~tests.scalar.scalar_context`.
 
 The job sets mix repeated programs (rows shared by several uids, so
 candidates tie exactly) with distinct ones, a zero-demand program whose
@@ -35,6 +35,7 @@ from repro.perf.tensor import PairTables, TensorBackedPredictor
 from repro.workload.generator import random_program
 from repro.workload.program import Job
 from repro.workload.rodinia import rodinia_programs
+from tests.scalar import scalar_context
 
 CAPS = (12.0, 15.0, 20.0)
 
@@ -107,7 +108,7 @@ class TestHcsDifferential:
         tensor = SchedulingContext.build(
             jobs, cap_w=cap, objective=objective, predictor=predictor
         )
-        scalar = tensor.with_backend("scalar")
+        scalar = scalar_context(tensor)
         # The tensor side really reads the tables.
         assert type(tensor.predictor) is TensorBackedPredictor
         assert PairTables.serving(tensor.governor) is not None
@@ -124,10 +125,9 @@ def test_node_scaled_tables_equal_scalar(processor, space, speed, power, cap):
     jobs, predictor = _predictor(processor, space, list(range(len(POOL))) + [0, 8])
     fleet = Fleet(nodes=(Node("n", speed_scale=speed, power_scale=power, cap_w=cap),))
     tensor = SchedulingContext.build(jobs, fleet=fleet, predictor=predictor)
-    scalar = SchedulingContext.build(
-        jobs, fleet=fleet, predictor=predictor, backend="scalar"
-    )
+    scalar = scalar_context(tensor)
     assert PairTables.serving(tensor.governor) is not None
+    assert PairTables.serving(scalar.governor) is None
     for refine in (False, True):
         assert _outcome(tensor, refine) == _outcome(scalar, refine)
 

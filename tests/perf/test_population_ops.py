@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.perf import population as popkit
 from repro.util.rng import default_rng
+from tests.scalar import scalar_context
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -356,7 +357,6 @@ class TestPopulationScoresByteIdentical:
 
         return SchedulingContext(
             jobs=rodinia_jobs, cap_w=15.0, predictor=predictor,
-            backend="tensor",
         )
 
     @pytest.mark.parametrize("objective", [
@@ -429,9 +429,8 @@ class TestPopulationScoresByteIdentical:
     ):
         from repro.core.context import SchedulingContext
 
-        ctx = SchedulingContext(
-            jobs=rodinia_jobs, cap_w=15.0, predictor=predictor,
-            backend="scalar",
+        ctx = scalar_context(
+            SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
         )
         ev = ctx.evaluator
         if hasattr(ev, "score_population"):
@@ -489,7 +488,6 @@ class TestInfeasibleLanes:
 
         ctx = SchedulingContext(
             jobs=rodinia_jobs, cap_w=cap, predictor=predictor,
-            backend="tensor",
         )
         ev = ctx.evaluator
         tables = ev.tables
@@ -528,7 +526,7 @@ class TestInfeasibleLanes:
             processor, profile_workload(processor, jobs), space
         )
         ctx = SchedulingContext(
-            jobs=jobs, cap_w=cap, predictor=predictor, backend="tensor"
+            jobs=jobs, cap_w=cap, predictor=predictor
         )
         ev = ctx.evaluator
         job_index = np.array(
@@ -595,7 +593,6 @@ class TestLockstepEdgeShapes:
 
         return SchedulingContext(
             jobs=rodinia_jobs, cap_w=15.0, predictor=predictor,
-            backend="tensor",
         ).evaluator
 
     def test_empty_population(self, ev):
@@ -648,7 +645,6 @@ class TestLockstepEdgeShapes:
 
         ev = SchedulingContext(
             jobs=rodinia_jobs, cap_w=8.5, predictor=predictor,
-            backend="tensor",
         ).evaluator
         jobs = list(rodinia_jobs)
         rng = default_rng(23)

@@ -17,6 +17,7 @@ from repro.core.context import SchedulingContext
 from repro.core.schedule import CoSchedule
 from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
+from tests.scalar import scalar_context
 
 CAP_W = 7.25
 CPU_INFEASIBLE = {"streamcluster", "hotspot", "srad", "leukocyte", "heartwall"}
@@ -26,7 +27,7 @@ TAIL_UID = "streamcluster"
 @pytest.fixture(scope="module")
 def ctx(predictor, rodinia_jobs):
     return SchedulingContext(
-        jobs=rodinia_jobs, cap_w=CAP_W, predictor=predictor, backend="tensor"
+        jobs=rodinia_jobs, cap_w=CAP_W, predictor=predictor
     )
 
 
@@ -90,7 +91,7 @@ def test_an_infeasible_shared_tail_makes_every_lane_bad(ctx, lanes):
 
 def test_an_infeasible_tail_falls_back_to_the_scalar_error(ctx, lanes):
     ev = ctx.evaluator
-    scalar = ctx.with_backend("scalar").evaluator
+    scalar = scalar_context(ctx).evaluator
     for gpu in lanes:
         sched = _with_tail(ctx, gpu)
         assert ev._indexed_replay(sched) is None

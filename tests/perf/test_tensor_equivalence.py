@@ -1,20 +1,22 @@
 """Backend equivalence across the whole scheduler registry.
 
 The acceptance bar for the tensor backend: every registered method must
-produce the *byte-identical* schedule and scores under ``backend="tensor"``
-and ``backend="scalar"`` — same queues, same solo tail, same predicted
-makespan and objective score, same tie-breaking.  Models the tensors cannot
-represent exactly (oracle, noisy) must be declined by ``tensorize`` so they
-silently keep the scalar path.
+produce the *byte-identical* schedule and scores on a stock context and on
+its scalar referee (:func:`tests.scalar.scalar_context`) — same queues,
+same solo tail, same predicted makespan and objective score, same
+tie-breaking.  Models the tensors cannot represent exactly (oracle, noisy)
+must be declined by ``tensorize`` so they silently keep the scalar path.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.api import Scheduler, schedule, scheduler_names
+from repro.core.api import Scheduler, dispatch, schedule, scheduler_names
+from repro.core.context import SchedulingContext
 from repro.model.predictor import CoRunPredictor, OracleDegradations
 from repro.perf.tensor import TensorBackedPredictor, tensorize
+from tests.scalar import scalar_context
 
 CAP_W = 15.0
 
@@ -58,6 +60,15 @@ def _result_tuple(result):
     )
 
 
+def _on_both_paths(jobs, method, opts, **build):
+    """``method`` on the tensor context and on its scalar referee."""
+    results = []
+    for to_path in (lambda ctx: ctx, scalar_context):
+        ctx = SchedulingContext.build(jobs, cap_w=CAP_W, **build)
+        results.append(dispatch(to_path(ctx), method, **opts))
+    return results
+
+
 class TestRegistryEquivalence:
     def test_registry_is_complete(self):
         assert scheduler_names() == (
@@ -70,18 +81,13 @@ class TestRegistryEquivalence:
         self, method, predictor, jobs, small_jobs
     ):
         chosen = small_jobs if method in SMALL_METHODS else jobs
-        results = [
-            schedule(
-                chosen,
-                method=method,
-                cap_w=CAP_W,
-                predictor=predictor,
-                seed=7,
-                backend=backend,
-                **PINNED_SCALAR_SEARCH.get(method, {}),
-            )
-            for backend in ("tensor", "scalar")
-        ]
+        results = _on_both_paths(
+            chosen,
+            method,
+            PINNED_SCALAR_SEARCH.get(method, {}),
+            predictor=predictor,
+            seed=7,
+        )
         # repro: noqa REP003 -- byte-identical backend contract
         assert _result_tuple(results[0]) == _result_tuple(results[1])
 
@@ -90,32 +96,30 @@ class TestRegistryEquivalence:
     def test_objectives_identical_under_both_backends(
         self, method, objective, predictor, jobs
     ):
-        results = [
-            schedule(
-                jobs,
-                method=method,
-                cap_w=CAP_W,
-                objective=objective,
-                predictor=predictor,
-                seed=3,
-                backend=backend,
-                **PINNED_SCALAR_SEARCH.get(method, {}),
-            )
-            for backend in ("tensor", "scalar")
-        ]
+        results = _on_both_paths(
+            jobs,
+            method,
+            PINNED_SCALAR_SEARCH.get(method, {}),
+            objective=objective,
+            predictor=predictor,
+            seed=3,
+        )
         # repro: noqa REP003 -- byte-identical backend contract
         assert _result_tuple(results[0]) == _result_tuple(results[1])
 
     def test_reusable_scheduler_identical_under_both_backends(
         self, predictor, jobs
     ):
-        results = [
-            Scheduler(
-                "hcs+", predictor=predictor, cap_w=CAP_W, seed=5,
-                backend=backend, vectorized=False,
-            )(jobs)
-            for backend in ("tensor", "scalar")
-        ]
+        tensor = Scheduler(
+            "hcs+", predictor=predictor, cap_w=CAP_W, seed=5, vectorized=False
+        )
+        scalar = Scheduler(
+            "hcs+", predictor=predictor, cap_w=CAP_W, seed=5, vectorized=False
+        )
+        build = scalar.context
+        scalar.context = lambda jobs: scalar_context(build(jobs))
+        results = [tensor(jobs), scalar(jobs)]
+        assert type(scalar.context(jobs).predictor) is not TensorBackedPredictor
         # repro: noqa REP003 -- byte-identical backend contract
         assert _result_tuple(results[0]) == _result_tuple(results[1])
 
@@ -130,10 +134,9 @@ class TestRegistryEquivalence:
                 cap_w=CAP_W,
                 predictor=predictor,
                 seed=seed,
-                backend="tensor",
                 vectorized=pin,
             )
-            for pin in (None, False)
+            for pin in (True, False)
         ]
         assert vectorized.predicted_score <= scalar.predicted_score
 
@@ -145,7 +148,6 @@ class TestRegistryEquivalence:
         population kernels replace — scores equal-or-better than the
         scalar search on the benchmark's seeded scenario family (16-job
         random workload, population 64, same seed, same config)."""
-        from repro.core.context import SchedulingContext
         from repro.core.genetic import GaConfig, genetic_schedule
         from repro.core.refine import refine_schedule
         from repro.model.characterize import characterize_space
@@ -161,49 +163,16 @@ class TestRegistryEquivalence:
 
         def pipeline(pin):
             ctx = SchedulingContext(
-                jobs=jobs, cap_w=CAP_W, predictor=predictor, seed=seed,
-                backend="tensor",
+                jobs=jobs, cap_w=CAP_W, predictor=predictor, seed=seed
             )
             best, _ = genetic_schedule(ctx, config=config, vectorized=pin)
             refined = refine_schedule(best, ctx, vectorized=pin)
             return ctx.evaluator(refined)
 
-        assert pipeline(None) <= pipeline(False)
-
-    def test_vectorized_true_requires_tensor_backend(self, predictor, jobs):
-        with pytest.raises(ValueError, match="vectorized"):
-            schedule(
-                jobs,
-                method="genetic",
-                cap_w=CAP_W,
-                predictor=predictor,
-                seed=1,
-                backend="scalar",
-                vectorized=True,
-            )
+        assert pipeline(True) <= pipeline(False)
 
 
-class TestBackendSelection:
-    def test_with_backend_round_trip(self, predictor, jobs):
-        from repro.core.context import SchedulingContext
-
-        ctx = SchedulingContext(jobs=jobs, cap_w=CAP_W, predictor=predictor)
-        assert ctx.backend == "tensor"
-        assert isinstance(ctx.predictor, TensorBackedPredictor)
-        scalar = ctx.with_backend("scalar")
-        assert scalar.backend == "scalar"
-        assert not isinstance(scalar.predictor, TensorBackedPredictor)
-        back = scalar.with_backend("tensor")
-        assert isinstance(back.predictor, TensorBackedPredictor)
-
-    def test_invalid_backend_rejected(self, predictor, jobs):
-        from repro.core.context import SchedulingContext
-
-        with pytest.raises(ValueError, match="backend"):
-            SchedulingContext(
-                jobs=jobs, cap_w=CAP_W, predictor=predictor, backend="simd"
-            )
-
+class TestTensorize:
     def test_tensorize_declines_oracle(self, processor, table, rodinia_jobs):
         oracle = OracleDegradations(processor, table)
         assert tensorize(oracle, [j.uid for j in rodinia_jobs]) is None
@@ -228,7 +197,6 @@ class TestBackendSelection:
         """The evaluator's snapshot must expose the batch bookkeeping
         (prefixed ``tensor_``) alongside the cache counters, with no
         scalar fallbacks on a fully tensorizable workload."""
-        from repro.core.context import SchedulingContext
         from repro.core.genetic import genetic_schedule
 
         ctx = SchedulingContext(jobs=jobs, cap_w=CAP_W, predictor=predictor)

@@ -31,6 +31,7 @@ from repro.perf.tensor import (
     tensorize,
 )
 from repro.workload.generator import random_workload
+from tests.scalar import scalar_context
 
 N_JOBS = 6
 CAPS = (9.0, 11.0, 13.0, 15.0, 16.0, 18.0, 25.0)
@@ -211,7 +212,7 @@ class TestScheduleScores:
         ctx = SchedulingContext(
             jobs=jobs, cap_w=cap, predictor=scalar_predictor, seed=seed
         )
-        return ctx, ctx.with_backend("scalar")
+        return ctx, scalar_context(ctx)
 
     @HYPO
     @given(seed=st.integers(0, 2**31 - 1), cap=st.sampled_from((13.0, 15.0, 18.0)))
@@ -323,6 +324,6 @@ class TestScheduleScores:
 
         field = 0 if objective == "makespan" else 1
         per_schedule = [ev._indexed_replay(s)[field] for s in scheds]
-        scalar = ctx.with_backend("scalar").evaluator
+        scalar = scalar_context(ctx).evaluator
         # repro: noqa REP003 -- byte-identical backend contract
         assert got == per_schedule == [scalar(s) for s in scheds]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import schedule
+from repro.core.api import dispatch
 from repro.core.context import SchedulingContext
 from repro.core.fleet import Node, node_predictor
 from repro.core.genetic import GaConfig
@@ -32,6 +32,7 @@ from repro.perf.tensor import MAX_TENSOR_ELEMENTS, BatchScheduleEvaluator, tenso
 from repro.util.rng import default_rng
 from repro.workload.program import Job
 from repro.workload.rodinia import rodinia_programs
+from tests.scalar import scalar_context
 
 CAPS = (9.0, 12.0, 15.0, 18.0)
 
@@ -168,7 +169,7 @@ class TestDuplicateProfiles:
         if scaled:
             predictor = node_predictor(predictor, Node("slow", speed_scale=0.7))
         ctx = SchedulingContext(jobs=jobs, cap_w=cap, predictor=predictor, seed=seed)
-        ref = ctx.with_backend("scalar")
+        ref = scalar_context(ctx)
         sched = random_schedule(ref)
         try:
             expected = _replay(sched, ref.predictor, ref.governor, track_energy=True)
@@ -239,7 +240,7 @@ class TestNoSizeCliff:
         jobs, predictor = many
         ctx = SchedulingContext(jobs=jobs, cap_w=15.0, predictor=predictor)
         assert isinstance(ctx.evaluator, BatchScheduleEvaluator)
-        ref = ctx.with_backend("scalar")
+        ref = scalar_context(ctx)
         scheds = [random_schedule(ref.with_seed(s)) for s in range(6)]
         # Six schedules take the lockstep sweep; each also replays alone.
         # repro: noqa REP003 -- byte-identical backend contract
@@ -259,19 +260,17 @@ class TestNoSizeCliff:
         ],
     )
     def test_search_results_byte_identical(self, many, method, opts):
-        """Scalar search on both backends: same schedule and scores.
+        """Scalar search on both paths: same schedule and scores.
 
-        The scalar backend's cost grows with the job count, so the search
+        The scalar path's cost grows with the job count, so the search
         runs on the first 24 jobs (each program about three times).
         """
         jobs, predictor = many
         jobs = jobs[:24]
+        ctx = SchedulingContext(jobs=jobs, cap_w=15.0, predictor=predictor, seed=3)
         got = {
-            backend: schedule(
-                jobs, method, cap_w=15.0, predictor=predictor, seed=3,
-                backend=backend, **opts,
-            )
-            for backend in ("tensor", "scalar")
+            "tensor": dispatch(ctx, method, **opts),
+            "scalar": dispatch(scalar_context(ctx), method, **opts),
         }
 
         def key(result):
@@ -292,12 +291,11 @@ class TestNoSizeCliff:
         jobs, predictor = many
         jobs = jobs[:48]
         ctx = SchedulingContext(jobs=jobs, cap_w=15.0, predictor=predictor, seed=5)
-        result = schedule(
-            jobs, method, cap_w=15.0, predictor=predictor, seed=5, vectorized=True
-        )
+        result = dispatch(ctx, method)
+        assert ctx.evaluator.batch_stats["population_calls"] > 0
         sched = result.schedule
         placed = [j.uid for j in (*sched.cpu_queue, *sched.gpu_queue)]
         placed += [j.uid for j, _ in sched.solo_tail]
         assert sorted(placed) == sorted(j.uid for j in jobs)
         # repro: noqa REP003 -- byte-identical backend contract
-        assert result.predicted_makespan_s == ctx.with_backend("scalar").evaluator(sched)
+        assert result.predicted_makespan_s == scalar_context(ctx).evaluator(sched)

@@ -16,6 +16,7 @@ from repro.service.session import ServiceSession
 from repro.util.rng import default_rng
 from repro.workload.program import Job
 from repro.workload.rodinia import rodinia_programs
+from tests.scalar import scalar_context
 
 N_SUBMISSIONS = 48
 ARRIVAL_GAP_S = 12.0
@@ -69,7 +70,10 @@ class TestTensorModelReuse:
 
     def test_completions_equal_scalar_backend(self):
         tensor = _run(ServiceSession())
-        scalar = _run(ServiceSession(backend="scalar"))
+        session = ServiceSession()
+        build = session.scheduler.context
+        session.scheduler.context = lambda jobs: scalar_context(build(jobs))
+        scalar = _run(session)
         assert tensor == scalar
 
     def test_swapped_out_predictor_is_released(self):

@@ -52,6 +52,25 @@ class TestProgramProfile:
                 bytes_gb=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "idle, busy", [(DeviceKind.CPU, DeviceKind.GPU), (DeviceKind.GPU, DeviceKind.CPU)]
+    )
+    def test_device_without_work_rejected(self, idle, busy):
+        # Zero compute and zero traffic: that device would run an empty
+        # program, which neither the model nor the engine can time.
+        with pytest.raises(ValueError, match=f"idle-{idle}: .*no work on {idle}"):
+            _profile(
+                name=f"idle-{idle}",
+                compute_base_s={idle: 0.0, busy: 1.0},
+                bytes_gb=0.0,
+            )
+
+    def test_memory_only_device_accepted(self):
+        # Zero compute is fine while there is traffic to move.
+        p = _profile(compute_base_s={DeviceKind.CPU: 0.0, DeviceKind.GPU: 1.0})
+        assert p.compute_base_s[DeviceKind.CPU] == 0.0
+        assert p.bytes_gb > 0.0
+
     def test_scaled_multiplies_all_work(self):
         p = _profile()
         s = p.scaled(2.0)
