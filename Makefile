@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-engine bench-all experiments report calibration examples clean
+.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-engine bench-batch bench-all experiments report calibration examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -72,6 +72,15 @@ bench-engine:
 	@out=$$(python -m bench run --workload sim-trace --seed 1 --trace) \
 		|| { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E '^(==|  engine\.)'
+
+# Per-layer numbers for a change to the per-request path: one traced
+# paper-batch run, showing its tensorize, pair-table, context and HCS
+# layers.  Exits 1, with the whole report, when the run fails its
+# correctness checks.
+bench-batch:
+	@out=$$(python -m bench run --workload paper-batch --seed 1 --trace) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^(==|  (core\.(hcs|context)|perf\.(tensorize|pair_tables))\.)'
 
 bench-all:
 	python -m pytest benchmarks/ --benchmark-only

@@ -209,9 +209,6 @@ BUILTIN_SIGS: dict[str, FuncSig] = {
         ),
         W,
     ),
-    "fleet_predicted_power": _sig(
-        "fleet_predicted_power", (("node_states", None),), W
-    ),
     "cap_of": _sig("cap_of", (("name", None),), W, has_self=True),
 }
 

@@ -377,12 +377,19 @@ def _check_makespan(ctx, schedule, replayed: float, rel_tol: float) -> list[Viol
 
 def _check_lower_bound(ctx, replayed: float, rel_tol: float) -> list[Violation]:
     from repro.core.bounds import lower_bound
+    from repro.core.context import SchedulingContext
     from repro.core.feasibility import context_cap
 
     cap_w = context_cap(ctx)
     try:
-        # Pieces passed explicitly so duck-typed contexts work too.
-        t_low, _ = lower_bound(ctx.predictor, ctx.jobs, cap_w)
+        if isinstance(ctx, SchedulingContext):
+            # The context's tensor model, when it has one, answers the
+            # bound in array reductions, to the scalar loops' bits; the
+            # scalar loops cost seconds per check at 48 jobs.
+            t_low, _ = lower_bound(ctx)
+        else:
+            # Pieces passed explicitly so duck-typed contexts work too.
+            t_low, _ = lower_bound(ctx.predictor, ctx.jobs, cap_w)
     except (InfeasibleCapError, ValueError) as exc:
         return [
             Violation(

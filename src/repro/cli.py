@@ -347,25 +347,15 @@ def _schedule(argv: list[str]) -> int:
     if fleet is None and _too_many_for_brute(args.method, jobs):
         return 2
     if fleet is not None:
-        try:
-            return _schedule_fleet(args, jobs, fleet)
-        except InfeasibleCapError as exc:
-            cap = f" (cap {exc.cap_w} W)" if exc.cap_w is not None else ""
-            print(f"infeasible power cap{cap}: {exc}", file=sys.stderr)
-            return 2
-    try:
-        result = schedule(
-            jobs,
-            method=args.method,
-            cap_w=args.cap_w,
-            objective=args.objective,
-            seed=args.seed,
-            **_portfolio_opts(args),
-        )
-    except InfeasibleCapError as exc:
-        cap = f" (cap {exc.cap_w} W)" if exc.cap_w is not None else ""
-        print(f"infeasible power cap{cap}: {exc}", file=sys.stderr)
-        return 2
+        return _schedule_fleet(args, jobs, fleet)
+    result = schedule(
+        jobs,
+        method=args.method,
+        cap_w=args.cap_w,
+        objective=args.objective,
+        seed=args.seed,
+        **_portfolio_opts(args),
+    )
     sched = result.schedule
     print(f"method    : {result.method}")
     if result.method == "portfolio":
@@ -533,60 +523,50 @@ def _simulate(argv: list[str]) -> int:
     ):
         return 2
     if fleet is not None:
-        try:
-            return _simulate_fleet(args, jobs, fleet)
-        except InfeasibleCapError as exc:
-            cap = f" (cap {exc.cap_w} W)" if exc.cap_w is not None else ""
-            print(f"infeasible power cap{cap}: {exc}", file=sys.stderr)
-            return 2
-    try:
-        ctx = SchedulingContext.build(
+        return _simulate_fleet(args, jobs, fleet)
+    ctx = SchedulingContext.build(
+        jobs,
+        cap_w=args.cap_w,
+        objective=args.objective,
+        seed=args.seed,
+    )
+    if args.mode == "fixed":
+        planned = schedule(
             jobs,
+            method=args.method,
             cap_w=args.cap_w,
             objective=args.objective,
+            predictor=ctx.predictor,
             seed=args.seed,
         )
-        if args.mode == "fixed":
-            planned = schedule(
-                jobs,
-                method=args.method,
-                cap_w=args.cap_w,
-                objective=args.objective,
-                predictor=ctx.predictor,
-                seed=args.seed,
+        specs = tuple(
+            JobSpec(job=j, arrival_s=0.0, deadline_s=args.deadline)
+            for j in jobs
+        ) if args.deadline is not None else ()
+        scenario = Scenario.from_schedule(
+            planned.schedule, jobs=specs, until_s=until_s
+        )
+        execution = run(ctx, scenario, governor=planned.governor)
+    else:
+        specs = tuple(
+            JobSpec(
+                job=j,
+                arrival_s=i * args.arrive_every,
+                deadline_s=(
+                    None
+                    if args.deadline is None
+                    else i * args.arrive_every + args.deadline
+                ),
             )
-            specs = tuple(
-                JobSpec(job=j, arrival_s=0.0, deadline_s=args.deadline)
-                for j in jobs
-            ) if args.deadline is not None else ()
-            scenario = Scenario.from_schedule(
-                planned.schedule, jobs=specs, until_s=until_s
-            )
-            execution = run(ctx, scenario, governor=planned.governor)
-        else:
-            specs = tuple(
-                JobSpec(
-                    job=j,
-                    arrival_s=i * args.arrive_every,
-                    deadline_s=(
-                        None
-                        if args.deadline is None
-                        else i * args.arrive_every + args.deadline
-                    ),
-                )
-                for i, j in enumerate(jobs)
-            )
-            policy = (
-                FifoOnlinePolicy()
-                if args.policy == "fifo"
-                else HcsOnlinePolicy(ctx)
-            )
-            scenario = Scenario(jobs=specs, until_s=until_s)
-            execution = run(ctx, scenario, policy=policy)
-    except InfeasibleCapError as exc:
-        cap = f" (cap {exc.cap_w} W)" if exc.cap_w is not None else ""
-        print(f"infeasible power cap{cap}: {exc}", file=sys.stderr)
-        return 2
+            for i, j in enumerate(jobs)
+        )
+        policy = (
+            FifoOnlinePolicy()
+            if args.policy == "fifo"
+            else HcsOnlinePolicy(ctx)
+        )
+        scenario = Scenario(jobs=specs, until_s=until_s)
+        execution = run(ctx, scenario, policy=policy)
 
     if args.json:
         print(json.dumps(execution.to_dict(), indent=2, sort_keys=True))
@@ -622,18 +602,7 @@ def _analyze(argv: list[str]) -> int:
     return lint_main(argv)
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "serve":
-        return _serve(argv[1:])
-    if argv and argv[0] == "schedule":
-        return _schedule(argv[1:])
-    if argv and argv[0] == "simulate":
-        return _simulate(argv[1:])
-    if argv and argv[0] == "analyze":
-        return _analyze(argv[1:])
-
+def _experiments_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -669,43 +638,65 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", default=None, dest="cache_dir", metavar="DIR",
         help=f"persist characterization/profiles to DIR (sets {CACHE_DIR_ENV})",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.cache_dir is not None:
-        os.environ[CACHE_DIR_ENV] = args.cache_dir
-    config = ExperimentConfig(
-        seed=args.seed,
-        cap_w=args.cap_w,
-        objective=args.objective,
-    )
 
-    names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    seen = set()
-    for name in names:
-        driver = EXPERIMENTS.get(name)
-        if driver is not None and driver in seen:  # fig5/fig6 share a driver
-            continue
-        if driver is not None:
-            seen.add(driver)
-        try:
-            t0 = time.perf_counter()
-            result = run_experiment(name, config=config)
-            elapsed = time.perf_counter() - t0
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        except InfeasibleCapError as exc:
-            cap = f" (cap {exc.cap_w} W)" if exc.cap_w is not None else ""
-            print(f"{name}: infeasible power cap{cap}: {exc}", file=sys.stderr)
-            return 2
-        if args.quiet:
-            print(f"[{result.name}] " + "  ".join(
-                f"{k}={v:.4g}" for k, v in result.headline.items()
-            ))
-        else:
-            print(result.render())
-            print(f"\n({name} completed in {elapsed:.1f}s)\n")
-    return 0
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # An infeasible power cap from any subcommand or experiment ends the
+    # run with one stderr line and exit code 2, never a traceback; an
+    # experiment's line names it.
+    prefix = ""
+    try:
+        if argv and argv[0] in _SUBCOMMANDS:
+            return _SUBCOMMANDS[argv[0]](argv[1:])
+        args = _experiments_parser().parse_args(argv)
+
+        if args.cache_dir is not None:
+            os.environ[CACHE_DIR_ENV] = args.cache_dir
+        config = ExperimentConfig(
+            seed=args.seed,
+            cap_w=args.cap_w,
+            objective=args.objective,
+        )
+
+        names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
+        seen = set()
+        for name in names:
+            driver = EXPERIMENTS.get(name)
+            if driver is not None and driver in seen:  # fig5/fig6 share a driver
+                continue
+            if driver is not None:
+                seen.add(driver)
+            prefix = f"{name}: "
+            try:
+                t0 = time.perf_counter()
+                result = run_experiment(name, config=config)
+                elapsed = time.perf_counter() - t0
+            except KeyError as exc:
+                print(exc.args[0], file=sys.stderr)
+                return 2
+            if args.quiet:
+                print(f"[{result.name}] " + "  ".join(
+                    f"{k}={v:.4g}" for k, v in result.headline.items()
+                ))
+            else:
+                print(result.render())
+                print(f"\n({name} completed in {elapsed:.1f}s)\n")
+        return 0
+    except InfeasibleCapError as exc:
+        cap = f" (cap {exc.cap_w} W)" if exc.cap_w is not None else ""
+        print(f"{prefix}infeasible power cap{cap}: {exc}", file=sys.stderr)
+        return 2
+
+
+_SUBCOMMANDS = {
+    "serve": _serve,
+    "schedule": _schedule,
+    "simulate": _simulate,
+    "analyze": _analyze,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

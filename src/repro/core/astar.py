@@ -37,10 +37,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 from repro.hardware.device import DeviceKind
-from repro.workload.program import Job
 from repro.core.bounds import lower_bound
 from repro.core.context import SchedulingContext
 from repro.core.schedule import CoSchedule
@@ -104,14 +102,14 @@ class AStarScheduler:
         self.use_heuristic = use_heuristic
         self.node_budget = node_budget
         self._h_cache: dict[frozenset, float] = {}
-        self._contribution: dict[str, float] = self._per_job_contributions(ctx.jobs)
+        # Per-job T_low contributions, from the context's tensor model
+        # when it has one.
+        _, details = lower_bound(ctx)
+        self._contribution = {d.job: d.contribution_s for d in details}
 
     # ------------------------------------------------------------------
     # Heuristic
     # ------------------------------------------------------------------
-    def _per_job_contributions(self, jobs: Sequence[Job]) -> dict[str, float]:
-        _, details = lower_bound(self.predictor, jobs, self.cap_w)
-        return {d.job: d.contribution_s for d in details}
 
     def _heuristic(self, node: _Node) -> float:
         if not self.use_heuristic:

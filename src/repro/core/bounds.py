@@ -30,6 +30,7 @@ from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.core.feasibility import pair_settings_under_cap
 from repro.model.predictor import CoRunPredictor
+from repro.perf.tensor import TensorModel
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,27 @@ def lower_bound(
     and ``cap_w`` come from the context and must be omitted.  ``deg_source``
     overrides where degradations come from (e.g. an
     :class:`~repro.model.predictor.OracleDegradations` for a ground-truth
-    bound); it defaults to the predictor itself.
+    bound); it defaults to the predictor itself.  A context's tensor model
+    (:attr:`~repro.core.context.SchedulingContext.tensor`) answers the
+    default bound in array reductions; a bare predictor takes the scalar
+    loops, to the same bits.
     """
     from repro.core.context import SchedulingContext
 
+    tensor = None
     if isinstance(predictor, SchedulingContext):
         if jobs is not None or cap_w is not None:
             raise TypeError(
                 "jobs/cap_w must be omitted when a SchedulingContext is given"
             )
+        tensor = predictor.tensor
         predictor, jobs, cap_w = predictor.predictor, predictor.jobs, predictor.cap_w
     elif jobs is None or cap_w is None:
         raise TypeError("jobs and cap_w are required without a SchedulingContext")
     if deg_source is None:
         deg_source = predictor
-    if deg_source is predictor:
-        fast = _tensor_lower_bound(predictor, jobs, cap_w)
+    if deg_source is predictor and tensor is not None:
+        fast = _tensor_lower_bound(tensor, jobs, cap_w)
         if fast is not None:
             return fast
     details: list[LowerBoundDetail] = []
@@ -117,18 +123,16 @@ def lower_bound(
 
 
 def _tensor_lower_bound(
-    predictor, jobs: Sequence[Job], cap_w: float
+    tensor: TensorModel, jobs: Sequence[Job], cap_w: float
 ) -> tuple[float, list[LowerBoundDetail]] | None:
-    """Vectorized ``T_low`` over a tensor-backed predictor, or ``None``.
+    """Vectorized ``T_low`` over a context's tensor model, or ``None``
+    when it does not cover every job.
 
     Every minimum reduces the same candidate sets the scalar loops walk:
     ``t_corun_c[i, j, s]`` is computed with the identical arithmetic as the
     scalar ``l * (1.0 + d)``, and minima over float64 candidates are
     order-independent, so the result is bitwise equal.
     """
-    tensor = getattr(predictor, "tensor", None)
-    if tensor is None:
-        return None
     if any(job.uid not in tensor.index for job in jobs):
         return None
     masks = tensor.masks(cap_w)

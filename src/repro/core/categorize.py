@@ -10,8 +10,10 @@ paper — means no preference.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
@@ -46,6 +48,29 @@ class Categorized:
         return self.non_preferred
 
 
+def best_solo_time(
+    predictor: CoRunPredictor, job: Job, kind: DeviceKind, cap_w: float
+) -> float:
+    """The job's fastest cap-feasible standalone time on ``kind``; ``inf``
+    when no level of that device fits the cap."""
+    try:
+        return predictor.best_solo(job.uid, kind, cap_w)[1]
+    except ValueError:
+        return math.inf
+
+
+def _preference(t_cpu: float, t_gpu: float, threshold: float) -> Preference:
+    """The preference given both best standalone times (``inf`` = cannot run)."""
+    if math.isinf(t_cpu):
+        return Preference.GPU
+    if math.isinf(t_gpu):
+        return Preference.CPU
+    diff = abs(t_cpu - t_gpu) / min(t_cpu, t_gpu)
+    if diff <= threshold:
+        return Preference.NONE
+    return Preference.CPU if t_cpu < t_gpu else Preference.GPU
+
+
 def job_preference(
     predictor: CoRunPredictor,
     job: Job,
@@ -61,18 +86,11 @@ def job_preference(
     ``threshold`` raises ``ValueError``.
     """
     check_nonnegative("threshold", threshold)
-    try:
-        _, t_cpu = predictor.best_solo(job.uid, DeviceKind.CPU, cap_w)
-    except ValueError:
-        return Preference.GPU
-    try:
-        _, t_gpu = predictor.best_solo(job.uid, DeviceKind.GPU, cap_w)
-    except ValueError:
-        return Preference.CPU
-    diff = abs(t_cpu - t_gpu) / min(t_cpu, t_gpu)
-    if diff <= threshold:
-        return Preference.NONE
-    return Preference.CPU if t_cpu < t_gpu else Preference.GPU
+    return _preference(
+        best_solo_time(predictor, job, DeviceKind.CPU, cap_w),
+        best_solo_time(predictor, job, DeviceKind.GPU, cap_w),
+        threshold,
+    )
 
 
 def categorize_jobs(
@@ -81,17 +99,27 @@ def categorize_jobs(
     cap_w: float,
     *,
     threshold: float = DEFAULT_THRESHOLD,
+    best_time: Callable[[Job, DeviceKind], float] | None = None,
 ) -> Categorized:
     """Classify every job into the three preference sets.
 
-    A negative or ``NaN`` ``threshold`` raises ``ValueError``: no relative
-    difference compares at or below ``NaN``, so it would silently give
-    every job a preference.
+    ``best_time(job, kind)`` supplies the standalone times when given —
+    HCS passes its Step 3 source's, which reads the tensor model's
+    best-solo reduction — with ``inf`` where the job cannot run; it
+    defaults to :func:`best_solo_time` over the predictor.  A negative or
+    ``NaN`` ``threshold`` raises ``ValueError``: no relative difference
+    compares at or below ``NaN``, so it would silently give every job a
+    preference.
     """
     check_nonnegative("threshold", threshold)
+    if best_time is None:
+        best_time = functools.partial(best_solo_time, predictor, cap_w=cap_w)
     buckets: dict[Preference, list[Job]] = {p: [] for p in Preference}
     for job in jobs:
-        buckets[job_preference(predictor, job, cap_w, threshold=threshold)].append(job)
+        preference = _preference(
+            best_time(job, DeviceKind.CPU), best_time(job, DeviceKind.GPU), threshold
+        )
+        buckets[preference].append(job)
     return Categorized(
         cpu_preferred=tuple(buckets[Preference.CPU]),
         gpu_preferred=tuple(buckets[Preference.GPU]),

@@ -76,7 +76,6 @@ class SchedulingContext:
 
     def __post_init__(self) -> None:
         from repro.core.fleet import Fleet, NodePredictor, node_predictor
-        from repro.perf.tensor import TensorBackedPredictor
 
         if not self.jobs:
             raise ValueError("cannot schedule an empty job set")
@@ -110,11 +109,11 @@ class SchedulingContext:
                     )
                 set_(self, "cap_w", cap)
                 node = self.fleet.nodes[0]
-                # ``replace`` re-runs this with an already node-scaled (and
-                # perhaps tensor-served) predictor: keep it if it is scaled
-                # for this node, else drop the stale node view and rescale
-                # — never scale twice.  A trivial node scales nothing.
-                scaled = _unwrap(self.predictor, (TensorBackedPredictor,))
+                # ``replace`` re-runs this with an already node-scaled
+                # predictor: keep it if it is scaled for this node, else
+                # drop the stale node view and rescale — never scale
+                # twice.  A trivial node scales nothing.
+                scaled = self.predictor
                 current = scaled.node if isinstance(scaled, NodePredictor) else None
                 if not node.trivial and current != node:
                     base = scaled.inner if current is not None else scaled
@@ -135,31 +134,31 @@ class SchedulingContext:
             )
         if self.governor is None and self.evaluator is None:
             # Tensor pipeline: precompute (memoized by profile content),
-            # rebuild the governor over the tensor-served predictor, and
-            # reduce the governor's choices into replay tables for the
-            # batch evaluator.  A governor or evaluator the caller passed
-            # in, and any piece that cannot be tensorized exactly, run the
-            # scalar stack below instead.
+            # reduce the governor's choices into replay tables and attach
+            # both to the governor (:attr:`tensor` reads them back), and
+            # replay over the tables in the batch evaluator.  A governor or
+            # evaluator the caller passed in, a governor the tables cannot
+            # reduce, and any model that cannot be tensorized exactly run
+            # the scalar stack below instead.
             from repro.perf.tensor import BatchScheduleEvaluator, PairTables, tensorize
 
-            wrapped = tensorize(self.predictor, [j.uid for j in self.jobs])
-            if wrapped is not None:
-                set_(self, "predictor", wrapped)
+            tensor = tensorize(self.predictor, [j.uid for j in self.jobs])
+            if tensor is not None:
                 governor = self.governor_factory(
-                    wrapped, self.cap_w, self.objective
+                    self.predictor, self.cap_w, self.objective
                 )
                 set_(self, "governor", governor)
-                tables = PairTables.build(wrapped.tensor, governor, self.cap_w)
+                tables = PairTables.attach(governor, tensor)
                 if tables is not None:
                     set_(
                         self,
                         "evaluator",
                         BatchScheduleEvaluator(
-                            wrapped,
+                            self.predictor,
                             governor,
                             cache=self.cache,
                             objective=self.objective,
-                            tensor=wrapped.tensor,
+                            tensor=tensor,
                             tables=tables,
                         ),
                     )
@@ -306,8 +305,8 @@ class SchedulingContext:
     def _rebuilt(self, **changes) -> "SchedulingContext":
         """A new context over this one's unscaled model, with ``changes``.
 
-        Governor, evaluator and the node/tensor views of the predictor are
-        resolved afresh; the eval cache is fresh unless ``changes`` passes
+        Governor, evaluator, tensor model and the node view of the
+        predictor are resolved afresh; the eval cache is fresh unless ``changes`` passes
         one.  The fleet carries the cap, so ``cap_w`` is never copied.
         """
         fields = dict(
@@ -327,15 +326,14 @@ class SchedulingContext:
     # ------------------------------------------------------------------
     @property
     def base_predictor(self):
-        """The predictor without this context's tensor and node views.
+        """The predictor without this context's node view.
 
         That is the model the context was given: derivations rebuild their
         views from it, so no derived context ever scales a node twice.
         """
         from repro.core.fleet import NodePredictor
-        from repro.perf.tensor import TensorBackedPredictor
 
-        predictor = _unwrap(self.predictor, (TensorBackedPredictor,))
+        predictor = self.predictor
         if (
             isinstance(predictor, NodePredictor)
             and len(self.fleet.nodes) == 1
@@ -370,6 +368,25 @@ class SchedulingContext:
     # ------------------------------------------------------------------
     # Shared services
     # ------------------------------------------------------------------
+    @property
+    def tensor(self):
+        """The indexed :class:`~repro.perf.tensor.TensorModel` of this
+        context's model, or ``None`` on the scalar stack.
+
+        It travels with the governor the context built
+        (:meth:`~repro.perf.tensor.PairTables.attach`), so derived contexts
+        that keep the governor keep it too; ``tensor.index`` maps uids to
+        rows and may not cover every job of a :meth:`with_jobs` context.
+        A governor over another predictor does not vouch for this one's
+        model and reads ``None``.
+        """
+        from repro.perf.tensor import PairTables
+
+        served = PairTables.serving(self.governor)
+        if served is None or self.governor.predictor is not self.predictor:
+            return None
+        return served[1]
+
     @property
     def processor(self):
         """The ground-truth machine the predictor was built against."""
@@ -454,9 +471,3 @@ def build_predictor(
         space = characterize_space(processor, disk_cache=disk)
     return CachingPredictor(CoRunPredictor(processor, table, space), cache=cache)
 
-
-def _unwrap(predictor, views: tuple[type, ...]):
-    """``predictor`` with every wrapper of the ``views`` types peeled off."""
-    while isinstance(predictor, views):
-        predictor = predictor.inner
-    return predictor

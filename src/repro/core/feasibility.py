@@ -110,55 +110,6 @@ def require_solo_levels(
     return levels
 
 
-def fleet_predicted_power(node_states) -> Watts:
-    """Fleet-level predicted power: per-node draws summed.
-
-    ``node_states`` is an iterable of ``(predictor, cpu_uid, gpu_uid,
-    setting)`` tuples, one per node — the predictor being that node's
-    (scaled) view of the model.  Fully idle nodes contribute nothing.
-    This is the quantity a shared fleet budget constrains; the invariant
-    verifier sweeps it across power segments.
-    """
-    total = 0.0
-    for predictor, cpu_uid, gpu_uid, setting in node_states:
-        if cpu_uid is None and gpu_uid is None:
-            continue
-        total += predicted_power(predictor, cpu_uid, gpu_uid, setting)
-    return total
-
-
-def require_pair_settings_on(
-    predictor, node_name: str, cpu_uid: str, gpu_uid: str, cap_w: Watts
-) -> list[FrequencySetting]:
-    """Node-aware :func:`require_pair_settings`: the error names the node."""
-    feasible = pair_settings_under_cap(predictor, cpu_uid, gpu_uid, cap_w)
-    if not feasible:
-        raise InfeasibleCapError(
-            f"pair ({cpu_uid}, {gpu_uid}) infeasible under {cap_w} W on "
-            f"node {node_name}: no frequency setting fits the cap",
-            cap_w=cap_w,
-            jobs=(cpu_uid, gpu_uid),
-            node=node_name,
-        )
-    return feasible
-
-
-def require_solo_levels_on(
-    predictor, node_name: str, uid: str, kind: DeviceKind, cap_w: Watts
-) -> list[float]:
-    """Node-aware :func:`require_solo_levels`: the error names the node."""
-    levels = solo_levels_under_cap(predictor, uid, kind, cap_w)
-    if not levels:
-        raise InfeasibleCapError(
-            f"{uid} infeasible under {cap_w} W on {kind.value} of node "
-            f"{node_name}: no frequency level fits the cap",
-            cap_w=cap_w,
-            jobs=(uid,),
-            node=node_name,
-        )
-    return levels
-
-
 def first_setting_under_cap(
     predictor,
     cpu_uid: str | None,

@@ -367,18 +367,6 @@ class NodePredictor:
             f for f in domain.levels if self.solo_power_w(uid, kind, f) <= cap_w
         ]
 
-    def require_feasible_pair_settings(self, cpu_uid, gpu_uid, cap_w: Watts):
-        feasible = self.feasible_pair_settings(cpu_uid, gpu_uid, cap_w)
-        if not feasible:
-            raise InfeasibleCapError(
-                f"no frequency setting keeps pair ({cpu_uid}, {gpu_uid}) "
-                f"within the {cap_w} W cap on node {self.node.name}",
-                cap_w=cap_w,
-                jobs=(cpu_uid, gpu_uid),
-                node=self.node.name,
-            )
-        return feasible
-
     def best_solo(self, uid, kind, cap_w: Watts) -> tuple[Hertz, Seconds]:
         feasible = self.feasible_solo_levels(uid, kind, cap_w)
         if not feasible:

@@ -37,6 +37,7 @@ from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.core.context import SchedulingContext
+from repro.core.greedy import pairing_source
 from repro.objective import Objective
 from repro.core.schedule import PredictedMetrics
 
@@ -116,22 +117,17 @@ def _job_weights(
     """Fastest cap-feasible standalone time of each job on each node.
 
     ``inf`` marks a (job, node) pair the node's cap cannot run at any
-    level on either device — placement never selects it.
+    level on either device — placement never selects it.  Each node's
+    times come from its Step 3 source, the node model's best-solo
+    reduction when the sub-context is tensor-served.
     """
+    sources = [pairing_source(nctx, nctx.governor) for nctx in node_ctxs]
     weights: dict[str, list[float]] = {}
     for job in ctx.jobs:
-        per_node = []
-        for nctx in node_ctxs:
-            best = _INF
-            for kind in DeviceKind:
-                try:
-                    _, t = nctx.predictor.best_solo(
-                        job.uid, kind, nctx.cap_w  # repro: noqa REP009 -- single-node sub-context cap
-                    )
-                except InfeasibleCapError:
-                    continue
-                best = min(best, t)
-            per_node.append(best)
+        per_node = [
+            min(source.best_time(job, kind) for kind in DeviceKind)
+            for source in sources
+        ]
         if all(w == _INF for w in per_node):
             raise InfeasibleCapError(
                 f"{job.uid} cannot run on any fleet node under its cap",

@@ -15,9 +15,10 @@ setup, where the runtime cannot measure a co-run before launching it.  The
 small prediction error is why measured power occasionally overshoots the cap
 (Figure 9).  Cap-feasibility arithmetic lives in
 :mod:`repro.core.feasibility`, shared with the energy-aware governor.
-On a tensor-served predictor the model-driven governors read their
-choices from the model's :class:`~repro.perf.tensor.PairTables`
-(:class:`TableServedGovernor`), with the scalar search as the fallback.
+A model-driven governor a scheduling context builds over the tensor model
+reads its choices from the attached
+:class:`~repro.perf.tensor.PairTables` (:class:`TableServedGovernor`),
+with the scalar search as the fallback.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.core.feasibility import (
     require_pair_settings,
 )
 from repro.model.predictor import CoRunPredictor
-from repro.perf.tensor import PairTables
 
 
 class Bias(enum.Enum):
@@ -90,18 +90,22 @@ class TableServedGovernor:
     """Cache and table front shared by the two stock model-driven governors.
 
     A miss in the per-combination ``_cache`` reads the choice from the
-    governor's :class:`~repro.perf.tensor.PairTables` when its predictor is
-    tensor-served, and otherwise runs the scalar ``_choose``.  The scalar
-    path also stays for uids the model does not cover, for infeasible
-    combinations (so they raise its exact
-    :class:`~repro.errors.InfeasibleCapError`) and for subclasses, which
-    :meth:`PairTables.build <repro.perf.tensor.PairTables.build>` declines.
-    Subclasses provide ``_choose`` and ``_rank_cost``.
+    :class:`~repro.perf.tensor.PairTables` attached as :attr:`served`, and
+    otherwise runs the scalar ``_choose``.  The scalar path also stays for
+    uids the model does not cover, for infeasible combinations (so they
+    raise its exact :class:`~repro.errors.InfeasibleCapError`) and for
+    subclasses, which :meth:`PairTables.attach
+    <repro.perf.tensor.PairTables.attach>` declines.  Subclasses provide
+    ``_choose`` and ``_rank_cost``.
     """
 
     predictor: CoRunPredictor
     cap_w: float
     _cache: dict
+    #: ``(tables, tensor)``: this governor's tables and the indexed model
+    #: view they reduce, set by :meth:`PairTables.attach
+    #: <repro.perf.tensor.PairTables.attach>`; ``None`` = scalar only.
+    served: tuple | None = None
 
     def _choose(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
         raise NotImplementedError
@@ -126,10 +130,9 @@ class TableServedGovernor:
         self, cpu_uid: str | None, gpu_uid: str | None
     ) -> FrequencySetting | None:
         """The choice read from the tables, or ``None`` for the scalar path."""
-        served = PairTables.serving(self)
-        if served is None:
+        if self.served is None:
             return None
-        tables, index = served[0], served[1].index
+        tables, index = self.served[0], self.served[1].index
         if cpu_uid is not None and gpu_uid is not None:
             i, j = index.get(cpu_uid), index.get(gpu_uid)
             if i is None or j is None or not tables.pair_valid[i, j]:
@@ -155,9 +158,8 @@ class TableServedGovernor:
         minimal degradation").  Returns ``(cost, setting)``, or ``None``
         when no setting fits the cap.
         """
-        served = PairTables.serving(self)
-        if served is not None:
-            tables, index = served[0], served[1].index
+        if self.served is not None:
+            tables, index = self.served[0], self.served[1].index
             i, j = index.get(cpu_uid), index.get(gpu_uid)
             if i is not None and j is not None:
                 if not tables.pair_valid[i, j]:

@@ -148,15 +148,15 @@ class GeneticScheduler:
     def _population_evaluator(self):
         """The context's batch evaluator, when it can score this job set.
 
-        Vectorized evolution needs the tensor backend's pair tables with
-        every job covered; anything else (a scalar-path context, custom
-        governor or evaluator, uncovered uids) returns ``None`` and the
-        scalar loop runs.
+        Vectorized evolution needs the tensor backend's batch evaluator
+        with every job covered; anything else (a scalar-path context,
+        custom governor or evaluator, uncovered uids) returns ``None`` and
+        the scalar loop runs.
         """
         from repro.perf.tensor import BatchScheduleEvaluator
 
         ev = self.evaluator
-        if not isinstance(ev, BatchScheduleEvaluator) or ev.tables is None:
+        if not isinstance(ev, BatchScheduleEvaluator):
             return None
         index = ev.tensor.index
         if any(j.uid not in index for j in self.jobs):

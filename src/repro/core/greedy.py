@@ -25,7 +25,9 @@ import numpy as np
 
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
-from repro.core.categorize import Categorized, Preference
+from repro.core.categorize import Categorized, Preference, best_solo_time
+from repro.core.context import SchedulingContext
+from repro.core.feasibility import context_cap
 from repro.core.freqpolicy import ModelGovernor
 from repro.model.predictor import CoRunPredictor
 from repro.perf.tensor import PairTables
@@ -50,10 +52,7 @@ class _ScalarSource:
         self.governor = governor
 
     def best_time(self, job: Job, kind: DeviceKind) -> float:
-        try:
-            return self.predictor.best_solo(job.uid, kind, self.cap_w)[1]
-        except ValueError:
-            return math.inf
+        return best_solo_time(self.predictor, job, kind, self.cap_w)
 
     def interference(self, cpu_job: Job, gpu_job: Job) -> float:
         ranked = self.governor.min_pair_interference(cpu_job.uid, gpu_job.uid)
@@ -124,25 +123,24 @@ class _TableSource:
 
 
 def pairing_source(
-    predictor: CoRunPredictor,
-    categorized: Categorized,
-    cap_w: float,
-    governor: ModelGovernor,
+    ctx: SchedulingContext, governor: ModelGovernor
 ) -> _ScalarSource | _TableSource:
-    """Step 3's numbers for the categorized jobs, from one source per call.
+    """Step 3's numbers for the jobs of single-node context ``ctx``.
 
-    The table source when the governor's tables answer every job, else the
-    scalar one; both give the same floats.  Each answers ``best_time(job,
-    kind)``, ``interference(cpu_job, gpu_job)`` and ``step_times``.
+    The table source when the tables attached to ``governor``
+    (:meth:`PairTables.attach`) answer every job at the context's cap,
+    else the scalar one over ``ctx.predictor``; both give the same
+    floats.  ``governor`` is the context's own or another over
+    ``ctx.predictor`` (the online policy ranks by the makespan governor
+    under every objective).  Each source answers ``best_time(job, kind)``
+    (``inf`` where the job cannot run under the cap),
+    ``interference(cpu_job, gpu_job)`` and ``step_times``.
     """
+    predictor, cap_w = ctx.predictor, context_cap(ctx)
     served = PairTables.serving(governor)
     if served is not None and governor.predictor is predictor:
         tables, tensor = served
-        uids = [
-            job.uid
-            for pref in Preference
-            for job in categorized.of(pref)
-        ]
+        uids = [job.uid for job in ctx.jobs]
         if tables.cap_w == cap_w and all(uid in tensor.index for uid in uids):
             return _TableSource(tables, tensor, governor, uids)
     return _ScalarSource(predictor, cap_w, governor)
@@ -255,19 +253,16 @@ class _GreedyState:
 
 
 def greedy_schedule(
-    predictor: CoRunPredictor,
-    categorized: Categorized,
-    cap_w: float,
-    governor: ModelGovernor,
+    source: _ScalarSource | _TableSource, categorized: Categorized
 ) -> tuple[list[Job], list[Job]]:
     """Run the greedy pairing loop; returns the (CPU, GPU) queue orders.
 
-    The loop reads its numbers from one source chosen per call: the
-    governor's :class:`~repro.perf.tensor.PairTables` when they cover every
-    job, otherwise the scalar predictor and governor.  Both give the same
+    The loop reads its numbers from ``source`` — :func:`pairing_source`
+    over (at least) the categorized jobs: the governor's
+    :class:`~repro.perf.tensor.PairTables` when they cover every job,
+    otherwise the scalar predictor and governor.  Both give the same
     floats, so the queue orders are identical.
     """
-    source = pairing_source(predictor, categorized, cap_w, governor)
     state = _GreedyState(categorized, source)
     cpu_order: list[Job] = []
     gpu_order: list[Job] = []

@@ -11,15 +11,18 @@ refinement (IV-A.3):
    pairing; S_seq jobs are appended as a solo tail, each on its best
    cap-feasible processor.
 
-On a tensor-backed context Steps 1 and 3 read the model's reductions
-(:meth:`~repro.perf.tensor.TensorModel.theorem_pairs` and the governor's
-:class:`~repro.perf.tensor.PairTables`) instead of querying the predictor
-per pair and setting; the scalar predictor stays the referee, and both
+On a tensor-backed context the three steps read the model's reductions
+(:meth:`~repro.perf.tensor.TensorModel.theorem_pairs` for Step 1, and the
+cap masks' best-solo times and the governor's
+:class:`~repro.perf.tensor.PairTables` through one Step 3 source for
+Step 2, Step 3 and the solo tail) instead of querying the predictor per
+job, pair and setting; the scalar predictor stays the referee, and both
 paths give the same schedule bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,11 +32,10 @@ from repro.workload.program import Job
 from repro.core.categorize import DEFAULT_THRESHOLD, Categorized, categorize_jobs
 from repro.core.context import SchedulingContext
 from repro.core.feasibility import context_cap
-from repro.core.greedy import greedy_schedule
+from repro.core.greedy import greedy_schedule, pairing_source
 from repro.core.partition import Partition, partition_jobs
 from repro.core.refine import refine_schedule
 from repro.core.schedule import CoSchedule
-from repro.model.predictor import CoRunPredictor
 
 
 @dataclass(frozen=True)
@@ -48,23 +50,18 @@ class HcsResult:
     scheduling_time_s: float
 
 
-def _best_solo_kind(
-    predictor: CoRunPredictor, job: Job, cap_w: float
-) -> DeviceKind:
-    """The processor delivering the job's best cap-feasible standalone time."""
-    times = {}
-    for kind in DeviceKind:
-        try:
-            times[kind] = predictor.best_solo(job.uid, kind, cap_w)[1]
-        except InfeasibleCapError:
-            continue
-    if not times:
+def _best_solo_kind(best_time, job: Job, cap_w: float) -> DeviceKind:
+    """The processor delivering the job's best cap-feasible standalone
+    time, from ``best_time(job, kind)`` (``inf`` = cannot run there)."""
+    times = {kind: best_time(job, kind) for kind in DeviceKind}
+    kind = min(times, key=lambda kind: times[kind])
+    if math.isinf(times[kind]):
         raise InfeasibleCapError(
             f"{job.uid} cannot run under the {cap_w} W cap on either device",
             cap_w=cap_w,
             jobs=(job.uid,),
         )
-    return min(times, key=lambda kind: times[kind])
+    return kind
 
 
 def hcs_schedule(
@@ -88,11 +85,14 @@ def hcs_schedule(
     predictor, governor = ctx.predictor, ctx.governor
 
     cap = context_cap(ctx)
-    part = partition_jobs(predictor, ctx.jobs, cap)
-    cat = categorize_jobs(predictor, part.co, cap, threshold=threshold)
-    cpu_order, gpu_order = greedy_schedule(predictor, cat, cap, governor)
+    source = pairing_source(ctx, governor)
+    part = partition_jobs(predictor, ctx.jobs, cap, tensor=ctx.tensor)
+    cat = categorize_jobs(
+        predictor, part.co, cap, threshold=threshold, best_time=source.best_time
+    )
+    cpu_order, gpu_order = greedy_schedule(source, cat)
     solo = tuple(
-        (job, _best_solo_kind(predictor, job, cap)) for job in part.seq
+        (job, _best_solo_kind(source.best_time, job, cap)) for job in part.seq
     )
     schedule = CoSchedule(
         cpu_queue=tuple(cpu_order), gpu_queue=tuple(gpu_order), solo_tail=solo

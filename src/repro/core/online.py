@@ -33,6 +33,7 @@ from repro.core.categorize import categorize_jobs
 from repro.core.feasibility import context_cap
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.greedy import pairing_source
+from repro.perf.tensor import PairTables
 
 #: How much slower than on the other processor a job may run when placed
 #: on a processor it does not prefer.  With unknown future arrivals there
@@ -62,21 +63,25 @@ class HcsOnlinePolicy:
 
     def __init__(self, ctx) -> None:
         cap = context_cap(ctx)
-        cat = categorize_jobs(ctx.predictor, ctx.jobs, cap)
+        self._source = pairing_source(ctx, self._ranking_governor(ctx, cap))
+        cat = categorize_jobs(
+            ctx.predictor, ctx.jobs, cap, best_time=self._source.best_time
+        )
         self._uids = {job.uid for job in ctx.jobs}
         self._preferred = {
             DeviceKind.CPU: {j.uid for j in cat.cpu_preferred + cat.non_preferred},
             DeviceKind.GPU: {j.uid for j in cat.gpu_preferred + cat.non_preferred},
         }
-        self._source = pairing_source(
-            ctx.predictor, cat, cap, self._ranking_governor(ctx, cap)
-        )
 
     def _ranking_governor(self, ctx, cap: float) -> ModelGovernor:
         """The governor whose pair costs rank Step 3's co-runners: the
         makespan governor under every objective (``tools/online_ranking.py``
-        overrides this to measure ranking by ``ctx.governor`` instead)."""
-        return ModelGovernor(ctx.predictor, cap)
+        overrides this to measure ranking by ``ctx.governor`` instead),
+        served from the context's tensor model when it has one."""
+        governor = ModelGovernor(ctx.predictor, cap)
+        if ctx.tensor is not None:
+            PairTables.attach(governor, ctx.tensor)
+        return governor
 
     def __call__(
         self, kind: DeviceKind, available: list[Job], other: Job | None, now: float

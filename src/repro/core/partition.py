@@ -19,7 +19,7 @@ from repro.workload.program import Job
 from repro.core.feasibility import pair_settings_under_cap
 from repro.core.theorem import corun_beneficial_theorem
 from repro.model.predictor import CoRunPredictor
-from repro.perf.tensor import TensorBackedPredictor
+from repro.perf.tensor import TensorModel
 
 
 @dataclass(frozen=True)
@@ -49,20 +49,17 @@ def _pair_ever_beneficial(
 
 
 def _row_verdicts(
-    predictor: CoRunPredictor, jobs: Sequence[Job], cap_w: float
+    tensor: TensorModel, jobs: Sequence[Job], cap_w: float
 ) -> dict[str, bool] | None:
     """Every job's Step 1 verdict, read from the tensor's theorem reduction.
 
-    ``None`` sends the caller to the scalar loop: the predictor is not
-    tensor-served, a uid is not covered, or some cap-feasible cell among
-    these jobs' rows holds an input the theorem rejects (the scalar loop
-    then raises its ``ValueError`` exactly where it meets one).  A row's
+    ``None`` sends the caller to the scalar loop: a uid is not covered, or
+    some cap-feasible cell among these jobs' rows holds an input the
+    theorem rejects (the scalar loop then raises its ``ValueError``
+    exactly where it meets one).  A row's
     verdict holds for all its jobs; a job pairs with a job of its own
     program only when its row holds two or more uids.
     """
-    if not isinstance(predictor, TensorBackedPredictor):
-        return None
-    tensor = predictor.tensor
     index = tensor.index
     uids = {job.uid for job in jobs}
     if not all(uid in index for uid in uids):
@@ -83,10 +80,21 @@ def _row_verdicts(
 
 
 def partition_jobs(
-    predictor: CoRunPredictor, jobs: Sequence[Job], cap_w: float
+    predictor: CoRunPredictor,
+    jobs: Sequence[Job],
+    cap_w: float,
+    *,
+    tensor: TensorModel | None = None,
 ) -> Partition:
-    """Split ``jobs`` into co-run candidates and run-alone jobs."""
-    verdicts = _row_verdicts(predictor, jobs, cap_w)
+    """Split ``jobs`` into co-run candidates and run-alone jobs.
+
+    ``tensor`` — a scheduling context's indexed model of ``predictor``
+    (:attr:`~repro.core.context.SchedulingContext.tensor`) — answers
+    every verdict from one theorem reduction when it covers the jobs;
+    the predictor's per-setting loop is the fallback, with the same
+    verdicts.
+    """
+    verdicts = None if tensor is None else _row_verdicts(tensor, jobs, cap_w)
     co: list[Job] = []
     seq: list[Job] = []
     for job in jobs:

@@ -118,8 +118,7 @@ def _refine_vectorized(
     """Full-neighborhood steepest descent over the tensor tables.
 
     Returns the refined schedule, or ``None`` when this evaluator cannot
-    batch-score the schedule (scalar-path context, missing tables,
-    uncovered uids) and the scalar sampling passes should run instead.  The
+    batch-score the schedule (scalar-path context, uncovered uids) and the scalar sampling passes should run instead.  The
     vectorized neighborhood is a superset of what the scalar passes
     sample — every adjacent, intra-queue, and cross-queue swap — scored
     in one lockstep replay per round; infeasible candidates come back as
@@ -128,7 +127,7 @@ def _refine_vectorized(
     """
     from repro.perf.tensor import BatchScheduleEvaluator
 
-    if not isinstance(evaluate, BatchScheduleEvaluator) or evaluate.tables is None:
+    if not isinstance(evaluate, BatchScheduleEvaluator):
         return None
     index = evaluate.tensor.index
     if any(uid not in index for uid in schedule.all_uids()):

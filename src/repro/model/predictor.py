@@ -121,22 +121,6 @@ class CoRunPredictor:
             f for f in domain.levels if self.solo_power_w(uid, kind, f) <= cap_w
         ]
 
-    def require_feasible_pair_settings(
-        self, cpu_uid: str, gpu_uid: str, cap_w: Watts
-    ) -> list[FrequencySetting]:
-        """Like :meth:`feasible_pair_settings`, but an empty result raises
-        :class:`~repro.errors.InfeasibleCapError` instead of returning an
-        empty list a caller might silently mishandle."""
-        feasible = self.feasible_pair_settings(cpu_uid, gpu_uid, cap_w)
-        if not feasible:
-            raise InfeasibleCapError(
-                f"no frequency setting keeps pair ({cpu_uid}, {gpu_uid}) "
-                f"within the {cap_w} W cap",
-                cap_w=cap_w,
-                jobs=(cpu_uid, gpu_uid),
-            )
-        return feasible
-
     def best_solo(
         self, uid: str, kind: DeviceKind, cap_w: Watts
     ) -> tuple[Hertz, Seconds]:

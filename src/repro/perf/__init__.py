@@ -10,8 +10,10 @@ predicted makespans — funnels through this package:
   repeated CLI / experiment runs start warm;
 * a vectorized tensor backend (:mod:`repro.perf.tensor`) that precomputes
   the whole ``(cpu_job, gpu_job, setting)`` question space as dense NumPy
-  tensors and answers scheduler queries — one schedule or a lockstep
-  batch — with array lookups instead of interpolation chains;
+  tensors and answers the schedulers' hot questions — one schedule or a
+  lockstep batch, a heuristic step, a governor's choice — with array
+  lookups instead of interpolation chains (the predictor itself stays
+  scalar; the tensor travels with the governor a context builds);
 * vectorized population kernels (:mod:`repro.perf.population`) that run an
   entire GA generation or refinement neighborhood as ``(P, n)`` index
   matrices scored by one lockstep ``score_population`` replay.
@@ -29,7 +31,6 @@ from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator, schedule_k
 from repro.perf.tensor import (
     BatchScheduleEvaluator,
     PairTables,
-    TensorBackedPredictor,
     TensorModel,
     tensorize,
 )
@@ -53,7 +54,6 @@ __all__ = [
     "schedule_key",
     "BatchScheduleEvaluator",
     "PairTables",
-    "TensorBackedPredictor",
     "TensorModel",
     "tensorize",
     "decode_queues",

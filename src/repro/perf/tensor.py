@@ -4,8 +4,9 @@ PR 1's :class:`~repro.perf.cache.EvalCache` deduplicates repeated model
 queries but leaves every *cold* query on the scalar Python call chain
 (``CoRunPredictor.degradations`` -> ``ProfileTable.demand_gbps`` -> staged
 bilinear interpolation), one ``(pair, setting)`` at a time.  This module
-precomputes the whole question space once per model and answers everything
-afterwards with O(1) array lookups:
+precomputes the whole question space once per model and answers the
+schedulers' hot questions afterwards with array reductions and O(1)
+lookups:
 
 :class:`TensorModel`
     Dense ``float64`` tensors over the full cross-product
@@ -19,15 +20,10 @@ afterwards with O(1) array lookups:
     operation for operation, so every element is *bitwise identical* to the
     scalar chain's answer.  Models are memoized by profile content, never
     by predictor, so a grown table or a fresh predictor over equal profiles
-    reuses one precompute.
-
-:class:`TensorBackedPredictor`
-    A drop-in predictor wrapper that serves the hot queries from the tensor
-    through the same :class:`~repro.perf.cache.EvalCache` keys the scalar
-    :class:`~repro.perf.evaluator.CachingPredictor` uses — identical cache
-    hit/miss behavior, but a miss costs an array lookup instead of an
-    interpolation chain.  Queries outside the tensor's coverage (unknown
-    uids, off-grid frequencies) delegate to the wrapped predictor.
+    reuses one precompute.  :func:`tensorize` hands out a view indexed by
+    one job set's uids; the scheduling context attaches it, with the
+    governor's :class:`PairTables`, to the governor it builds
+    (:meth:`PairTables.attach`).  The predictor itself stays scalar.
 
 :class:`PairTables`
     Per-(governor, cap) reduction of the tensors: for every (cpu row, gpu
@@ -76,10 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.objective import Objective
-from repro.units import Hertz, PowerScale, Seconds, SpeedScale, Watts
-from repro.errors import InfeasibleCapError
+from repro.units import PowerScale, SpeedScale, Watts
 from repro.hardware.device import DeviceKind
-from repro.perf.cache import EvalCache, ensure_cache
 from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
 
 #: Refuse to materialize pair tensors larger than this many elements each
@@ -147,9 +141,9 @@ class TensorModel:
     no predictor and no uid map.  Every cell depends only on its two rows'
     profile arrays, the ``processor`` and the ``space``, so jobs of the
     same program share rows and any job set over those profiles can reuse
-    the model.  Uid queries go through :meth:`indexed`, which attaches one
-    job set's uid -> row map.  Use :func:`tensorize`, which checks
-    exactness and memoizes models by content.
+    the model.  Readers find a job's row through :meth:`indexed`, which
+    attaches one job set's uid -> row map.  Use :func:`tensorize`, which
+    checks exactness and memoizes models by content.
     """
 
     def __init__(self, processor, space, rows: Sequence[tuple]) -> None:
@@ -163,10 +157,6 @@ class TensorModel:
         self.gpu_levels = tuple(gpu_domain.levels)
         n_cpu, n_gpu = len(self.cpu_levels), len(self.gpu_levels)
         self.n_gpu_levels = n_gpu
-        # Exact-value level lookup; an off-grid frequency misses and the
-        # wrapper delegates to the scalar predictor.
-        self._cpu_level_idx = {f: i for i, f in enumerate(self.cpu_levels)}
-        self._gpu_level_idx = {f: i for i, f in enumerate(self.gpu_levels)}
 
         # Settings in processor.settings() enumeration order: cpu-major.
         self.settings = list(processor.settings())
@@ -272,33 +262,12 @@ class TensorModel:
 
         The view shares every array and the cap-mask, pair-table and
         scaling memos with this model, so what one view computes serves
-        all of them; only ``index`` is its own.  The uid queries below
-        need it.
+        all of them; only ``index`` is its own.
         """
         view = object.__new__(TensorModel)
         view.__dict__.update(self.__dict__)
         view.index = index
         return view
-
-    # ------------------------------------------------------------------
-    # Coverage
-    # ------------------------------------------------------------------
-    def covers(self, uid: str) -> bool:
-        return uid in self.index
-
-    def setting_index(self, setting) -> int | None:
-        """Index of ``setting`` in enumeration order, or ``None`` off-grid."""
-        i = self._cpu_level_idx.get(setting.cpu_ghz)
-        j = self._gpu_level_idx.get(setting.gpu_ghz)
-        if i is None or j is None:
-            return None
-        return i * self.n_gpu_levels + j
-
-    def level_index(self, kind: DeviceKind, f_ghz: Hertz) -> int | None:
-        levels = (
-            self._cpu_level_idx if kind is DeviceKind.CPU else self._gpu_level_idx
-        )
-        return levels.get(f_ghz)
 
     @property
     def nbytes(self) -> int:
@@ -374,74 +343,6 @@ class TensorModel:
         self._theorem_pairs[cap_w] = pairs
         return pairs
 
-    # ------------------------------------------------------------------
-    # Predictor-equivalent queries (bitwise identical to the scalar chain)
-    # ------------------------------------------------------------------
-    def degradations(self, cpu_uid, gpu_uid, s: int) -> tuple[float, float]:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        return (float(self.deg_c[i, j, s]), float(self.deg_g[i, j, s]))
-
-    def corun_times(self, cpu_uid, gpu_uid, s: int) -> tuple[Seconds, Seconds]:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        return (float(self.t_corun_c[i, j, s]), float(self.t_corun_g[i, j, s]))
-
-    def pair_power_w(self, cpu_uid, gpu_uid, s: int) -> Watts:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        return float(self.pair_power[i, j, s])
-
-    def feasible_pair_settings(self, cpu_uid, gpu_uid, cap_w: Watts) -> tuple:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        flags = self.masks(cap_w).pair_ok[i, j]
-        return tuple(self.settings[s] for s in np.flatnonzero(flags))
-
-    def feasible_solo_levels(self, uid, kind: DeviceKind, cap_w: Watts) -> tuple:
-        i = self.index[uid]
-        flags = self.masks(cap_w).solo_ok[kind][i]
-        levels = self.cpu_levels if kind is DeviceKind.CPU else self.gpu_levels
-        return tuple(levels[int(k)] for k in np.flatnonzero(flags))
-
-    def best_solo(
-        self, uid, kind: DeviceKind, cap_w: Watts
-    ) -> tuple[Hertz, Seconds]:
-        i = self.index[uid]
-        masks = self.masks(cap_w)
-        if not masks.best_solo_valid[kind][i]:
-            # Identical message/fields to CoRunPredictor.best_solo (or to
-            # NodePredictor.best_solo when this model is node-scaled).
-            if self.node_name is not None:
-                raise InfeasibleCapError(
-                    f"{uid} cannot run on {kind} under a {cap_w} W cap at "
-                    f"any level on node {self.node_name}",
-                    cap_w=cap_w,
-                    jobs=(uid,),
-                    node=self.node_name,
-                )
-            raise InfeasibleCapError(
-                f"{uid} cannot run on {kind} under a {cap_w} W cap at any level",
-                cap_w=cap_w,
-                jobs=(uid,),
-            )
-        levels = self.cpu_levels if kind is DeviceKind.CPU else self.gpu_levels
-        idx = int(masks.best_solo_idx[kind][i])
-        return levels[idx], float(self.solo_time[kind][i, idx])
-
-    def solo_time_at(self, uid, kind: DeviceKind, f_ghz: Hertz) -> Seconds | None:
-        """Solo time at an exact level, or ``None`` when off-grid/unknown."""
-        if uid not in self.index:
-            return None
-        li = self.level_index(kind, f_ghz)
-        if li is None:
-            return None
-        return float(self.solo_time[kind][self.index[uid], li])
-
-    def solo_power_at(self, uid, kind: DeviceKind, f_ghz: Hertz) -> Watts | None:
-        if uid not in self.index:
-            return None
-        li = self.level_index(kind, f_ghz)
-        if li is None:
-            return None
-        return float(self.solo_chip_power[kind][self.index[uid], li])
-
 
 def _degradation_tensors(space, bw_c, bw_g, settings):
     """(deg_c, deg_g) over the job-pair/setting cube, exact to the space."""
@@ -512,8 +413,12 @@ def _row_contents(table, uids) -> tuple[dict, dict]:
     return keys, rows
 
 
-def tensorize(predictor, uids: Sequence[str] | None = None):
-    """Wrap ``predictor`` in a :class:`TensorBackedPredictor`, or ``None``.
+def tensorize(predictor, uids: Sequence[str] | None = None) -> TensorModel | None:
+    """The :class:`TensorModel` of ``predictor``, indexed by uid, or ``None``.
+
+    The view's ``index`` maps every uid of the predictor's table (or, when
+    the table's distinct profiles are too many, every one of ``uids``) to
+    its row; every cell equals the predictor's scalar answer bit for bit.
 
     Returns ``None`` whenever exactness cannot be guaranteed by the tensor
     arithmetic — the base predictor is not *exactly* a
@@ -535,10 +440,7 @@ def tensorize(predictor, uids: Sequence[str] | None = None):
     from repro.model.profiler import ProfileTable
     from repro.model.space import DegradationSpace, StagedDegradationSpace
 
-    inner = predictor
-    while isinstance(inner, TensorBackedPredictor):
-        inner = inner.inner
-    base = inner.inner if isinstance(inner, CachingPredictor) else inner
+    base = predictor.inner if isinstance(predictor, CachingPredictor) else predictor
     # A fleet node's scaled view is tensorizable: build (or reuse) the base
     # model, then clone it through the node's scaling.  Lazy import — perf
     # must not import core at module load.
@@ -547,7 +449,7 @@ def tensorize(predictor, uids: Sequence[str] | None = None):
     if node_predictor_type is not None and type(base) is node_predictor_type:
         node = base.node
         base = base.inner
-        while isinstance(base, (TensorBackedPredictor, CachingPredictor)):
+        if isinstance(base, CachingPredictor):
             base = base.inner
     if type(base) is not CoRunPredictor:
         return None
@@ -599,9 +501,7 @@ def tensorize(predictor, uids: Sequence[str] | None = None):
     if node is not None:
         model = model.scaled(node.speed_scale, node.power_scale, node.name)
     row_of = {c: r for r, c in enumerate(contents)}
-    return TensorBackedPredictor(
-        inner, model.indexed({uid: row_of[c] for uid, c in keys.items()})
-    )
+    return model.indexed({uid: row_of[c] for uid, c in keys.items()})
 
 
 def _node_predictor_type():
@@ -615,131 +515,6 @@ def _node_predictor_type():
 
     mod = sys.modules.get("repro.core.fleet")
     return getattr(mod, "NodePredictor", None) if mod is not None else None
-
-
-class TensorBackedPredictor:
-    """Predictor facade answering hot queries from a :class:`TensorModel`.
-
-    Uses the *same* cache keys as
-    :class:`~repro.perf.evaluator.CachingPredictor` (sharing its cache when
-    wrapping one), so hit/miss accounting and warm-cache behavior are
-    indistinguishable from the scalar stack — only the cost of a miss
-    changes.  Queries the tensor cannot answer exactly delegate to the
-    wrapped predictor.
-    """
-
-    def __init__(self, inner, tensor: TensorModel) -> None:
-        self.inner = inner
-        self.tensor = tensor
-        cache = getattr(inner, "cache", None)
-        self.cache = cache if isinstance(cache, EvalCache) else ensure_cache(None)
-
-    # -- delegated identity -------------------------------------------------
-    @property
-    def processor(self):
-        return self.inner.processor
-
-    @property
-    def table(self):
-        return self.inner.table
-
-    @property
-    def space(self):
-        return self.inner.space
-
-    def __getattr__(self, name: str):
-        if name.startswith("_") or "inner" not in self.__dict__:
-            raise AttributeError(name)
-        return getattr(self.inner, name)
-
-    # -- tensor-served hot queries ------------------------------------------
-    def _pair_s(self, cpu_uid, gpu_uid, setting) -> int | None:
-        t = self.tensor
-        if cpu_uid not in t.index or gpu_uid not in t.index:
-            return None
-        return t.setting_index(setting)
-
-    def degradations(self, cpu_uid, gpu_uid, setting):
-        s = self._pair_s(cpu_uid, gpu_uid, setting)
-        if s is None:
-            return self.inner.degradations(cpu_uid, gpu_uid, setting)
-        return self.cache.get_or_compute(
-            ("deg", cpu_uid, gpu_uid, setting),
-            lambda: self.tensor.degradations(cpu_uid, gpu_uid, s),
-        )
-
-    def degradation(self, uid, kind, partner_uid, setting):
-        if kind is DeviceKind.CPU:
-            return self.degradations(uid, partner_uid, setting)[0]
-        return self.degradations(partner_uid, uid, setting)[1]
-
-    def corun_times(self, cpu_uid, gpu_uid, setting):
-        s = self._pair_s(cpu_uid, gpu_uid, setting)
-        if s is None:
-            return self.inner.corun_times(cpu_uid, gpu_uid, setting)
-        return self.cache.get_or_compute(
-            ("corun", cpu_uid, gpu_uid, setting),
-            lambda: self.tensor.corun_times(cpu_uid, gpu_uid, s),
-        )
-
-    def pair_power_w(self, cpu_uid, gpu_uid, setting):
-        s = self._pair_s(cpu_uid, gpu_uid, setting)
-        if s is None:
-            return self.inner.pair_power_w(cpu_uid, gpu_uid, setting)
-        return self.cache.get_or_compute(
-            ("power", cpu_uid, gpu_uid, setting),
-            lambda: self.tensor.pair_power_w(cpu_uid, gpu_uid, s),
-        )
-
-    def feasible_pair_settings(self, cpu_uid, gpu_uid, cap_w):
-        t = self.tensor
-        if cpu_uid not in t.index or gpu_uid not in t.index:
-            return self.inner.feasible_pair_settings(cpu_uid, gpu_uid, cap_w)
-        feasible = self.cache.get_or_compute(
-            ("feas", cpu_uid, gpu_uid, cap_w),
-            lambda: t.feasible_pair_settings(cpu_uid, gpu_uid, cap_w),
-        )
-        return list(feasible)
-
-    def require_feasible_pair_settings(self, cpu_uid, gpu_uid, cap_w):
-        feasible = self.feasible_pair_settings(cpu_uid, gpu_uid, cap_w)
-        if not feasible:
-            raise InfeasibleCapError(
-                f"no frequency setting keeps pair ({cpu_uid}, {gpu_uid}) "
-                f"within the {cap_w} W cap",
-                cap_w=cap_w,
-                jobs=(cpu_uid, gpu_uid),
-            )
-        return feasible
-
-    def feasible_solo_levels(self, uid, kind, cap_w):
-        if uid not in self.tensor.index:
-            return self.inner.feasible_solo_levels(uid, kind, cap_w)
-        feasible = self.cache.get_or_compute(
-            ("feas_solo", uid, kind, cap_w),
-            lambda: self.tensor.feasible_solo_levels(uid, kind, cap_w),
-        )
-        return list(feasible)
-
-    def best_solo(self, uid, kind, cap_w):
-        if uid not in self.tensor.index:
-            return self.inner.best_solo(uid, kind, cap_w)
-        return self.cache.get_or_compute(
-            ("best_solo", uid, kind, cap_w),
-            lambda: self.tensor.best_solo(uid, kind, cap_w),
-        )
-
-    # -- cheap lookups, uncached like CachingPredictor ----------------------
-    def solo_time(self, uid, kind, f_ghz):
-        t = self.tensor.solo_time_at(uid, kind, f_ghz)
-        return t if t is not None else self.inner.solo_time(uid, kind, f_ghz)
-
-    def solo_power_w(self, uid, kind, f_ghz):
-        p = self.tensor.solo_power_at(uid, kind, f_ghz)
-        return p if p is not None else self.inner.solo_power_w(uid, kind, f_ghz)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TensorBackedPredictor({self.inner!r})"
 
 
 class PairTables:
@@ -840,22 +615,32 @@ class PairTables:
             self._rank = None
         return self._interference
 
-    @classmethod
-    def serving(cls, governor):
-        """``(tables, tensor)`` answering a stock governor, or ``None``.
+    @staticmethod
+    def serving(governor):
+        """``(tables, tensor)`` attached to ``governor``, or ``None``.
 
-        The governor must be one :meth:`build` reduces and its predictor a
-        :class:`TensorBackedPredictor`; ``tensor`` is that predictor's
-        indexed model view (``tensor.index`` maps uids to rows).  The
-        tables come from the model's memo, so every governor over one
-        model and cap shares them.
+        :meth:`attach` puts them there: the governor's tables and the
+        indexed model view they reduce (``tensor.index`` maps uids to
+        rows).  A governor nothing was attached to — any governor a
+        scheduling context did not build over the tensor model — reads
+        ``None`` and takes the scalar path.
         """
-        predictor = governor.predictor
-        if type(predictor) is not TensorBackedPredictor:
-            return None
-        tensor = predictor.tensor
+        return getattr(governor, "served", None)
+
+    @classmethod
+    def attach(cls, governor, tensor: TensorModel):
+        """Reduce ``governor`` over ``tensor`` and attach the result.
+
+        Sets ``governor.served = (tables, tensor)``, which :meth:`serving`
+        reads, and returns the tables; returns ``None`` and attaches
+        nothing when :meth:`build` declines the governor.  The tables
+        come from the model's memo, so every governor over one model and
+        cap shares them.
+        """
         tables = cls.build(tensor, governor, governor.cap_w)
-        return None if tables is None else (tables, tensor)
+        if tables is not None:
+            governor.served = (tables, tensor)
+        return tables
 
     @staticmethod
     def _memo_key(governor, cap_w: float):
@@ -1055,14 +840,14 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
       :attr:`PairTables.replay_table`, dropping lanes as they finish.
 
     Schedules the tables cannot replay (uncovered uids, infeasible
-    pair/solo combinations, no tables for the governor) fall back to the
-    scalar path, preserving exact error behavior.
+    pair/solo combinations) fall back to the scalar path, preserving exact
+    error behavior.
     """
 
     backend = "tensor"
 
     def __init__(self, predictor, governor, cache=None, objective=Objective.MAKESPAN,
-                 *, tensor: TensorModel, tables: PairTables | None):
+                 *, tensor: TensorModel, tables: PairTables):
         super().__init__(predictor, governor, cache, objective)
         self.tensor = tensor
         self.tables = tables
@@ -1081,8 +866,6 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
     # Indexed (single-schedule) replay
     # ------------------------------------------------------------------
     def _indexable(self, schedule) -> bool:
-        if self.tables is None:
-            return False
         index = self.tensor.index
         return all(uid in index for uid in schedule.all_uids())
 
@@ -1339,11 +1122,6 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         population score can always be cross-checked against the
         per-schedule path.
         """
-        if self.tables is None:
-            raise ValueError(
-                "score_population needs pair tables; this evaluator was "
-                "built without them (fall back to evaluate_all)"
-            )
         K = int(Qc.shape[0])
         self.batch_stats["batch_calls"] += 1
         self.batch_stats["batch_schedules"] += K

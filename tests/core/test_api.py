@@ -166,11 +166,3 @@ class TestInfeasibleCap:
         with pytest.raises(ValueError, match="cap_w must be finite and positive") as exc:
             schedule(rodinia_jobs, "hcs", cap_w=math.nan, predictor=predictor)
         assert not isinstance(exc.value, InfeasibleCapError)
-
-    def test_require_feasible_pair_settings(self, predictor, rodinia_jobs):
-        a, b = rodinia_jobs[0].uid, rodinia_jobs[1].uid
-        ok = predictor.require_feasible_pair_settings(a, b, 100.0)
-        assert ok == predictor.feasible_pair_settings(a, b, 100.0)
-        with pytest.raises(InfeasibleCapError) as excinfo:
-            predictor.require_feasible_pair_settings(a, b, 0.1)
-        assert excinfo.value.jobs == (a, b)

@@ -12,8 +12,9 @@ from repro.core.hcs import hcs_schedule
 from repro.core.objectives import EnergyAwareGovernor, Objective
 from repro.model.predictor import CoRunPredictor
 from repro.perf.cache import EvalCache
-from repro.perf.evaluator import ScheduleEvaluator
-from repro.perf.tensor import BatchScheduleEvaluator, PairTables, TensorBackedPredictor
+from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
+from repro.perf.tensor import BatchScheduleEvaluator, PairTables
+from tests.scalar import scalar_context
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +48,23 @@ class TestConstruction:
         assert ctx.evaluator.objective is Objective.MAKESPAN
         assert ctx.evaluator.cache is ctx.cache
 
-    def test_tensor_backend_wraps_the_predictor(self, predictor, rodinia_jobs):
+    def test_context_keeps_the_callers_predictor(self, predictor, rodinia_jobs):
         c = SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
-        # The stock model is served from tensors; the original predictor is
-        # still the one underneath answering anything off-tensor.
-        assert c.predictor.inner is predictor
+        # The stock model is served from tensors that travel with the
+        # governor; the predictor stays the caller's own.
+        assert c.predictor is predictor
+        assert c.governor.predictor is predictor
+        assert PairTables.serving(c.governor) == (c.evaluator.tables, c.tensor)
         assert c.objective is Objective.MAKESPAN
+
+    def test_node_context_keeps_the_nodes_view_of_it(self, predictor, rodinia_jobs):
+        c = SchedulingContext(
+            jobs=rodinia_jobs, fleet=Fleet(nodes=(NODE,)), predictor=predictor
+        )
+        assert type(c.predictor) is NodePredictor
+        assert c.predictor.inner is predictor and c.predictor.node == NODE
+        assert c.tensor is not None and c.tensor.node_name == NODE.name
+        assert c.with_seed(4).predictor is c.predictor
 
     def test_mismatched_evaluator_rejected(self, predictor, rodinia_jobs):
         evaluator = ScheduleEvaluator(
@@ -144,9 +156,9 @@ class TestPathSelection:
             (_stock, True),
             (_own_model, False),
             (_caller_governor, False),
-            # The predictor is still the exact tensor view; only the
-            # governor's choices cannot be reduced to tables.
-            (_own_factory, True),
+            # The tensor travels with the governor, and the tables cannot
+            # reduce this one's choices, so nothing carries the tensor.
+            (_own_factory, False),
         ],
         ids=["stock", "predictor-subclass", "caller-governor", "governor-factory"],
     )
@@ -154,7 +166,7 @@ class TestPathSelection:
         self, predictor, rodinia_jobs, build, tensor_served
     ):
         ctx = build(predictor, rodinia_jobs)
-        assert isinstance(ctx.predictor, TensorBackedPredictor) is tensor_served
+        assert (ctx.tensor is not None) is tensor_served
         if build is _stock:
             assert type(ctx.evaluator) is BatchScheduleEvaluator
             assert PairTables.serving(ctx.governor) is not None
@@ -168,6 +180,30 @@ class TestPathSelection:
         # repro: noqa REP003 -- both paths replay one model bit for bit
         assert got.predicted_makespan_s == ref.predicted_makespan_s
 
+    @pytest.mark.parametrize("objective", ["makespan", "energy"])
+    @pytest.mark.parametrize("refine", [False, True], ids=["hcs", "hcs+"])
+    def test_tensor_context_asks_the_predictor_for_no_best_solo(
+        self, predictor, rodinia_jobs, monkeypatch, objective, refine
+    ):
+        """Steps 1-3 and the solo tail read the tensor model: the
+        predictor, spied on, answers no ``best_solo``."""
+        ctx = SchedulingContext(
+            jobs=tuple(rodinia_jobs), cap_w=15.0,
+            predictor=CachingPredictor(predictor, cache=EvalCache()),
+            objective=objective,
+        )
+        calls = []
+        best_solo = ctx.predictor.best_solo
+        monkeypatch.setattr(
+            ctx.predictor, "best_solo",
+            lambda *args: calls.append(args) or best_solo(*args),
+        )
+        hcs_schedule(ctx, refine=refine)
+        assert calls == []
+        # The spy does see the scalar stack's queries.
+        hcs_schedule(scalar_context(ctx), refine=refine)
+        assert calls
+
 
 NODE = Node("n", speed_scale=2.0, power_scale=1.3, cap_w=12.0)
 OTHER = Node("m", speed_scale=1.5, power_scale=0.9, cap_w=14.0)
@@ -176,8 +212,8 @@ OTHER = Node("m", speed_scale=1.5, power_scale=0.9, cap_w=14.0)
 def _node_views(predictor) -> int:
     """How many node scalings sit between ``predictor`` and the model."""
     views = 0
-    while isinstance(predictor, (TensorBackedPredictor, NodePredictor)):
-        views += isinstance(predictor, NodePredictor)
+    while isinstance(predictor, NodePredictor):
+        views += 1
         predictor = predictor.inner
     return views
 

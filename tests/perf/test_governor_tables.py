@@ -19,14 +19,13 @@ import pytest
 from repro.core.context import SchedulingContext
 from repro.core.freqpolicy import ModelGovernor
 from repro.core.greedy import _ScalarSource, _TableSource, pairing_source
-from repro.core.categorize import categorize_jobs
 from repro.core.objectives import Objective, governor_for
 from repro.errors import InfeasibleCapError
 from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import profile_workload
 from repro.perf.cache import EvalCache
 from repro.perf.evaluator import CachingPredictor
-from repro.perf.tensor import PairTables, TensorBackedPredictor, tensorize
+from repro.perf.tensor import PairTables, tensorize
 from repro.workload.program import Job
 from repro.workload.rodinia import rodinia_programs
 from tests.scalar import scalar_context
@@ -103,9 +102,9 @@ def test_tables_answer_like_scalar(scalar_predictor, referee, jobs, cap, objecti
 
 def test_uncovered_uid_takes_the_scalar_path(scalar_predictor, jobs):
     full = tensorize(scalar_predictor)
-    covered = {uid: row for uid, row in full.tensor.index.items() if uid != "lud"}
-    predictor = TensorBackedPredictor(scalar_predictor, full.tensor.indexed(covered))
-    governor = ModelGovernor(predictor, 15.0)
+    covered = {uid: row for uid, row in full.index.items() if uid != "lud"}
+    governor = ModelGovernor(scalar_predictor, 15.0)
+    assert PairTables.attach(governor, full.indexed(covered)) is not None
     scalar = ModelGovernor(scalar_predictor, 15.0)
     calls = []
     governor._choose = lambda c, g: calls.append((c, g)) or (
@@ -126,8 +125,8 @@ def test_subclassed_governor_takes_the_scalar_path(scalar_predictor, jobs):
     class Custom(ModelGovernor):
         pass
 
-    predictor = tensorize(scalar_predictor)
-    governor = Custom(predictor, 15.0)
+    governor = Custom(scalar_predictor, 15.0)
+    assert PairTables.attach(governor, tensorize(scalar_predictor)) is None
     assert PairTables.serving(governor) is None
     calls = []
     governor._choose = lambda c, g: calls.append((c, g)) or (
@@ -141,15 +140,13 @@ def test_subclassed_governor_takes_the_scalar_path(scalar_predictor, jobs):
     )
 
 
-def test_greedy_reads_the_tables_only_when_they_answer(scalar_predictor, jobs):
+def test_greedy_reads_the_tables_only_when_they_answer(scalar_predictor, referee, jobs):
     ctx = SchedulingContext.build(jobs, cap_w=15.0, predictor=scalar_predictor)
-    cat = categorize_jobs(ctx.predictor, jobs, 15.0)
-    assert isinstance(pairing_source(ctx.predictor, cat, 15.0, ctx.governor), _TableSource)
+    assert isinstance(pairing_source(ctx, ctx.governor), _TableSource)
     scalar = scalar_context(ctx)
-    assert isinstance(
-        pairing_source(scalar.predictor, cat, 15.0, scalar.governor), _ScalarSource
-    )
+    assert isinstance(pairing_source(scalar, scalar.governor), _ScalarSource)
     # A governor over another predictor, or at another cap, is not trusted.
-    other = ModelGovernor(tensorize(scalar_predictor), 15.0)
-    assert isinstance(pairing_source(ctx.predictor, cat, 15.0, other), _ScalarSource)
-    assert isinstance(pairing_source(ctx.predictor, cat, 12.0, ctx.governor), _ScalarSource)
+    other = ModelGovernor(referee, 15.0)
+    PairTables.attach(other, tensorize(referee))
+    assert isinstance(pairing_source(ctx, other), _ScalarSource)
+    assert isinstance(pairing_source(ctx.with_cap(12.0), ctx.governor), _ScalarSource)

@@ -31,7 +31,7 @@ from repro.errors import InfeasibleCapError
 from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import ProfileTable, extend_table
 from repro.perf.cache import EvalCache
-from repro.perf.tensor import PairTables, TensorBackedPredictor
+from repro.perf.tensor import PairTables
 from repro.workload.generator import random_program
 from repro.workload.program import Job
 from repro.workload.rodinia import rodinia_programs
@@ -110,7 +110,7 @@ class TestHcsDifferential:
         )
         scalar = scalar_context(tensor)
         # The tensor side really reads the tables.
-        assert type(tensor.predictor) is TensorBackedPredictor
+        assert tensor.tensor is not None and scalar.tensor is None
         assert PairTables.serving(tensor.governor) is not None
         assert PairTables.serving(scalar.governor) is None
         for refine in (False, True):

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.perf import population as popkit
 from repro.util.rng import default_rng
-from tests.scalar import scalar_context
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -423,22 +422,6 @@ class TestPopulationScoresByteIdentical:
             )
             # repro: noqa REP003 -- byte-identical population-lane contract
             assert ev(sched) == scores[k]
-
-    def test_score_population_without_tables_raises(
-        self, predictor, rodinia_jobs
-    ):
-        from repro.core.context import SchedulingContext
-
-        ctx = scalar_context(
-            SchedulingContext(jobs=rodinia_jobs, cap_w=15.0, predictor=predictor)
-        )
-        ev = ctx.evaluator
-        if hasattr(ev, "score_population"):
-            with pytest.raises(ValueError, match="tables"):
-                ev.score_population(
-                    np.zeros((2, 1), dtype=np.int64), np.zeros(2, np.int64),
-                    np.zeros((2, 1), dtype=np.int64), np.zeros(2, np.int64),
-                )
 
 
 def _queue_matrices(ev, lanes):

@@ -15,7 +15,7 @@ import pytest
 from repro.core.api import Scheduler, dispatch, schedule, scheduler_names
 from repro.core.context import SchedulingContext
 from repro.model.predictor import CoRunPredictor, OracleDegradations
-from repro.perf.tensor import TensorBackedPredictor, tensorize
+from repro.perf.tensor import TensorModel, tensorize
 from tests.scalar import scalar_context
 
 CAP_W = 15.0
@@ -119,7 +119,7 @@ class TestRegistryEquivalence:
         build = scalar.context
         scalar.context = lambda jobs: scalar_context(build(jobs))
         results = [tensor(jobs), scalar(jobs)]
-        assert type(scalar.context(jobs).predictor) is not TensorBackedPredictor
+        assert scalar.context(jobs).tensor is None
         # repro: noqa REP003 -- byte-identical backend contract
         assert _result_tuple(results[0]) == _result_tuple(results[1])
 
@@ -189,9 +189,9 @@ class TestTensorize:
         self, processor, table, space, rodinia_jobs
     ):
         predictor = CoRunPredictor(processor, table, space)
-        wrapped = tensorize(predictor, [j.uid for j in rodinia_jobs])
-        assert isinstance(wrapped, TensorBackedPredictor)
-        assert wrapped.inner is predictor
+        tensor = tensorize(predictor, [j.uid for j in rodinia_jobs])
+        assert isinstance(tensor, TensorModel)
+        assert set(tensor.index) >= {j.uid for j in rodinia_jobs}
 
     def test_batch_stats_surface_in_snapshot(self, predictor, jobs):
         """The evaluator's snapshot must expose the batch bookkeeping

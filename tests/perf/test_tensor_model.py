@@ -26,7 +26,7 @@ from repro.model.profiler import profile_workload
 from repro.perf.tensor import (
     LOCKSTEP_MIN_BATCH,
     BatchScheduleEvaluator,
-    TensorBackedPredictor,
+    TensorModel,
     _grid_eval,
     tensorize,
 )
@@ -69,10 +69,10 @@ def scalar_predictor(request, processor, table):
 
 
 @pytest.fixture(scope="module")
-def tensor_predictor(scalar_predictor, jobs):
-    wrapped = tensorize(scalar_predictor, [j.uid for j in jobs])
-    assert isinstance(wrapped, TensorBackedPredictor)
-    return wrapped
+def tensor(scalar_predictor, jobs):
+    model = tensorize(scalar_predictor, [j.uid for j in jobs])
+    assert isinstance(model, TensorModel)
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -85,49 +85,56 @@ pair_idx = st.tuples(
 )
 
 
+def _levels(processor, kind):
+    return processor.device(kind).domain.levels
+
+
 class TestQueryExactness:
+    """Each tensor cell equals the scalar query it stands for."""
+
     @HYPO
     @given(pair=pair_idx, s=st.integers(0, 159))
     def test_degradations_equal(
-        self, scalar_predictor, tensor_predictor, jobs, settings_list, pair, s
+        self, scalar_predictor, tensor, jobs, settings_list, pair, s
     ):
         c, g = jobs[pair[0]].uid, jobs[pair[1]].uid
-        setting = settings_list[s]
-        assert tensor_predictor.degradations(c, g, setting) == (
-            scalar_predictor.degradations(c, g, setting)
+        i, j = tensor.index[c], tensor.index[g]
+        assert (tensor.deg_c[i, j, s], tensor.deg_g[i, j, s]) == (
+            scalar_predictor.degradations(c, g, settings_list[s])
         )
 
     @HYPO
     @given(pair=pair_idx, s=st.integers(0, 159))
     def test_corun_times_equal(
-        self, scalar_predictor, tensor_predictor, jobs, settings_list, pair, s
+        self, scalar_predictor, tensor, jobs, settings_list, pair, s
     ):
         c, g = jobs[pair[0]].uid, jobs[pair[1]].uid
-        setting = settings_list[s]
+        i, j = tensor.index[c], tensor.index[g]
         # repro: noqa REP003 -- byte-identical backend contract
-        assert tensor_predictor.corun_times(c, g, setting) == (
-            scalar_predictor.corun_times(c, g, setting)
+        assert (tensor.t_corun_c[i, j, s], tensor.t_corun_g[i, j, s]) == (
+            scalar_predictor.corun_times(c, g, settings_list[s])
         )
 
     @HYPO
     @given(pair=pair_idx, s=st.integers(0, 159))
     def test_pair_power_equal(
-        self, scalar_predictor, tensor_predictor, jobs, settings_list, pair, s
+        self, scalar_predictor, tensor, jobs, settings_list, pair, s
     ):
         c, g = jobs[pair[0]].uid, jobs[pair[1]].uid
-        setting = settings_list[s]
+        i, j = tensor.index[c], tensor.index[g]
         # repro: noqa REP003 -- byte-identical backend contract
-        assert tensor_predictor.pair_power_w(c, g, setting) == (
-            scalar_predictor.pair_power_w(c, g, setting)
+        assert tensor.pair_power[i, j, s] == (
+            scalar_predictor.pair_power_w(c, g, settings_list[s])
         )
 
     @HYPO
     @given(pair=pair_idx, cap=st.sampled_from(CAPS))
     def test_pair_feasibility_masks_equal(
-        self, scalar_predictor, tensor_predictor, jobs, pair, cap
+        self, scalar_predictor, tensor, jobs, settings_list, pair, cap
     ):
         c, g = jobs[pair[0]].uid, jobs[pair[1]].uid
-        assert tensor_predictor.feasible_pair_settings(c, g, cap) == (
+        ok = tensor.masks(cap).pair_ok[tensor.index[c], tensor.index[g]]
+        assert [settings_list[k] for k in np.flatnonzero(ok)] == (
             scalar_predictor.feasible_pair_settings(c, g, cap)
         )
 
@@ -138,20 +145,25 @@ class TestQueryExactness:
         cap=st.sampled_from(CAPS),
     )
     def test_solo_feasibility_and_best_solo_equal(
-        self, scalar_predictor, tensor_predictor, jobs, i, kind, cap
+        self, scalar_predictor, tensor, jobs, processor, i, kind, cap
     ):
         uid = jobs[i].uid
-        assert tensor_predictor.feasible_solo_levels(uid, kind, cap) == (
+        row = tensor.index[uid]
+        masks = tensor.masks(cap)
+        levels = _levels(processor, kind)
+        assert [levels[k] for k in np.flatnonzero(masks.solo_ok[kind][row])] == (
             scalar_predictor.feasible_solo_levels(uid, kind, cap)
         )
         try:
-            expected = scalar_predictor.best_solo(uid, kind, cap)
-        except InfeasibleCapError as exc:
-            with pytest.raises(InfeasibleCapError) as got:
-                tensor_predictor.best_solo(uid, kind, cap)
-            assert str(got.value) == str(exc)
+            f, t = scalar_predictor.best_solo(uid, kind, cap)
+        except InfeasibleCapError:
+            assert not masks.best_solo_valid[kind][row]
+            assert np.isinf(masks.best_solo_time[kind][row])
         else:
-            assert tensor_predictor.best_solo(uid, kind, cap) == expected
+            assert masks.best_solo_valid[kind][row]
+            assert levels[masks.best_solo_idx[kind][row]] == f
+            # repro: noqa REP003 -- byte-identical backend contract
+            assert masks.best_solo_time[kind][row] == t
 
     @HYPO
     @given(
@@ -160,19 +172,17 @@ class TestQueryExactness:
         level=st.integers(0, 9),
     )
     def test_solo_lookups_equal(
-        self, scalar_predictor, tensor_predictor, jobs, processor, i, kind, level
+        self, scalar_predictor, tensor, jobs, processor, i, kind, level
     ):
         uid = jobs[i].uid
-        domain = (
-            processor.cpu.domain if kind is DeviceKind.CPU else processor.gpu.domain
-        )
-        f = domain.levels[level]
+        row = tensor.index[uid]
+        f = _levels(processor, kind)[level]
         # repro: noqa REP003 -- byte-identical backend contract
-        assert tensor_predictor.solo_time(uid, kind, f) == (
+        assert tensor.solo_time[kind][row, level] == (
             scalar_predictor.solo_time(uid, kind, f)
         )
         # repro: noqa REP003 -- byte-identical backend contract
-        assert tensor_predictor.solo_power_w(uid, kind, f) == (
+        assert tensor.solo_chip_power[kind][row, level] == (
             scalar_predictor.solo_power_w(uid, kind, f)
         )
 

@@ -85,43 +85,48 @@ def make_table(request):
 
 
 def _assert_queries_equal(scalar, tensor, uids, processor, s, cap) -> None:
-    setting = list(processor.settings())[s]
+    """Every cell the schedulers read equals the scalar answer it stands for."""
+    settings = list(processor.settings())
+    setting = settings[s]
+    masks = tensor.masks(cap)
     for c in uids:
         for g in uids:
-            assert tensor.degradations(c, g, setting) == (
+            i, j = tensor.index[c], tensor.index[g]
+            assert (tensor.deg_c[i, j, s], tensor.deg_g[i, j, s]) == (
                 scalar.degradations(c, g, setting)
             )
             # repro: noqa REP003 -- byte-identical backend contract
-            assert tensor.corun_times(c, g, setting) == (
+            assert (tensor.t_corun_c[i, j, s], tensor.t_corun_g[i, j, s]) == (
                 scalar.corun_times(c, g, setting)
             )
             # repro: noqa REP003 -- byte-identical backend contract
-            assert tensor.pair_power_w(c, g, setting) == (
-                scalar.pair_power_w(c, g, setting)
-            )
-            assert tensor.feasible_pair_settings(c, g, cap) == (
+            assert tensor.pair_power[i, j, s] == scalar.pair_power_w(c, g, setting)
+            assert [settings[k] for k in np.flatnonzero(masks.pair_ok[i, j])] == (
                 scalar.feasible_pair_settings(c, g, cap)
             )
     for uid in uids:
+        i = tensor.index[uid]
         for kind in DeviceKind:
             levels = processor.device(kind).domain.levels
-            assert tensor.feasible_solo_levels(uid, kind, cap) == (
+            assert [levels[k] for k in np.flatnonzero(masks.solo_ok[kind][i])] == (
                 scalar.feasible_solo_levels(uid, kind, cap)
             )
             try:
-                expected = scalar.best_solo(uid, kind, cap)
-            except InfeasibleCapError as exc:
-                with pytest.raises(InfeasibleCapError) as got:
-                    tensor.best_solo(uid, kind, cap)
-                assert str(got.value) == str(exc)
+                f, t = scalar.best_solo(uid, kind, cap)
+            except InfeasibleCapError:
+                assert not masks.best_solo_valid[kind][i]
+                assert np.isinf(masks.best_solo_time[kind][i])
             else:
-                assert tensor.best_solo(uid, kind, cap) == expected
-            f = levels[s % len(levels)]
+                assert masks.best_solo_valid[kind][i]
+                assert levels[masks.best_solo_idx[kind][i]] == f
+                # repro: noqa REP003 -- byte-identical backend contract
+                assert masks.best_solo_time[kind][i] == t
+            k = s % len(levels)
             # repro: noqa REP003 -- byte-identical backend contract
-            assert tensor.solo_time(uid, kind, f) == scalar.solo_time(uid, kind, f)
+            assert tensor.solo_time[kind][i, k] == scalar.solo_time(uid, kind, levels[k])
             # repro: noqa REP003 -- byte-identical backend contract
-            assert tensor.solo_power_w(uid, kind, f) == (
-                scalar.solo_power_w(uid, kind, f)
+            assert tensor.solo_chip_power[kind][i, k] == (
+                scalar.solo_power_w(uid, kind, levels[k])
             )
 
 
@@ -136,7 +141,7 @@ class TestDuplicateProfiles:
         scalar = CoRunPredictor(processor, make_table(processor, jobs), model_space)
         tensor = tensorize(scalar, uids)
         assert tensor is not None
-        assert tensor.tensor.n_rows == len(set(picks))
+        assert tensor.n_rows == len(set(picks))
         _assert_queries_equal(scalar, tensor, uids, processor, s, cap)
 
     @HYPO
@@ -149,7 +154,7 @@ class TestDuplicateProfiles:
         base = CoRunPredictor(processor, make_table(processor, jobs), space)
         scalar = node_predictor(base, Node("hot", speed_scale=0.8, power_scale=1.25))
         tensor = tensorize(scalar, uids)
-        assert tensor is not None and tensor.tensor.node_name == "hot"
+        assert tensor is not None and tensor.node_name == "hot"
         _assert_queries_equal(scalar, tensor, uids, processor, s, cap)
 
     @HYPO
@@ -189,9 +194,9 @@ class TestDuplicateProfiles:
         again = tensorize(
             CoRunPredictor(processor, _grown_table(processor, jobs), space), uids
         )
-        assert again.tensor.pair_power is first.tensor.pair_power
-        assert again.tensor.index == first.tensor.index
-        assert first.tensor.index[uids[1]] == first.tensor.index[uids[2]]
+        assert again.pair_power is first.pair_power
+        assert again.index == first.index
+        assert first.index[uids[1]] == first.index[uids[2]]
 
     @pytest.mark.parametrize("kind", list(DeviceKind))
     @pytest.mark.parametrize(
@@ -210,7 +215,7 @@ class TestDuplicateProfiles:
         scalar = CoRunPredictor(processor, table, space)
         uids = [j.uid for j in jobs]
         tensor = tensorize(scalar, uids)
-        assert tensor.tensor.n_rows == 2
+        assert tensor.n_rows == 2
         for s in (0, 159):
             _assert_queries_equal(scalar, tensor, uids, processor, s, 15.0)
 
@@ -229,10 +234,10 @@ class TestNoSizeCliff:
         jobs, predictor = many
         # One row per job would be far over the limit.
         assert 200 * 200 * predictor.processor.n_settings > MAX_TENSOR_ELEMENTS
-        wrapped = tensorize(predictor, [j.uid for j in jobs])
-        assert wrapped is not None
-        assert wrapped.tensor.n_rows == 8
-        assert set(wrapped.tensor.index) == {j.uid for j in jobs}
+        tensor = tensorize(predictor, [j.uid for j in jobs])
+        assert tensor is not None
+        assert tensor.n_rows == 8
+        assert set(tensor.index) == {j.uid for j in jobs}
 
     def test_two_hundred_job_schedules_score_identically(self, many):
         from repro.core.baselines import random_schedule

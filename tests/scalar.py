@@ -8,7 +8,7 @@ golden generators use that route to build the scalar referee of a
 context::
 
     ctx = SchedulingContext.build(jobs, cap_w=15.0, predictor=predictor)
-    ref = scalar_context(ctx)        # same problem, no tensor view
+    ref = scalar_context(ctx)        # same problem, no tensor model
 """
 
 from __future__ import annotations
@@ -16,23 +16,19 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.context import SchedulingContext
-from repro.perf.tensor import TensorBackedPredictor
 
 
 def scalar_context(ctx: SchedulingContext) -> SchedulingContext:
     """``ctx`` on the scalar stack: same jobs, node, objective, seed, cache.
 
-    The predictor loses its tensor view but keeps any node scaling, and
-    the governor is built from ``ctx.governor_factory`` over it; a context
-    given its own governor skips the tensor pipeline, so the evaluator is
-    a plain :class:`~repro.perf.evaluator.ScheduleEvaluator`.
+    The predictor (with any node scaling) is kept, and the governor is
+    built afresh from ``ctx.governor_factory`` with no tensor model
+    attached; a context given its own governor skips the tensor pipeline,
+    so the evaluator is a plain
+    :class:`~repro.perf.evaluator.ScheduleEvaluator`.
     """
-    predictor = ctx.predictor
-    while isinstance(predictor, TensorBackedPredictor):
-        predictor = predictor.inner
     return replace(
         ctx,
-        predictor=predictor,
-        governor=ctx.governor_factory(predictor, ctx.cap_w, ctx.objective),
+        governor=ctx.governor_factory(ctx.predictor, ctx.cap_w, ctx.objective),
         evaluator=None,
     )
