@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-engine bench-batch bench-all experiments report calibration examples clean
+.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-engine bench-batch bench-all scan-caps experiments report calibration examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -84,6 +84,12 @@ bench-batch:
 
 bench-all:
 	python -m pytest benchmarks/ --benchmark-only
+
+# Low-cap scan: per registry method (all but astar and brute), how many of
+# 16 random instances raise and the makespan against the better one-device
+# plan, at 6-10 W (the table RESULTS.md records).
+scan-caps:
+	python tools/cap_scan.py
 
 experiments:
 	python -m repro all --quiet

@@ -37,6 +37,7 @@ adapters receive the context plus the caller's method-specific options.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from collections.abc import Callable, Mapping, Sequence
@@ -45,6 +46,7 @@ from repro.workload.program import Job
 from repro.core.baselines import default_partition, random_schedule
 from repro.core.bruteforce import brute_force_best
 from repro.core.context import SchedulingContext
+from repro.core.feasibility import repair_schedule, require_cap_feasible
 from repro.core.objectives import governor_for
 from repro.objective import Objective
 from repro.core.schedule import CoSchedule
@@ -144,13 +146,16 @@ def dispatch(
 ) -> ScheduleResult:
     """Run the registered ``method`` on an existing context.
 
-    The one step every front door shares: look the adapter up, call it
-    with the method options ``opts``, fill in what only the caller knows
-    (a snapshot of ``stats_cache``, default the context's cache, and the
-    context's governor), then verify the result when the sanitizer is
-    armed.  Builds no context.
+    The one step every front door shares: look the adapter up, check the
+    cap certificate (:func:`~repro.core.feasibility.require_cap_feasible`),
+    call the adapter with the method options ``opts``, fill in what only
+    the caller knows (a snapshot of ``stats_cache``, default the context's
+    cache, and the context's governor), then verify the result when the
+    sanitizer is armed.  Builds no context.
     """
-    result = _adapter(method)(ctx, **opts)
+    adapter = _adapter(method)
+    require_cap_feasible(ctx)
+    result = adapter(ctx, **opts)
     if result.cache_stats is None or result.governor is None:
         if stats_cache is None:
             stats_cache = ctx.cache
@@ -352,9 +357,13 @@ def _result(
 
     ``score`` is the predicted *objective* score when the adapter already
     computed it (it equals the makespan under the default objective);
-    ``None`` asks the context's evaluator, which memoizes.
+    ``None`` asks the context's evaluator, which memoizes.  A plan scoring
+    ``inf`` goes through :func:`~repro.core.feasibility.repair_schedule`.
     """
     if score is None:
+        score = ctx.evaluator(sched)
+    if math.isinf(score):
+        sched = repair_schedule(ctx, sched)
         score = ctx.evaluator(sched)
     makespan = (
         score

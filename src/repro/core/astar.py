@@ -38,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
 from repro.core.bounds import lower_bound
 from repro.core.context import SchedulingContext
@@ -154,9 +155,14 @@ class AStarScheduler:
             )
         return None, None
 
-    def _advance(self, node: _Node) -> _Node:
-        """Advance the timeline until at least one processor goes idle."""
-        t_c, t_g = self._rates(node)
+    def _advance(self, node: _Node) -> _Node | None:
+        """Advance the timeline until at least one processor goes idle;
+        ``None`` when no setting fits the running combination under the
+        cap (a move the search prunes)."""
+        try:
+            t_c, t_g = self._rates(node)
+        except InfeasibleCapError:
+            return None
         dts = []
         if node.cpu_job is not None:
             dts.append(node.cpu_frac * t_c)
@@ -193,18 +199,11 @@ class AStarScheduler:
     # Expansion
     # ------------------------------------------------------------------
     def _successors(self, node: _Node):
-        """Fill idle processors with every remaining job (or close them)."""
-        idle_sides = []
-        if node.cpu_job is None and not node.cpu_closed:
-            idle_sides.append("cpu")
-        if node.gpu_job is None and not node.gpu_closed:
-            idle_sides.append("gpu")
-        if not idle_sides or not node.remaining:
-            yield self._advance(node)
-            return
-
-        side = idle_sides[0]  # fill one side per expansion; the successor
-        # re-enters expansion if the other side is idle too.
+        """Fill an idle processor of a node that :meth:`_needs_fill` with
+        every remaining job (or close it)."""
+        # Fill one side per expansion; the successor re-enters expansion
+        # if the other side is idle too.
+        side = "cpu" if node.cpu_job is None and not node.cpu_closed else "gpu"
         for uid in sorted(node.remaining):
             if side == "cpu":
                 yield _Node(
@@ -302,7 +301,7 @@ class AStarScheduler:
             else:
                 children = [self._advance(node)]
             for child in children:
-                if self._stuck(child):
+                if child is None or self._stuck(child):
                     continue
                 priority = child.elapsed + self._heuristic(child)
                 if priority < best_goal_cost - _EPS:
@@ -312,7 +311,8 @@ class AStarScheduler:
 
         if best_goal is None:
             raise RuntimeError(
-                "A* exhausted its budget before completing any schedule"
+                "A* completed no cap-feasible two-queue schedule within its "
+                "node budget"
             )
         schedule = CoSchedule(
             cpu_queue=tuple(self.jobs[uid] for uid in best_goal.cpu_order),

@@ -210,8 +210,10 @@ class SchedulingContext:
         When ``predictor`` is omitted, the workload is profiled and the
         degradation space characterized (optionally persisted via
         ``disk_cache``) — the same behavior the ``schedule()`` facade always
-        had.
+        had.  A bare predictor answers through the context's cache.
         """
+        from repro.core.fleet import NodePredictor
+
         if not jobs:
             raise ValueError("cannot schedule an empty job set")
         shared_cache = cache if cache is not None else EvalCache()
@@ -222,7 +224,7 @@ class SchedulingContext:
                 cache=shared_cache,
                 disk_cache=disk_cache,
             )
-        elif cache is not None and not isinstance(predictor, CachingPredictor):
+        elif not isinstance(predictor, (CachingPredictor, NodePredictor)):
             predictor = CachingPredictor(predictor, cache=shared_cache)
         return cls(
             jobs=tuple(jobs),

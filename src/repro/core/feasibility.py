@@ -18,11 +18,17 @@ All helpers take job *uids* (``None`` for an idle side), matching the
 predictor's own vocabulary, and raise
 :class:`~repro.errors.InfeasibleCapError` from the ``require_*`` variants
 when no setting fits — the exception the CLI maps to exit code 2.
+
+One rule covers a whole request: :func:`require_cap_feasible` raises when
+some job fits the cap on neither device; past it an infeasible co-run is a
+move the searches avoid (it scores ``inf``) and :func:`repair_schedule`
+fixes any plan that still scores ``inf``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
+from collections.abc import Callable, Iterable
 
 from repro.errors import InfeasibleCapError
 from repro.hardware.device import DeviceKind
@@ -108,6 +114,86 @@ def require_solo_levels(
             jobs=(uid,),
         )
     return levels
+
+
+def best_solo_kind(
+    best_time: Callable[[object, DeviceKind], float], job
+) -> DeviceKind:
+    """The device of ``job``'s fastest cap-feasible standalone time, from
+    ``best_time(job, kind)`` (``inf`` = cannot run there); the CPU on a
+    tie."""
+    return min(DeviceKind, key=lambda kind: best_time(job, kind))
+
+
+def require_cap_feasible(ctx) -> None:
+    """The cap certificate: every job of single-node ``ctx`` has a
+    cap-feasible solo level on some device (read from the cap masks on a
+    tensor-served context), else :class:`~repro.errors.InfeasibleCapError`
+    names every stranded job."""
+    cap_w = context_cap(ctx)
+    uids = [job.uid for job in ctx.jobs]
+    tensor = ctx.tensor
+    if tensor is not None and all(uid in tensor.index for uid in uids):
+        valid = tensor.masks(cap_w).best_solo_valid
+        rows = [tensor.index[uid] for uid in uids]
+        fits = (valid[DeviceKind.CPU][rows] | valid[DeviceKind.GPU][rows]).tolist()
+    else:
+        fits = [
+            any(solo_levels_under_cap(ctx.predictor, uid, k, cap_w) for k in DeviceKind)
+            for uid in uids
+        ]
+    stranded = tuple(uid for uid, ok in zip(uids, fits) if not ok)
+    if stranded:
+        raise InfeasibleCapError(
+            f"{', '.join(stranded)} cannot run under the {cap_w} W cap on "
+            "either device",
+            cap_w=cap_w,
+            jobs=stranded,
+        )
+
+
+def repair_schedule(ctx, schedule):
+    """``schedule`` as it is when ``ctx`` scores it finite, else made
+    cap-feasible.
+
+    At the first combination no setting fits in the referee replay, the
+    job with the shorter best standalone time (the CPU side's on a tie)
+    moves to the end of the solo tail, on its best device; this repeats
+    at most once per job.  Under :func:`require_cap_feasible` every moved
+    job runs alone where it fits, so the result is feasible.
+    """
+    if math.isfinite(ctx.evaluator(schedule)):
+        return schedule
+    from repro.core.categorize import best_solo_time
+    from repro.core.schedule import CoSchedule, predicted_makespan
+
+    cap_w = context_cap(ctx)
+
+    def best_time(job, kind: DeviceKind) -> float:
+        return best_solo_time(ctx.predictor, job, kind, cap_w)
+
+    for _ in range(schedule.n_jobs):
+        try:
+            # repro: noqa REP004 -- only the raising replay names the combination
+            predicted_makespan(schedule, ctx.predictor, ctx.governor)
+            break
+        except InfeasibleCapError as exc:
+            if not exc.jobs:
+                raise
+            jobs = {j.uid: j for j in ctx.jobs}
+            job = min(
+                (jobs[uid] for uid in exc.jobs),
+                key=lambda job: min(best_time(job, kind) for kind in DeviceKind),
+            )
+            schedule = CoSchedule(
+                cpu_queue=tuple(j for j in schedule.cpu_queue if j.uid != job.uid),
+                gpu_queue=tuple(j for j in schedule.gpu_queue if j.uid != job.uid),
+                solo_tail=tuple(
+                    (j, kind) for j, kind in schedule.solo_tail if j.uid != job.uid
+                )
+                + ((job, best_solo_kind(best_time, job)),),
+            )
+    return schedule
 
 
 def first_setting_under_cap(

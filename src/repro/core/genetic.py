@@ -178,17 +178,8 @@ class GeneticScheduler:
             Qc, len_c, Qg, len_g = popkit.decode_queues(
                 placement, priority, job_index
             )
-            scores, _, _, _, bad = ev.score_population(Qc, len_c, Qg, len_g)
-            if bad.any():
-                # Surface the exact scalar error: re-evaluate the first
-                # infeasible genome through the evaluator, whose scalar
-                # fallback raises InfeasibleCapError with the offending
-                # pair named — identical to the per-genome path.
-                k = int(np.argmax(bad))
-                self.evaluator(
-                    self._decode(_Genome(placement[k], priority[k]))
-                )
-            return scores
+            # An infeasible lane scores ``inf`` and loses its tournaments.
+            return ev.score_population(Qc, len_c, Qg, len_g)[0]
 
         seed_place = seed_prio = None
         if seed_schedule is not None:

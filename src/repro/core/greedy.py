@@ -80,18 +80,17 @@ class _TableSource:
     The best-solo times and the minimum-interference matrix are gathered
     for this call's rows only, as Python lists.  Step times are the replay
     table's cells, read from the tables' shared value list: a running
-    pair's cell, or a solo cell whose idle side reads ``inf``.  An
-    infeasible cell (NaN power) defers to the governor, which raises the
-    scalar path's exact error.
+    pair's cell, or a solo cell whose idle side reads ``inf``.  The
+    greedy loop never steps an infeasible cell: it places no job where
+    its best time or its interference reads ``inf``.
     """
 
-    def __init__(self, tables, tensor, governor, uids) -> None:
+    def __init__(self, tables, tensor, uids) -> None:
         index = tensor.index
         masks = tensor.masks(tables.cap_w)
         rows = sorted({index[uid] for uid in uids})
         local = {row: k for k, row in enumerate(rows)}
         self.row = {uid: local[index[uid]] for uid in uids}
-        self.governor = governor
         value, _ = tables.interference
         self.value = value[np.ix_(rows, rows)].tolist()
         self.best = {k: masks.best_solo_time[k][rows].tolist() for k in DeviceKind}
@@ -115,11 +114,7 @@ class _TableSource:
     ) -> tuple[float, float]:
         c = self.cpu_cell[None if cpu_job is None else cpu_job.uid]
         g = self.gpu_cell[None if gpu_job is None else gpu_job.uid]
-        t_c, t_g, power = self.values[c + g : c + g + 3]
-        if math.isnan(power):
-            # The governor raises the scalar path's InfeasibleCapError.
-            self.governor(cpu_job, gpu_job)
-        return t_c, t_g
+        return self.values[c + g], self.values[c + g + 1]
 
 
 def pairing_source(
@@ -142,7 +137,7 @@ def pairing_source(
         tables, tensor = served
         uids = [job.uid for job in ctx.jobs]
         if tables.cap_w == cap_w and all(uid in tensor.index for uid in uids):
-            return _TableSource(tables, tensor, governor, uids)
+            return _TableSource(tables, tensor, uids)
     return _ScalarSource(predictor, cap_w, governor)
 
 
@@ -194,14 +189,21 @@ class _GreedyState:
         otherwise the steal lengthens the makespan by construction (the job
         runs slower here than the wait for its preferred processor costs),
         so the processor is deliberately left idle, as Definition 2.1's
-        schedules permit.
+        schedules permit.  A job is never drawn where it has no feasible
+        level (it may end up running alone) nor beside a partner no pair
+        setting fits (its interference reads ``inf``).
         """
         own_pref = _pool_priority(kind)[0]
         for pref in _pool_priority(kind):
             pool = self.pools[pref]
-            if not pool:
+            candidates = [
+                j
+                for j in pool
+                if self._best_time(j, kind) < math.inf
+                and (other is None or self._interference(j, kind, other) < math.inf)
+            ]
+            if not candidates:
                 continue
-            candidates = pool
             stealing = pref is not own_pref
             if stealing:
                 if other is None and other_remaining_s <= 0.0:
@@ -211,7 +213,7 @@ class _GreedyState:
                     # otherwise).
                     candidates = [
                         j
-                        for j in pool
+                        for j in candidates
                         if self._best_time(j, kind)
                         <= self._best_time(j, kind.other)
                     ]
@@ -221,7 +223,7 @@ class _GreedyState:
                     # own time there, so compare against the span without j.
                     candidates = [
                         j
-                        for j in pool
+                        for j in candidates
                         if self._best_time(j, kind)
                         <= span - self._best_time(j, kind.other)
                     ]

@@ -22,16 +22,12 @@ paths give the same schedule bit for bit.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
-from repro.errors import InfeasibleCapError
-from repro.hardware.device import DeviceKind
-from repro.workload.program import Job
 from repro.core.categorize import DEFAULT_THRESHOLD, Categorized, categorize_jobs
 from repro.core.context import SchedulingContext
-from repro.core.feasibility import context_cap
+from repro.core.feasibility import best_solo_kind, context_cap, repair_schedule
 from repro.core.greedy import greedy_schedule, pairing_source
 from repro.core.partition import Partition, partition_jobs
 from repro.core.refine import refine_schedule
@@ -48,20 +44,6 @@ class HcsResult:
     governor: object
     predicted_makespan_s: float
     scheduling_time_s: float
-
-
-def _best_solo_kind(best_time, job: Job, cap_w: float) -> DeviceKind:
-    """The processor delivering the job's best cap-feasible standalone
-    time, from ``best_time(job, kind)`` (``inf`` = cannot run there)."""
-    times = {kind: best_time(job, kind) for kind in DeviceKind}
-    kind = min(times, key=lambda kind: times[kind])
-    if math.isinf(times[kind]):
-        raise InfeasibleCapError(
-            f"{job.uid} cannot run under the {cap_w} W cap on either device",
-            cap_w=cap_w,
-            jobs=(job.uid,),
-        )
-    return kind
 
 
 def hcs_schedule(
@@ -91,12 +73,13 @@ def hcs_schedule(
         predictor, part.co, cap, threshold=threshold, best_time=source.best_time
     )
     cpu_order, gpu_order = greedy_schedule(source, cat)
-    solo = tuple(
-        (job, _best_solo_kind(source.best_time, job, cap)) for job in part.seq
-    )
+    solo = tuple((job, best_solo_kind(source.best_time, job)) for job in part.seq)
     schedule = CoSchedule(
         cpu_queue=tuple(cpu_order), gpu_queue=tuple(gpu_order), solo_tail=solo
     )
+    # Greedy never pairs an infeasible cell, but it may idle a processor
+    # the two-queue replay keeps busy; repair what that leaves infeasible.
+    schedule = repair_schedule(ctx, schedule)
     if refine:
         schedule = refine_schedule(schedule, ctx, vectorized=vectorized)
     elapsed = time.perf_counter() - t0

@@ -14,9 +14,10 @@ starts with the earlier members' evaluator cache warm — racing is additive
 work, not repeated work.  The first member always runs (a portfolio always
 returns a schedule when any member can produce one); before each further
 member the elapsed time is checked against ``deadline_s`` and the
-cumulative evaluation count against ``eval_budget``.  A member that raises
-:class:`~repro.errors.InfeasibleCapError` is recorded and skipped; only if
-*every* member fails does the portfolio re-raise the last error.
+cumulative evaluation count against ``eval_budget``.  A member cannot
+fail on the cap: :func:`~repro.core.api.dispatch` checks the cap
+certificate before the race, and every member's plan comes back
+feasible, so the winner is simply the best score.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from collections.abc import Sequence
 from types import MappingProxyType
 
 from repro.core.context import SchedulingContext
-from repro.errors import InfeasibleCapError
 
 #: Default race: the instant heuristic, its refined variant, then the GA —
 #: ordered cheapest-first so budget exhaustion degrades quality gracefully.
@@ -61,8 +61,7 @@ def portfolio_schedule(
     ``result`` is the winning member's raw
     :class:`~repro.core.api.ScheduleResult` (best ``predicted_score``,
     strict ``<`` so earlier members win ties); ``stats`` maps each member
-    name to ``{score, makespan_s, wall_s, evals}``, with ``error`` for
-    members that raised :class:`InfeasibleCapError` and ``skipped`` for
+    name to ``{score, makespan_s, wall_s, evals}``, or to ``skipped`` for
     members the deadline or evaluation budget cut off.  ``member_opts``
     forwards method-specific keyword options to named members.
     """
@@ -93,7 +92,6 @@ def portfolio_schedule(
     stats: dict[str, dict] = {}
     best = None
     winner = ""
-    last_error: InfeasibleCapError | None = None
     for pos, (key, adapter) in enumerate(adapters.items()):
         elapsed = time.perf_counter() - start
         spent = _eval_count(ctx) - evals0
@@ -104,16 +102,7 @@ def portfolio_schedule(
             stats[key] = {"skipped": "eval_budget", "evals": spent}
             continue
         t0 = time.perf_counter()
-        try:
-            result = adapter(ctx, **opts.get(key, {}))
-        except InfeasibleCapError as exc:
-            last_error = exc
-            stats[key] = {
-                "error": str(exc),
-                "wall_s": time.perf_counter() - t0,
-                "evals": _eval_count(ctx) - evals0 - spent,
-            }
-            continue
+        result = adapter(ctx, **opts.get(key, {}))
         stats[key] = {
             "score": float(result.predicted_score),
             "makespan_s": float(result.predicted_makespan_s),
@@ -123,8 +112,5 @@ def portfolio_schedule(
         if best is None or result.predicted_score < best.predicted_score:
             best = result
             winner = key
-    if best is None:
-        assert last_error is not None
-        raise last_error
     stats[winner]["winner"] = True
     return best, MappingProxyType(stats)

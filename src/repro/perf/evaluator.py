@@ -11,7 +11,8 @@ they each pay only once.
 
 :class:`ScheduleEvaluator` memoizes whole predicted makespans keyed by the
 schedule's uid signature — the quantity HCS+ refinement, GA fitness, and
-brute force minimize.
+brute force minimize.  A schedule that meets a combination no setting fits
+under the cap scores ``inf``: a move every search avoids, not an error.
 
 Both wrappers are exact: a memoized answer is byte-identical to the wrapped
 computation, so cached and uncached searches produce identical schedules.
@@ -21,9 +22,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.errors import InfeasibleCapError
 from repro.objective import Objective
 from repro.units import Hertz, Seconds, Watts
 from repro.perf.cache import EvalCache, ensure_cache
+
+#: ``(makespan, energy, flow)`` of an infeasible schedule: ``inf`` scores.
+INFEASIBLE = (float("inf"),) * 3
 
 
 class CachingPredictor:
@@ -179,13 +184,25 @@ class ScheduleEvaluator:
             schedule, f"metrics:{self._tag}", self.backend
         )
 
-    def _compute(self, schedule) -> float:
+    def _replayed(self, schedule, *, track_energy: bool):
+        """``(makespan, energy, flow)`` of the schedule's referee replay
+        (:func:`repro.core.schedule._replay`); :data:`INFEASIBLE` when it
+        meets a combination no setting fits under the cap, which the
+        governor reports by raising."""
         # Imported lazily: repro.core modules import this module at load
         # time, so a top-level core import here would be circular.
-        if self.objective is Objective.MAKESPAN:
-            from repro.core.schedule import predicted_makespan
+        from repro.core.schedule import _replay
 
-            return predicted_makespan(schedule, self.predictor, self.governor)
+        try:
+            return _replay(
+                schedule, self.predictor, self.governor, track_energy=track_energy
+            )
+        except InfeasibleCapError:
+            return INFEASIBLE
+
+    def _compute(self, schedule) -> float:
+        if self.objective is Objective.MAKESPAN:
+            return self._replayed(schedule, track_energy=False)[0]
         return self.metrics(schedule).score(self.objective)
 
     def __call__(self, schedule) -> float:
@@ -198,12 +215,13 @@ class ScheduleEvaluator:
     makespan = __call__
 
     def metrics(self, schedule):
-        """Memoized :class:`~repro.core.schedule.PredictedMetrics`."""
-        from repro.core.schedule import predicted_metrics
+        """Memoized :class:`~repro.core.schedule.PredictedMetrics`; all
+        ``inf`` for an infeasible schedule."""
+        from repro.core.schedule import PredictedMetrics
 
         return self.cache.get_or_compute(
             self._metrics_key(schedule),
-            lambda: predicted_metrics(schedule, self.predictor, self.governor),
+            lambda: PredictedMetrics(*self._replayed(schedule, track_energy=True)),
         )
 
     def makespan_of(self, schedule) -> Seconds:
@@ -224,10 +242,20 @@ class ScheduleEvaluator:
         Each distinct uncached schedule is computed once and counts as one
         cache miss; repeats and cached schedules count as hits.
         """
+        from repro.core.schedule import PredictedMetrics
+
         todo = self._uncached(schedules)
-        if todo:
-            self._score_scalar(todo)
-            self._count_computed(todo)
+        for s, replayed in zip(todo, self._replay_all(todo)):
+            if self.objective is Objective.MAKESPAN:
+                self.prime(s, replayed[0])
+            else:
+                m = PredictedMetrics(*replayed)
+                self.cache.prime(self._metrics_key(s), m)
+                self.prime(s, m.score(self.objective))
+        # Primed scores are read back through __call__, which counts a hit;
+        # they are evaluations, so move them to the miss column.
+        self.cache.stats.misses += len(todo)
+        self.cache.stats.hits -= len(todo)
         return [self(s) for s in schedules]
 
     def _uncached(self, schedules: Sequence) -> list:
@@ -239,35 +267,10 @@ class ScheduleEvaluator:
                 pending[key] = s
         return list(pending.values())
 
-    def _score_scalar(self, todo: Sequence) -> None:
-        """Compute ``todo`` on the scalar path, then prime every score.
-
-        All scores are computed before any is primed, so an infeasible
-        schedule raises with the cache as it was.
-        """
-        from repro.core.schedule import predicted_makespan, predicted_metrics
-
-        if self.objective is Objective.MAKESPAN:
-            values = [
-                predicted_makespan(s, self.predictor, self.governor)
-                for s in todo
-            ]
-            for s, v in zip(todo, values):
-                self.prime(s, v)
-        else:
-            metrics = [
-                predicted_metrics(s, self.predictor, self.governor)
-                for s in todo
-            ]
-            for s, m in zip(todo, metrics):
-                self.cache.prime(self._metrics_key(s), m)
-                self.prime(s, m.score(self.objective))
-
-    def _count_computed(self, todo: Sequence) -> None:
-        # Primed scores are read back through __call__, which counts a hit;
-        # they are evaluations, so move them to the miss column.
-        self.cache.stats.misses += len(todo)
-        self.cache.stats.hits -= len(todo)
+    def _replay_all(self, todo: Sequence) -> list[tuple[float, float, float]]:
+        """``(makespan, energy, flow)`` of each schedule of ``todo``."""
+        track = self.objective is not Objective.MAKESPAN
+        return [self._replayed(s, track_energy=track) for s in todo]
 
     def snapshot(self) -> dict[str, float]:
         return self.cache.snapshot()

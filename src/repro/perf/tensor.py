@@ -74,7 +74,7 @@ import numpy as np
 from repro.objective import Objective
 from repro.units import PowerScale, SpeedScale, Watts
 from repro.hardware.device import DeviceKind
-from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
+from repro.perf.evaluator import INFEASIBLE, CachingPredictor, ScheduleEvaluator
 
 #: Refuse to materialize pair tensors larger than this many elements each
 #: (n_jobs^2 x n_settings).  Beyond it the precompute no longer amortizes
@@ -531,8 +531,8 @@ class PairTables:
     ``g``'s, with the idle side's time ``+inf`` so ``min(frac_c·t_c,
     frac_g·t_g)`` is the solo time bit for bit (``min(x, inf) == x``).
     Infeasible pair and solo cells hold unit times and NaN power, so a
-    replay that meets one still finishes, with NaN energy, and re-raises
-    through the scalar path for identical errors.  Cell ``(n, n)`` (both
+    replay that meets one still finishes, with NaN energy, which the
+    evaluator turns into an ``inf`` score.  Cell ``(n, n)`` (both
     sides idle), the last one, marks a finished replay.
     Every feasible cell is exactly the (governor, predictor) value, so a
     replay over the table is bitwise identical to the scalar one.
@@ -839,9 +839,9 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
       whole population in one lockstep sweep over the sentinel-extended
       :attr:`PairTables.replay_table`, dropping lanes as they finish.
 
-    Schedules the tables cannot replay (uncovered uids, infeasible
-    pair/solo combinations) fall back to the scalar path, preserving exact
-    error behavior.
+    A schedule that meets an infeasible pair or solo cell (NaN power)
+    scores ``inf``, as on the scalar path; only schedules with uids the
+    tables do not cover are scored on the scalar path.
     """
 
     backend = "tensor"
@@ -869,23 +869,13 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         index = self.tensor.index
         return all(uid in index for uid in schedule.all_uids())
 
-    def _try_indexed(self, schedule):
-        """(makespan, energy, flow) via the tables, or ``None`` for fallback."""
-        if not self._indexable(schedule):
-            self.batch_stats["scalar_fallbacks"] += 1
-            return None
-        result = self._indexed_replay(schedule)
-        if result is None:
-            self.batch_stats["scalar_fallbacks"] += 1
-        return result
-
     def _tensor_rows(self, jobs) -> list[int]:
         index = self.tensor.index
         return [index[job.uid] for job in jobs]
 
     def _indexed_replay(self, schedule):
-        """(makespan, energy, flow) of one schedule replayed from t=0, or
-        ``None`` if it meets an infeasible pair or solo cell.
+        """(makespan, energy, flow) of one schedule replayed from t=0, all
+        ``inf`` if it meets an infeasible pair or solo cell.
 
         The lockstep replay's event step for one lane, in plain Python
         over :attr:`PairTables.replay_values`: the same sentinel cells and
@@ -931,73 +921,39 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         return self._with_tail(schedule, t, energy, flow)
 
     def _with_tail(self, schedule, t, energy, flow):
-        """Totals plus ``schedule``'s solo tail; ``None`` on NaN energy."""
+        """Totals plus ``schedule``'s solo tail; :data:`INFEASIBLE` on NaN
+        energy."""
         index = self.tensor.index
         tail = [(index[job.uid], kind) for job, kind in schedule.solo_tail]
         t, energy, flow = self.tables.add_solo_tail(tail, t, energy, flow)
-        return None if math.isnan(energy) else (t, energy, flow)
+        return INFEASIBLE if math.isnan(energy) else (t, energy, flow)
 
     # ------------------------------------------------------------------
     # ScheduleEvaluator overrides
     # ------------------------------------------------------------------
-    def _compute(self, schedule) -> float:
-        if self.objective is Objective.MAKESPAN:
-            result = self._try_indexed(schedule)
-            if result is not None:
-                return result[0]
-            return super()._compute(schedule)
-        # Energy/EDP route through metrics() below, which is table-backed.
-        return self.metrics(schedule).score(self.objective)
+    def _replayed(self, schedule, *, track_energy: bool):
+        """The table replay of ``schedule``, or the scalar referee's when
+        the tables do not cover its uids."""
+        if self._indexable(schedule):
+            return self._indexed_replay(schedule)
+        self.batch_stats["scalar_fallbacks"] += 1
+        return super()._replayed(schedule, track_energy=track_energy)
 
-    def metrics(self, schedule):
-        def compute():
-            result = self._try_indexed(schedule)
-            if result is not None:
-                from repro.core.schedule import PredictedMetrics
-
-                return PredictedMetrics(
-                    makespan_s=result[0], energy_j=result[1], flow_s=result[2]
-                )
-            from repro.core.schedule import predicted_metrics
-
-            return predicted_metrics(schedule, self.predictor, self.governor)
-
-        return self.cache.get_or_compute(self._metrics_key(schedule), compute)
+    def _replay_all(self, todo: Sequence) -> list[tuple[float, float, float]]:
+        """The table-covered schedules of ``todo`` in one
+        :meth:`_batch_replay`, the others one by one; in order."""
+        covered = [s for s in todo if self._indexable(s)]
+        batch = iter(self._batch_replay(covered) if covered else ())
+        return [
+            next(batch) if self._indexable(s) else self._replayed(s, track_energy=True)
+            for s in todo
+        ]
 
     # ------------------------------------------------------------------
     # Batched lockstep evaluation
     # ------------------------------------------------------------------
-    def evaluate_all(self, schedules: Sequence) -> list[float]:
-        """Scores of many schedules: table-covered ones in one replay."""
-        todo = self._uncached(schedules)
-        if todo:
-            covered, rest = [], []
-            for s in todo:
-                (covered if self._indexable(s) else rest).append(s)
-            if covered:
-                batch = self._batch_replay(covered)
-                if batch is None:
-                    # An infeasible schedule is in the batch: re-run the
-                    # whole todo set through the scalar path so the first
-                    # infeasible schedule (in todo order) raises exactly as
-                    # evaluating each schedule in order would.
-                    return super().evaluate_all(schedules)
-                from repro.core.schedule import PredictedMetrics
-
-                for s, (mk, en, fl) in zip(covered, batch):
-                    if self.objective is Objective.MAKESPAN:
-                        self.prime(s, mk)
-                    else:
-                        m = PredictedMetrics(makespan_s=mk, energy_j=en, flow_s=fl)
-                        self.cache.prime(self._metrics_key(s), m)
-                        self.prime(s, m.score(self.objective))
-            if rest:
-                self._score_scalar(rest)
-            self._count_computed(todo)
-        return [self(s) for s in schedules]
-
     def _batch_replay(self, schedules):
-        """Replay of many schedules; ``None`` if any is infeasible.
+        """``(makespan, energy, flow)`` of many schedules, in order.
 
         Batches smaller than :data:`LOCKSTEP_MIN_BATCH` replay one
         schedule at a time; larger ones run in lockstep, whose lane k
@@ -1006,28 +962,17 @@ class BatchScheduleEvaluator(ScheduleEvaluator):
         self.batch_stats["batch_calls"] += 1
         self.batch_stats["batch_schedules"] += len(schedules)
         if len(schedules) < LOCKSTEP_MIN_BATCH:
-            out = []
-            for s in schedules:
-                result = self._indexed_replay(s)
-                if result is None:
-                    return None
-                out.append(result)
-            return out
+            return [self._indexed_replay(s) for s in schedules]
 
         t, energy, flow = self._lockstep(*_flat_queues(
             [self._tensor_rows(s.cpu_queue) for s in schedules],
             [self._tensor_rows(s.gpu_queue) for s in schedules],
             self.tables.width,
         ))
-        out = []
-        for k, s in enumerate(schedules):
-            result = self._with_tail(
-                s, float(t[k]), float(energy[k]), float(flow[k])
-            )
-            if result is None:
-                return None
-            out.append(result)
-        return out
+        return [
+            self._with_tail(s, float(t[k]), float(energy[k]), float(flow[k]))
+            for k, s in enumerate(schedules)
+        ]
 
     def _lockstep(self, flat, pos, min_events):
         """Lockstep replay over one flat array of sentinel-closed queues.

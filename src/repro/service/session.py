@@ -19,7 +19,10 @@ Power-cap events may land mid-run (:meth:`set_cap`): the governor is
 rebuilt, the running pair's frequencies are re-evaluated at the event
 time, and pending jobs that no cap setting can admit any more are
 *withdrawn with a structured rejection* instead of raising
-:class:`~repro.errors.InfeasibleCapError` into the event loop.  If even
+:class:`~repro.errors.InfeasibleCapError` into the event loop.  Every job
+the scheduler is then asked to plan has a solo level under the cap, so
+each batch passes the registry's cap certificate and comes back as a
+cap-feasible plan; there is no fallback policy.  If even
 the floor frequencies cannot hold the new cap for the already-running
 pair, the session clamps to the floor and counts a cap violation —
 in-flight work is never killed.
@@ -289,17 +292,13 @@ class ServiceSession:
     # ------------------------------------------------------------------
     # Time
     # ------------------------------------------------------------------
-    def advance(
-        self, until_s: float
-    ) -> tuple[list[CompletionRecord], list[LateRejection]]:
-        """Advance the virtual clock to ``until_s``, applying cap events."""
-        if until_s < self.sim.now - _EPS:
-            raise ValueError(
-                f"cannot advance to {until_s}: clock is at {self.sim.now}"
-            )
+    def _run(self, until_s: float) -> list[JobCompletion]:
+        """Simulate to ``until_s``, or until idle when it is ``inf``,
+        applying each cap event exactly at its timestamp."""
+        draining = until_s == math.inf
         self._flush_profiles()
         completions: list[JobCompletion] = []
-        while True:
+        while not (draining and self.sim.idle):
             bound = until_s
             if self._cap_events:
                 bound = min(bound, self._cap_events[0][0])
@@ -310,37 +309,38 @@ class ServiceSession:
             ):
                 _, _, cap_w = heapq.heappop(self._cap_events)
                 self._apply_cap(cap_w)
-                if self.sim.now < until_s - _EPS:
-                    continue
-            break
+            elif not draining:
+                break
+            if self.sim.now >= until_s - _EPS:
+                break
+        return completions
+
+    def _report(
+        self, completions: list[JobCompletion]
+    ) -> tuple[list[CompletionRecord], list[LateRejection]]:
         return (
             [self._completion_record(c) for c in completions],
             self.pop_late_rejections(),
         )
 
+    def advance(
+        self, until_s: float
+    ) -> tuple[list[CompletionRecord], list[LateRejection]]:
+        """Advance the virtual clock to ``until_s``, applying cap events."""
+        if until_s < self.sim.now - _EPS:
+            raise ValueError(
+                f"cannot advance to {until_s}: clock is at {self.sim.now}"
+            )
+        return self._report(self._run(until_s))
+
     def drain(self) -> tuple[list[CompletionRecord], list[LateRejection]]:
         """Run until every queued and running job has completed."""
-        self._flush_profiles()
-        completions: list[JobCompletion] = []
-        while not self.sim.idle:
-            bound = (
-                self._cap_events[0][0] if self._cap_events else math.inf
-            )
-            completions.extend(self.sim.advance(self._policy, bound))
-            if (
-                self._cap_events
-                and self.sim.now >= self._cap_events[0][0] - _EPS
-            ):
-                _, _, cap_w = heapq.heappop(self._cap_events)
-                self._apply_cap(cap_w)
+        completions = self._run(math.inf)
         if self._sanitizing():
             # Session completion: every batch plan that drove this run must
             # still satisfy the Definition 2.1 invariants under the cap.
             self._verify_memoized("service:session")
-        return (
-            [self._completion_record(c) for c in completions],
-            self.pop_late_rejections(),
-        )
+        return self._report(completions)
 
     def pop_late_rejections(self) -> list[LateRejection]:
         out, self._late_rejections = self._late_rejections, []
@@ -403,17 +403,6 @@ class ServiceSession:
             self.predictor.feasible_pair_settings(cpu_uid, gpu_uid, self.cap_w)
         )
 
-    def _fifo_fallback(
-        self, kind: DeviceKind, candidates: list[Job], other: Job | None
-    ) -> Job | None:
-        for job in candidates:
-            if not self.predictor.feasible_solo_levels(job.uid, kind, self.cap_w):
-                continue
-            if other is not None and not self._pair_feasible(job, kind, other):
-                continue
-            return self._issue(job)
-        return None
-
     def _issue(self, job: Job) -> Job:
         # The cap in force when a job is handed to the engine is the cap
         # its start-time frequency setting is chosen under — record it
@@ -425,15 +414,12 @@ class ServiceSession:
         self, kind: DeviceKind, available: list[Job], other: Job | None,
         now: float,
     ) -> Job | None:
+        # ``_candidates`` late-rejects every job without a solo level, so
+        # the batch always passes the scheduler's cap certificate.
         candidates = self._candidates(available)
         if not candidates:
             return None
-        try:
-            sched = self._batch_schedule(candidates)
-        except InfeasibleCapError:
-            # Defensive: a registry method rejected the whole batch even
-            # though each job is solo-feasible; degrade to FIFO placement.
-            return self._fifo_fallback(kind, candidates, other)
+        sched = self._batch_schedule(candidates)
         queue = sched.cpu_queue if kind is DeviceKind.CPU else sched.gpu_queue
         if queue:
             head = queue[0]

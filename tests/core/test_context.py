@@ -1,10 +1,12 @@
 """Tests for the SchedulingContext bundle."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.api import dispatch
 from repro.core.context import SchedulingContext
 from repro.core.fleet import Fleet, Node, NodePredictor
 from repro.core.freqpolicy import ModelGovernor
@@ -86,6 +88,28 @@ class TestConstruction:
         assert c.predicted_makespan(
             hcs_schedule(c).schedule
         ) > 0.0
+
+    def test_build_caches_a_bare_predictor(
+        self, processor, table, space, rodinia_jobs
+    ):
+        # A subclassed model keeps the scalar stack, whose A* expansions
+        # re-ask the same (pair, setting) along every branch.
+        asked = Counter()
+
+        class Counting(CoRunPredictor):
+            def corun_times(self, cpu_uid, gpu_uid, setting):
+                asked[cpu_uid, gpu_uid, setting] += 1
+                return super().corun_times(cpu_uid, gpu_uid, setting)
+
+        c = SchedulingContext.build(
+            rodinia_jobs[:5], cap_w=15.0, predictor=Counting(processor, table, space)
+        )
+        assert isinstance(c.predictor, CachingPredictor) and c.tensor is None
+        first = dispatch(c, "astar")
+        assert asked and max(asked.values()) == 1
+        calls = sum(asked.values())
+        assert dispatch(c, "astar").schedule == first.schedule
+        assert sum(asked.values()) == calls
 
 
 class TestDerivation:

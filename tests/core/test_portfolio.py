@@ -3,13 +3,15 @@
 Every run here happens under the armed sanitizer, so "the portfolio
 returns a schedule" always means "returns a *verified* schedule" — across
 every objective, and through the fleet scheduler on a 4-node fleet.  The
-degradation tests check the racing contract: a member that raises
-:class:`InfeasibleCapError` is recorded and skipped, budgets cut off
-later members without starving the first, and only a portfolio whose
-members *all* fail re-raises.
+degradation tests check the racing contract: an ``inf``-scored member
+never wins, a member's error propagates, and budgets cut off later
+members without starving the first.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -101,28 +103,34 @@ def _ctx(predictor, jobs, **kw):
 
 
 class TestPortfolioDegradation:
-    def test_infeasible_member_recorded_and_skipped(
+    def test_an_inf_scored_member_never_wins(
         self, monkeypatch, predictor, rodinia_jobs
     ):
-        def boom(ctx, **opts):
-            raise InfeasibleCapError("synthetic cap failure")
+        # An infeasible plan scores inf: a candidate the race never keeps.
+        def infeasible(ctx, **opts):
+            return replace(
+                _REGISTRY["hcs+"](ctx, **opts),
+                predicted_makespan_s=math.inf,
+                predicted_score=math.inf,
+            )
 
-        monkeypatch.setitem(_REGISTRY, "hcs", boom)
+        monkeypatch.setitem(_REGISTRY, "hcs", infeasible)
         best, stats = portfolio_schedule(
             _ctx(predictor, rodinia_jobs), members=("hcs", "hcs+")
         )
         assert best.method == "hcs+"
-        assert stats["hcs"]["error"] == "synthetic cap failure"
-        assert "score" not in stats["hcs"]
+        assert stats["hcs"]["score"] == math.inf
+        assert "winner" not in stats["hcs"]
         assert stats["hcs+"]["winner"] is True
 
-    def test_all_members_failing_reraises(
+    def test_a_member_error_propagates(
         self, monkeypatch, predictor, rodinia_jobs
     ):
+        # The cap certificate runs before the race, so a member's error
+        # is a fault to surface, not a loss to skip.
         def boom(ctx, **opts):
             raise InfeasibleCapError("nothing fits")
 
-        monkeypatch.setitem(_REGISTRY, "hcs", boom)
         monkeypatch.setitem(_REGISTRY, "hcs+", boom)
         with pytest.raises(InfeasibleCapError, match="nothing fits"):
             portfolio_schedule(

@@ -3,20 +3,21 @@
 ``evaluate_all`` scores a list of schedules at once.  Whatever path does
 the scoring (the scalar chain, a per-schedule table replay, or one lockstep
 replay of the whole batch), the caller sees the same thing as calling the
-evaluator on each schedule in order: the same scores, the same error on an
+evaluator on each schedule in order: the same scores, ``inf`` for an
 infeasible schedule, and cache counters where each distinct uncached
 schedule costs one miss and every repeat or cached schedule one hit.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.baselines import random_schedule
 from repro.core.context import SchedulingContext
-from repro.core.schedule import CoSchedule
-from repro.errors import InfeasibleCapError
-from repro.perf.evaluator import schedule_key
+from repro.core.schedule import CoSchedule, PredictedMetrics
+from repro.perf.evaluator import INFEASIBLE, schedule_key
 from repro.perf.tensor import LOCKSTEP_MIN_BATCH, BatchScheduleEvaluator
 from tests.scalar import scalar_context
 
@@ -135,7 +136,7 @@ class TestEvaluateAllContract:
         assert len(ev.cache) == per * new
 
     @pytest.mark.parametrize("size", ["small", "lockstep"])
-    def test_infeasible_schedule_raises_like_in_order_calls(
+    def test_infeasible_schedule_scores_inf_like_in_order_calls(
         self, eight, backend, objective, size
     ):
         # At 9 W, streamcluster on the CPU beside leukocyte on the GPU has
@@ -154,15 +155,22 @@ class TestEvaluateAllContract:
         batch = good[:count] + [bad] + good[count:count + 2]
 
         ref = _evaluator(eight, backend, objective, cap_w=9.0)
-        for s in good[:count + 2]:
-            ref(s)  # only ``bad`` is infeasible
-        with pytest.raises(InfeasibleCapError) as expected:
-            for s in batch:
-                ref(s)
+        expected = [ref(s) for s in batch]
+        assert [math.isinf(x) for x in expected] == [s is bad for s in batch]
         ev = _evaluator(eight, backend, objective, cap_w=9.0)
-        with pytest.raises(InfeasibleCapError) as got:
-            ev.evaluate_all(batch)
-        assert str(got.value) == str(expected.value)
+        # repro: noqa REP003 -- batch scores equal one-at-a-time scores
+        assert ev.evaluate_all(batch) == expected
+        new = _distinct(batch)
+        assert ev.cache.stats.hits == len(batch) - new
+        assert ev.cache.stats.misses == new
+        assert len(ev.cache) == _entries_per_schedule(objective) * new
+        # The other backend agrees lane by lane, feasible lanes to the bit.
+        other = "scalar" if backend == "tensor" else "tensor"
+        # repro: noqa REP003 -- byte-identical backend contract
+        assert _evaluator(eight, other, objective, cap_w=9.0).evaluate_all(
+            batch
+        ) == expected
+        assert ev.metrics(bad) == PredictedMetrics(*INFEASIBLE)
 
 
 def _pairs_with(schedule, cpu_uid: str, gpu_uid: str) -> bool:

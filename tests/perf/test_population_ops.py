@@ -438,17 +438,19 @@ def _queue_matrices(ev, lanes):
 
 
 def _assert_lanes_match_indexed_replay(ev, lanes, result):
-    """Lane k is ``bad`` exactly when ``_indexed_replay`` declines its
-    schedule; every other lane equals it (and the evaluator) bit for bit."""
+    """Lane k is ``bad`` exactly when ``_indexed_replay`` scores its
+    schedule infeasible, and then scores ``inf`` like the evaluator; every
+    other lane equals both bit for bit."""
     from repro.core.schedule import CoSchedule
+    from repro.perf.evaluator import INFEASIBLE
 
     scores, mk, en, fl, bad = result
     for k, (cpu, gpu) in enumerate(lanes):
         sched = CoSchedule(cpu_queue=tuple(cpu), gpu_queue=tuple(gpu))
         expected = ev._indexed_replay(sched)
-        assert bool(bad[k]) == (expected is None), k
-        if expected is None:
-            assert scores[k] == np.inf
+        assert bool(bad[k]) == (expected == INFEASIBLE), k
+        if bad[k]:
+            assert scores[k] == np.inf == ev(sched)
             continue
         # repro: noqa REP003 -- byte-identical population-lane contract
         assert (mk[k], en[k], fl[k]) == expected

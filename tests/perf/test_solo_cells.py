@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.context import SchedulingContext
-from repro.core.schedule import CoSchedule
-from repro.errors import InfeasibleCapError
+from repro.core.schedule import CoSchedule, PredictedMetrics
 from repro.hardware.device import DeviceKind
+from repro.perf.evaluator import INFEASIBLE
 from tests.scalar import scalar_context
 
 CAP_W = 7.25
@@ -89,14 +89,14 @@ def test_an_infeasible_shared_tail_makes_every_lane_bad(ctx, lanes):
     assert bad.all() and np.isinf(scores).all()
 
 
-def test_an_infeasible_tail_falls_back_to_the_scalar_error(ctx, lanes):
-    ev = ctx.evaluator
-    scalar = scalar_context(ctx).evaluator
+@pytest.mark.parametrize("objective", ["makespan", "energy"])
+def test_an_infeasible_tail_scores_inf_on_every_path(ctx, lanes, objective):
+    octx = ctx.with_objective(objective)
+    ev, scalar = octx.evaluator, scalar_context(octx).evaluator
     for gpu in lanes:
         sched = _with_tail(ctx, gpu)
-        assert ev._indexed_replay(sched) is None
-        with pytest.raises(InfeasibleCapError) as expected:
-            scalar(sched)
-        with pytest.raises(InfeasibleCapError) as got:
-            ev(sched)
-        assert str(got.value) == str(expected.value)
+        assert ev._indexed_replay(sched) == INFEASIBLE
+        assert ev(sched) == scalar(sched) == math.inf
+        assert ev.metrics(sched) == scalar.metrics(sched) == PredictedMetrics(
+            *INFEASIBLE
+        )

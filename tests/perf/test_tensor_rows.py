@@ -28,6 +28,7 @@ from repro.model.characterize import characterize_staged_space
 from repro.model.predictor import CoRunPredictor
 from repro.model.profiler import ProfileTable, extend_table, profile_workload
 from repro.perf.cache import EvalCache
+from repro.perf.evaluator import INFEASIBLE
 from repro.perf.tensor import MAX_TENSOR_ELEMENTS, BatchScheduleEvaluator, tensorize
 from repro.util.rng import default_rng
 from repro.workload.program import Job
@@ -179,7 +180,7 @@ class TestDuplicateProfiles:
         try:
             expected = _replay(sched, ref.predictor, ref.governor, track_energy=True)
         except InfeasibleCapError:
-            assert ctx.evaluator._indexed_replay(sched) is None
+            assert ctx.evaluator._indexed_replay(sched) == INFEASIBLE
             return
         # repro: noqa REP003 -- byte-identical backend contract
         assert ctx.evaluator._indexed_replay(sched) == expected
