@@ -74,13 +74,13 @@ bench-engine:
 	echo "$$out" | grep -E '^(==|  engine\.)'
 
 # Per-layer numbers for a change to the per-request path: one traced
-# paper-batch run, showing its tensorize, pair-table, context and HCS
+# paper-batch run, showing its profile, tensorize, pair-table, context and HCS
 # layers.  Exits 1, with the whole report, when the run fails its
 # correctness checks.
 bench-batch:
 	@out=$$(python -m bench run --workload paper-batch --seed 1 --trace) \
 		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -E '^(==|  (core\.(hcs|context)|perf\.(tensorize|pair_tables))\.)'
+	echo "$$out" | grep -E '^(==|  (model\.profile|core\.(hcs|context)|perf\.(tensorize|pair_tables))\.)'
 
 bench-all:
 	python -m pytest benchmarks/ --benchmark-only

@@ -156,14 +156,36 @@ def repair_schedule(ctx, schedule):
     """``schedule`` as it is when ``ctx`` scores it finite, else made
     cap-feasible.
 
+    :func:`move_to_tail` makes the plan feasible.  A mostly infeasible
+    plan can degrade into a long solo tail that way, so the two
+    one-device plans (every job queued on the CPU, or every job on the
+    GPU) compete with it: the lowest ``ctx.evaluator`` score wins, and
+    the repaired plan wins a tie.
+    """
+    if math.isfinite(ctx.evaluator(schedule)):
+        return schedule
+    from repro.core.schedule import CoSchedule
+
+    jobs = tuple(ctx.jobs)
+    return min(
+        (
+            move_to_tail(ctx, schedule),
+            CoSchedule(cpu_queue=jobs),
+            CoSchedule(gpu_queue=jobs),
+        ),
+        key=ctx.evaluator,
+    )
+
+
+def move_to_tail(ctx, schedule):
+    """``schedule`` with the jobs of its infeasible combinations run alone.
+
     At the first combination no setting fits in the referee replay, the
     job with the shorter best standalone time (the CPU side's on a tie)
     moves to the end of the solo tail, on its best device; this repeats
     at most once per job.  Under :func:`require_cap_feasible` every moved
     job runs alone where it fits, so the result is feasible.
     """
-    if math.isfinite(ctx.evaluator(schedule)):
-        return schedule
     from repro.core.categorize import best_solo_time
     from repro.core.schedule import CoSchedule, predicted_makespan
 

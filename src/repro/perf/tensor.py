@@ -97,6 +97,14 @@ def _grid_eval(grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``searchsorted`` side, index clamp, and left-to-right sum order), so
     each output element is bitwise equal to the scalar call at the same
     coordinates.
+
+    ``x`` and ``y`` broadcast against each other, and everything that
+    depends on one coordinate alone (clip, search, interpolation weight)
+    runs at that coordinate's own shape: :class:`TensorModel` passes
+    ``(n, 1, S)`` CPU and ``(1, n, S)`` GPU demands, so only the four
+    corner gathers and the weighted sum touch the full ``(n, n, S)`` cube.
+    The gathers read the flattened grid at one shared offset, and the sum
+    runs in place; neither changes any element's operations or their order.
     """
     xs, ys, v = grid.x_levels, grid.y_levels, grid.values
     x = np.clip(x, xs[0], xs[-1])
@@ -109,16 +117,23 @@ def _grid_eval(grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     tx = (x - xs[i]) / (xs[i + 1] - xs[i])
     ty = (y - ys[j]) / (ys[j + 1] - ys[j])
-    v00 = v[i, j]
-    v01 = v[i, j + 1]
-    v10 = v[i + 1, j]
-    v11 = v[i + 1, j + 1]
-    return (
-        v00 * (1 - tx) * (1 - ty)
-        + v10 * tx * (1 - ty)
-        + v01 * (1 - tx) * ty
-        + v11 * tx * ty
-    )
+    ux, uy = 1 - tx, 1 - ty
+    # v[i, j] is flat[i * ny + j]; its three neighbours sit 1, ny and
+    # ny + 1 further on, so one offset array serves all four gathers.
+    ny = ys.size
+    flat = v.ravel()
+    k = i * ny + j
+    # v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty)
+    #     + v01 * (1 - tx) * ty + v11 * tx * ty, left to right.
+    out = flat.take(k)
+    out *= ux
+    out *= uy
+    for shift, wx, wy in ((ny, tx, uy), (1, ux, ty), (ny + 1, tx, ty)):
+        term = flat[shift:].take(k)
+        term *= wx
+        term *= wy
+        out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,11 @@ class TensorModel:
     the model.  Readers find a job's row through :meth:`indexed`, which
     attaches one job set's uid -> row map.  Use :func:`tensorize`, which
     checks exactness and memoizes models by content.
+
+    The build never broadcasts a coordinate: CPU-side inputs are
+    ``(n, 1, S)`` views and GPU-side inputs ``(1, n, S)`` views, so grid
+    lookups and interpolation weights run once per (row, setting), and
+    only the per-cell arithmetic fills the ``(n, n, S)`` cube.
     """
 
     def __init__(self, processor, space, rows: Sequence[tuple]) -> None:
@@ -160,7 +180,6 @@ class TensorModel:
 
         # Settings in processor.settings() enumeration order: cpu-major.
         self.settings = list(processor.settings())
-        S = len(self.settings)
         lc = np.repeat(np.arange(n_cpu), n_gpu)   # cpu level index of setting s
         lg = np.tile(np.arange(n_gpu), n_cpu)     # gpu level index of setting s
 
@@ -177,13 +196,11 @@ class TensorModel:
                 self._demand[kind][i] = prof.demand_gbps
                 self._own_power[kind][i] = prof.own_power_w
 
-        # Broadcast coordinates over the (cpu_row i, gpu_row j, setting s) cube.
-        bw_c = np.broadcast_to(
-            self._demand[DeviceKind.CPU][:, lc][:, None, :], (n, n, S)
-        )
-        bw_g = np.broadcast_to(
-            self._demand[DeviceKind.GPU][:, lg][None, :, :], (n, n, S)
-        )
+        # Coordinates of the (cpu_row i, gpu_row j, setting s) cube, left
+        # un-broadcast: the CPU demand varies over (i, s) only, the GPU
+        # demand over (j, s) only.
+        bw_c = self._demand[DeviceKind.CPU][:, lc][:, None, :]
+        bw_g = self._demand[DeviceKind.GPU][:, lg][None, :, :]
 
         self.deg_c, self.deg_g = _degradation_tensors(space, bw_c, bw_g, self.settings)
 
@@ -358,12 +375,12 @@ def _degradation_tensors(space, bw_c, bw_g, settings):
     # Scalar: sum(w_a * grid_a(bw_c, bw_g)) accumulated in anchor order from
     # int 0, then max(0.0, float(value)).  0.0 + x and in-order adds keep the
     # accumulation bitwise identical.
-    S = bw_c.shape[2]
-    weights = np.empty((len(space.anchors), S))
+    cube = np.broadcast_shapes(bw_c.shape, bw_g.shape)
+    weights = np.empty((len(space.anchors), cube[2]))
     for s, setting in enumerate(settings):
         weights[:, s] = space._weights(setting)
-    acc_c = np.zeros(bw_c.shape)
-    acc_g = np.zeros(bw_c.shape)
+    acc_c = np.zeros(cube)
+    acc_g = np.zeros(cube)
     for a, anchor in enumerate(space.anchors):
         w = weights[a][None, None, :]
         acc_c = acc_c + w * _grid_eval(anchor.cpu_grid, bw_c, bw_g)
