@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-engine bench-batch bench-all scan-caps experiments report calibration examples clean
+.PHONY: install test lint analyze analyze-dims bench bench-backend bench-sim bench-service bench-fleet bench-solvers bench-search bench-engine bench-batch bench-mixed bench-all scan-caps experiments report calibration examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -81,6 +81,14 @@ bench-batch:
 	@out=$$(python -m bench run --workload paper-batch --seed 1 --trace) \
 		|| { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E '^(==|  (model\.profile|core\.(hcs|context)|perf\.(tensorize|pair_tables))\.)'
+
+# Per-layer numbers for a change to the online service: one traced
+# service-mixed run, showing its service and store layers.  Exits 1, with
+# the whole report, when the run fails its correctness checks.
+bench-mixed:
+	@out=$$(python -m bench run --workload service-mixed --seed 1 --trace) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^(==|  (service|store)\.)'
 
 bench-all:
 	python -m pytest benchmarks/ --benchmark-only

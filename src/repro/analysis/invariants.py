@@ -925,8 +925,3 @@ def check_fleet_schedule(
             where=where,
         )
 
-
-def maybe_check_fleet_schedule(ctx, result, *, where: str = "fleet") -> None:
-    """Run :func:`check_fleet_schedule` only when the sanitizer is armed."""
-    if sanitizer_enabled(ctx):
-        check_fleet_schedule(ctx, result, where=where)

@@ -52,7 +52,7 @@ from repro.core.astar import AStarScheduler, astar_schedule
 from repro.core.genetic import GaConfig, GeneticScheduler, genetic_schedule
 from repro.core.objectives import EnergyAwareGovernor, governor_for
 from repro.objective import MAKESPAN_ENERGY_RHO, Objective
-from repro.core.online import FifoOnlinePolicy, HcsOnlinePolicy
+from repro.core.online import FifoOnlinePolicy, HcsOnlinePolicy, ReplanOnlinePolicy
 from repro.core.portfolio import DEFAULT_MEMBERS, portfolio_schedule
 from repro.core.splitting import SplitOutcome, best_split
 from repro.core.runtime import CoScheduleRuntime, RandomAverage, ScheduleOutcome
@@ -110,6 +110,7 @@ __all__ = [
     "governor_for",
     "FifoOnlinePolicy",
     "HcsOnlinePolicy",
+    "ReplanOnlinePolicy",
     "DEFAULT_MEMBERS",
     "portfolio_schedule",
     "SplitOutcome",

@@ -136,35 +136,26 @@ def _adapter(method: str) -> Callable[..., ScheduleResult]:
         raise ValueError(f"unknown scheduler {method!r}; known: {known}") from None
 
 
-def dispatch(
-    ctx: SchedulingContext,
-    method: str,
-    /,
-    *,
-    stats_cache: EvalCache | None = None,
-    **opts,
-) -> ScheduleResult:
+def dispatch(ctx: SchedulingContext, method: str, /, **opts) -> ScheduleResult:
     """Run the registered ``method`` on an existing context.
 
     The one step every front door shares: look the adapter up, check the
     cap certificate (:func:`~repro.core.feasibility.require_cap_feasible`),
-    call the adapter with the method options ``opts``, fill in what only
-    the caller knows (a snapshot of ``stats_cache``, default the context's
-    cache, and the context's governor), then verify the result when the
-    sanitizer is armed.  Builds no context.
+    call the adapter with the method options ``opts``, fill in what the
+    adapter left out (a snapshot of the context's cache and the context's
+    governor), then verify the result when the sanitizer is armed.  Builds
+    no context.
     """
     adapter = _adapter(method)
     require_cap_feasible(ctx)
     result = adapter(ctx, **opts)
     if result.cache_stats is None or result.governor is None:
-        if stats_cache is None:
-            stats_cache = ctx.cache
         result = replace(
             result,
             cache_stats=(
                 result.cache_stats
                 if result.cache_stats is not None
-                else stats_cache.snapshot()
+                else ctx.cache.snapshot()
             ),
             governor=result.governor if result.governor is not None else ctx.governor,
         )
@@ -285,7 +276,6 @@ class Scheduler:
         cap_w: float,
         predictor: CoRunPredictor | CachingPredictor,
         objective: Objective | str = Objective.MAKESPAN,
-        cache: EvalCache | None = None,
         seed=None,
         node=None,
         **opts,
@@ -297,7 +287,6 @@ class Scheduler:
         self.node = node
         self.method = method.lower()
         self.objective = Objective.coerce(objective)
-        self.cache = cache if cache is not None else EvalCache()
         self.predictor = predictor
         self.seed = seed
         self.opts = opts
@@ -335,15 +324,11 @@ class Scheduler:
         )
 
     def __call__(self, jobs: Sequence[Job], **opts) -> ScheduleResult:
-        """Compute a co-schedule for ``jobs`` under the current cap."""
-        # Report the model-wide shared cache (profiling + predictor
-        # queries), not the per-cap evaluator cache.
-        return dispatch(
-            self.context(jobs),
-            self.method,
-            stats_cache=self.cache,
-            **{**self.opts, **opts},
-        )
+        """Compute a co-schedule for ``jobs`` under the current cap.
+
+        The result's ``cache_stats`` snapshot this cap's evaluator cache,
+        as :func:`schedule` snapshots its call's context cache."""
+        return dispatch(self.context(jobs), self.method, **{**self.opts, **opts})
 
 
 def _result(

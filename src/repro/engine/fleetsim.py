@@ -95,12 +95,6 @@ class FleetExecutionResult:
             (e.node, v) for e in self.entries for v in e.result.violations
         )
 
-    def node_result(self, node: str) -> ExecutionResult:
-        for e in self.entries:
-            if e.node == node:
-                return e.result
-        raise KeyError(f"node {node!r} has no execution record")
-
     def score(self, objective: Objective | str | None = None) -> float:
         """Scalar score under an objective (lower is better); ``None``
         scores under the result's own :attr:`objective`."""

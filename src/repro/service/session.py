@@ -8,20 +8,25 @@ Bridges three layers that were previously only composable offline:
 
 * the discrete-event :class:`~repro.engine.sim.SimCore` holds the virtual
   timeline (running pair, pending pool, future arrivals);
-* the :class:`~repro.core.api.Scheduler` front end (any method in the
-  ``repro.core`` registry — HCS by default) is consulted whenever a
-  processor goes idle, over the *arrived* unstarted jobs;
+* the scheduling decision is :class:`~repro.core.online.ReplanOnlinePolicy`
+  over a :class:`~repro.core.api.Scheduler` (any method in the
+  ``repro.core`` registry — HCS by default), asked whenever a processor
+  goes idle about the *arrived* unstarted jobs; ``engine.run`` under the
+  same policy reproduces the session's completions;
 * the :mod:`repro.perf` layer supplies the shared
   :class:`~repro.perf.cache.EvalCache` that submissions are profiled
   through.
+
+The session itself keeps only the service's duties: the clock, cap
+events, late rejections and completion records.
 
 Power-cap events may land mid-run (:meth:`set_cap`): the governor is
 rebuilt, the running pair's frequencies are re-evaluated at the event
 time, and pending jobs that no cap setting can admit any more are
 *withdrawn with a structured rejection* instead of raising
 :class:`~repro.errors.InfeasibleCapError` into the event loop.  Every job
-the scheduler is then asked to plan has a solo level under the cap, so
-each batch passes the registry's cap certificate and comes back as a
+the policy is then asked about has a solo level under the cap, so each
+batch passes the registry's cap certificate and comes back as a
 cap-feasible plan; there is no fallback policy.  If even
 the floor frequencies cannot hold the new cap for the already-running
 pair, the session clamps to the floor and counts a cap violation —
@@ -37,7 +42,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from repro.analysis.invariants import check_schedule, env_sanitizer_enabled
 from repro.errors import InfeasibleCapError
 from repro.hardware.calibration import DEFAULT_POWER_CAP_W, make_ivy_bridge
 from repro.hardware.device import DeviceKind
@@ -46,6 +50,7 @@ from repro.hardware.processor import IntegratedProcessor
 from repro.workload.program import Job
 from repro.core.api import Scheduler
 from repro.core.objectives import governor_for
+from repro.core.online import ReplanOnlinePolicy
 from repro.objective import Objective
 from repro.engine.sim import SimCore
 from repro.engine.tracing import JobCompletion
@@ -172,26 +177,27 @@ class ServiceSession:
         #: a plan is the session's job, so it owns the policy the running
         #: pair's frequencies come from (rebuilt on every cap change).
         self.governor = governor_for(self.predictor, cap_w, self.objective)
-        self.scheduler = Scheduler(
-            method,
-            cap_w=cap_w,
-            objective=self.objective,
-            predictor=self._caching,
-            cache=self.cache,
-            seed=seed,
-            node=node,
-            **scheduler_opts,
+        #: The scheduling decision; ``sanitize=None`` defers to the
+        #: process-wide REPRO_SANITIZE flag at check time.
+        self.policy = ReplanOnlinePolicy(
+            Scheduler(
+                method,
+                cap_w=cap_w,
+                objective=self.objective,
+                predictor=self._caching,
+                seed=seed,
+                node=node,
+                **scheduler_opts,
+            ),
+            sanitize=sanitize,
         )
         self.sim = SimCore(self.processor, _SafeGovernor(self))
-        # None defers to the process-wide REPRO_SANITIZE flag at check time.
-        self._sanitize_override = sanitize
         self.cap_violations = 0
         self._jobs: dict[str, Job] = {}
         self._cap_at_start: dict[str, float] = {}
         self._cap_events: list[tuple[float, int, float]] = []
         self._cap_seq = 0
         self._late_rejections: list[LateRejection] = []
-        self._schedule_memo: dict[tuple, object] = {}
         self._unprofiled: list[Job] = []
 
     # ------------------------------------------------------------------
@@ -229,9 +235,9 @@ class ServiceSession:
         difference between O(N) and O(N²) on the service's hot path.
 
         The grown table is installed by swapping the *inner* predictor of
-        the session's one shared :class:`CachingPredictor`: the scheduler
-        (and every context it builds) and the session's governor all hold
-        that object, so they see the new jobs with no policy rebuild.
+        the session's one shared :class:`CachingPredictor`: the policy's
+        scheduler (and every context it builds) and the session's governor
+        all hold that object, so they see the new jobs with no policy rebuild.
         """
         if not self._unprofiled:
             return
@@ -285,8 +291,7 @@ class ServiceSession:
     def _apply_cap(self, cap_w: float) -> None:
         self.cap_w = cap_w
         self.governor = governor_for(self.predictor, cap_w, self.objective)
-        self.scheduler.set_cap(cap_w)
-        self._schedule_memo.clear()
+        self.policy.set_cap(cap_w)
         self.sim.invalidate_setting()
 
     # ------------------------------------------------------------------
@@ -302,7 +307,7 @@ class ServiceSession:
             bound = until_s
             if self._cap_events:
                 bound = min(bound, self._cap_events[0][0])
-            completions.extend(self.sim.advance(self._policy, bound))
+            completions.extend(self.sim.advance(self._decide, bound))
             if (
                 self._cap_events
                 and self.sim.now >= self._cap_events[0][0] - _EPS
@@ -336,10 +341,10 @@ class ServiceSession:
     def drain(self) -> tuple[list[CompletionRecord], list[LateRejection]]:
         """Run until every queued and running job has completed."""
         completions = self._run(math.inf)
-        if self._sanitizing():
+        if self.policy.sanitizing:
             # Session completion: every batch plan that drove this run must
             # still satisfy the Definition 2.1 invariants under the cap.
-            self._verify_memoized("service:session")
+            self.policy.verify_plans("service:session")
         return self._report(completions)
 
     def pop_late_rejections(self) -> list[LateRejection]:
@@ -347,7 +352,7 @@ class ServiceSession:
         return out
 
     # ------------------------------------------------------------------
-    # The scheduling policy (engine callback)
+    # The engine callback: filter, ask the policy, record the cap
     # ------------------------------------------------------------------
     def _candidates(self, available: list[Job]) -> list[Job]:
         """Filter the arrived pool; late-reject cap-stranded jobs."""
@@ -369,48 +374,7 @@ class ServiceSession:
                 )
         return keep
 
-    def _sanitizing(self) -> bool:
-        if self._sanitize_override is not None:
-            return self._sanitize_override
-        return env_sanitizer_enabled()
-
-    def _verify_memoized(self, where: str) -> None:
-        """Re-verify every batch plan of the current cap (sanitizer mode)."""
-        for (_, uids), sched in list(self._schedule_memo.items()):
-            jobs = [self._jobs[uid] for uid in uids]
-            check_schedule(self.scheduler.context(jobs), sched, where=where)
-
-    def _batch_schedule(self, candidates: list[Job]):
-        ordered = sorted(candidates, key=lambda j: j.uid)
-        key = (self.cap_w, tuple(j.uid for j in ordered))
-        hit = self._schedule_memo.get(key)
-        if hit is None:
-            hit = self.scheduler(ordered).schedule
-            if self._sanitizing():
-                check_schedule(
-                    self.scheduler.context(ordered), hit, where="service:batch"
-                )
-            self._schedule_memo[key] = hit
-        return hit
-
-    def _pair_feasible(self, job: Job, kind: DeviceKind, other: Job) -> bool:
-        cpu_uid, gpu_uid = (
-            (job.uid, other.uid)
-            if kind is DeviceKind.CPU
-            else (other.uid, job.uid)
-        )
-        return bool(
-            self.predictor.feasible_pair_settings(cpu_uid, gpu_uid, self.cap_w)
-        )
-
-    def _issue(self, job: Job) -> Job:
-        # The cap in force when a job is handed to the engine is the cap
-        # its start-time frequency setting is chosen under — record it
-        # here, where both facts are simultaneously true.
-        self._cap_at_start[job.uid] = self.cap_w
-        return job
-
-    def _policy(
+    def _decide(
         self, kind: DeviceKind, available: list[Job], other: Job | None,
         now: float,
     ) -> Job | None:
@@ -419,22 +383,13 @@ class ServiceSession:
         candidates = self._candidates(available)
         if not candidates:
             return None
-        sched = self._batch_schedule(candidates)
-        queue = sched.cpu_queue if kind is DeviceKind.CPU else sched.gpu_queue
-        if queue:
-            head = queue[0]
-            if other is not None and not self._pair_feasible(head, kind, other):
-                # The batch plan assumed a fresh machine; next to the job
-                # actually running this pairing busts the cap, so wait.
-                return None
-            return self._issue(head)
-        if other is None:
-            # Nothing planned for this device: the solo tail may still hold
-            # work that must run alone, which "alone" now is.
-            for job, tail_kind in sched.solo_tail:
-                if tail_kind is kind:
-                    return self._issue(job)
-        return None
+        job = self.policy(kind, candidates, other, now)
+        if job is not None:
+            # The cap in force when a job is handed to the engine is the
+            # cap its start-time frequency setting is chosen under — record
+            # it here, where both facts are simultaneously true.
+            self._cap_at_start[job.uid] = self.cap_w
+        return job
 
     # ------------------------------------------------------------------
     # Records

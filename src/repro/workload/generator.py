@@ -130,105 +130,3 @@ def random_workload(
         jobs.append(Job(uid=profile.name, profile=profile))
     return jobs
 
-
-def random_fleet(
-    n_nodes: int,
-    seed: int | np.random.Generator | None = None,
-    *,
-    budget_w: float | None = None,
-    capped_fraction: float = 0.25,
-    cap_range_w: tuple[float, float] = (8.0, 20.0),
-):
-    """Sample a heterogeneous fleet of ``n_nodes`` scaled APU copies.
-
-    Speed scales are sampled log-uniformly in [0.5, 2.0] (a 4x spread,
-    matching the CPU/GPU preference spread of :func:`random_program`);
-    power scales track speed super-linearly (fast silicon pays a power
-    premium), so feasibility pressure varies across nodes.  About
-    ``capped_fraction`` of the nodes carry their own hard cap; the rest
-    share ``budget_w`` (defaulting to a mildly contended total).
-    """
-    from repro.core.fleet import Fleet, Node
-
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    rng = default_rng(seed)
-    nodes = []
-    for k in range(n_nodes):
-        speed = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
-        power = float(speed ** 1.3 * rng.uniform(0.85, 1.15))
-        cap = None
-        if n_nodes > 1 and rng.uniform() < capped_fraction:
-            cap = float(rng.uniform(*cap_range_w))
-        nodes.append(Node(
-            name=f"fnode{k:02d}",
-            speed_scale=speed,
-            power_scale=power,
-            cap_w=cap,
-        ))
-    if budget_w is None:
-        # Mildly contended: roughly 15 W of budget per capless node on
-        # top of whatever the explicitly capped nodes claim.
-        capless = sum(1 for n in nodes if n.cap_w is None)
-        explicit = sum(n.cap_w for n in nodes if n.cap_w is not None)
-        budget_w = explicit + 15.0 * max(capless, 1)
-    if all(n.cap_w is not None for n in nodes):
-        return Fleet(nodes=tuple(nodes))
-    return Fleet(nodes=tuple(nodes), budget_w=budget_w)
-
-
-def fleet_scenario(
-    name: str,
-    seed: int | np.random.Generator | None = None,
-):
-    """A named, seeded heterogeneous-fleet scenario: (fleet, jobs, events).
-
-    Scenario families (each deterministic given ``seed``):
-
-    ``balanced``
-        4 moderately spread nodes, 12 jobs, ample shared budget — the
-        baseline fleet co-scheduling shape.
-    ``big-little``
-        2 fast/power-hungry + 2 slow/frugal nodes, 12 jobs, tight shared
-        budget: placement must weigh speed against feasibility.
-    ``cap-crunch``
-        4 nodes, 16 jobs, and a mid-run budget *drop* to 60% delivered as
-        a cap event list ``[(at_s, budget_w), ...]`` — exercises late
-        rejections and governor clamping in live sessions.
-    ``solo-giant``
-        1 non-trivial node (fast, hot, hard-capped), 8 jobs: the fleet
-        machinery on a single scaled node.
-
-    Returns ``(fleet, jobs, cap_events)`` where ``cap_events`` is a list
-    of ``(at_s, budget_w)`` pairs (empty for most families).
-    """
-    from repro.core.fleet import Fleet, Node
-
-    rng = default_rng(seed)
-    if name == "balanced":
-        fleet = random_fleet(4, rng, budget_w=70.0, capped_fraction=0.0)
-        return fleet, random_workload(12, rng), []
-    if name == "big-little":
-        fleet = Fleet(
-            nodes=(
-                Node("big0", speed_scale=1.8, power_scale=1.5),
-                Node("big1", speed_scale=1.6, power_scale=1.4),
-                Node("little0", speed_scale=0.6, power_scale=0.45),
-                Node("little1", speed_scale=0.5, power_scale=0.4),
-            ),
-            budget_w=52.0,
-        )
-        return fleet, random_workload(12, rng), []
-    if name == "cap-crunch":
-        fleet = random_fleet(4, rng, budget_w=80.0, capped_fraction=0.0)
-        jobs = random_workload(16, rng)
-        return fleet, jobs, [(30.0, 48.0)]
-    if name == "solo-giant":
-        fleet = Fleet(
-            nodes=(Node("giant", speed_scale=2.0, power_scale=1.6, cap_w=24.0),),
-        )
-        return fleet, random_workload(8, rng), []
-    raise ValueError(
-        f"unknown fleet scenario {name!r}; known: balanced, big-little, "
-        "cap-crunch, solo-giant"
-    )

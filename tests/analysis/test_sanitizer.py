@@ -133,7 +133,7 @@ class TestServiceSanitizer:
         return make
 
     def _rig(self, session):
-        session.scheduler.governor_factory = (
+        session.policy.scheduler.governor_factory = (
             lambda predictor, cap_w, objective: CapIgnoringGovernor(
                 predictor, cap_w
             )
@@ -166,7 +166,7 @@ class TestServiceSanitizer:
         for job in (rodinia_jobs[2], rodinia_jobs[0]):  # dwt2d, streamcluster
             session.submit(job)
         session.advance(0.5)
-        assert session._schedule_memo
+        assert session.policy.plans
         self._rig(session)
         monkeypatch.setenv(SANITIZE_ENV, "1")
         with pytest.raises(ScheduleInvariantError) as exc_info:
@@ -184,3 +184,27 @@ class TestServiceSanitizer:
         completions, rejections = session.drain()
         assert len(completions) == 3
         assert rejections == []
+
+    @pytest.mark.parametrize("sanitize", [None, True])
+    def test_each_plan_is_checked_once(
+        self, monkeypatch, session_factory, rodinia_jobs, sanitize
+    ):
+        from repro.analysis import invariants
+
+        checks = []
+        real_verify = invariants.verify_schedule
+
+        def counting_verify(ctx, schedule, **kwargs):
+            checks.append(schedule)
+            return real_verify(ctx, schedule, **kwargs)
+
+        monkeypatch.setattr(invariants, "verify_schedule", counting_verify)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        session = session_factory(sanitize=sanitize)
+        for i, job in enumerate(rodinia_jobs):
+            session.submit(job, 5.0 * i)
+        completions, _ = session.advance(10_000.0)
+        assert len(completions) == len(rodinia_jobs)
+        plans = [plan for _, plan in session.policy.plans.values()]
+        assert len(plans) > 1
+        assert checks == plans

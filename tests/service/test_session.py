@@ -73,7 +73,7 @@ class TestCapEvents:
         at = session.set_cap(12.0)
         assert at == pytest.approx(session.now)
         assert session.cap_w == 12.0
-        assert session.scheduler.cap_w == 12.0
+        assert session.policy.scheduler.cap_w == 12.0
 
     def test_cap_validation(self, session):
         with pytest.raises(ValueError, match="positive"):

@@ -71,8 +71,8 @@ class TestTensorModelReuse:
     def test_completions_equal_scalar_backend(self):
         tensor = _run(ServiceSession())
         session = ServiceSession()
-        build = session.scheduler.context
-        session.scheduler.context = lambda jobs: scalar_context(build(jobs))
+        build = session.policy.scheduler.context
+        session.policy.scheduler.context = lambda jobs: scalar_context(build(jobs))
         scalar = _run(session)
         assert tensor == scalar
 
